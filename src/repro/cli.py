@@ -28,7 +28,10 @@ Conventions shared by every subcommand:
   wins, and both default to 2021.
 * Exit codes: 0 success, 1 domain failure (a campaign FAILed, nothing
   could be profiled/placed), 2 I/O error (unreadable registry,
-  unwritable report).
+  unwritable report) or usage error: argparse rejected an argument, or
+  a knob environment variable (``REPRO_FIDELITY``, ``REPRO_BACKEND``)
+  holds an unknown value, reported as one ``repro: <cause>`` line on
+  stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import List, Optional
 
 from .analysis.reporting import format_bar_chart, format_table
 from .analysis.stats import histogram, mean, stdev
+from .knobs import KnobError
 
 #: Default RNG seed when neither --seed position supplies one.
 DEFAULT_SEED = 2021
@@ -47,6 +51,7 @@ DEFAULT_SEED = 2021
 EXIT_OK = 0
 EXIT_DOMAIN_FAILURE = 1
 EXIT_IO_ERROR = 2
+EXIT_USAGE = 2
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -186,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.reporting import format_kv
     from .perf.sweep import SweepConfig, SweepRunner
     config = SweepConfig(refs_per_core=args.refs, workers=args.workers,
-                         engine=args.engine, fidelity=args.fidelity,
+                         fidelity=args.fidelity,
                          seeds=(_resolve_seed(args),))
     result = SweepRunner(config).run()
     if args.out:
@@ -632,10 +637,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             seed = args.seed
         report = run_perf_bench(
             refs_per_core=args.refs, workers=args.workers,
-            engine=args.engine, fidelity=args.fidelity,
-            baseline_path=args.baseline, seed=seed,
-            include_reference=not args.no_reference,
-            drain_events=args.drain_events,
+            fidelity=args.fidelity, baseline_path=args.baseline,
+            seed=seed, include_reference=not args.no_reference,
             include_fastmodel=args.fastmodel,
             fastmodel_cycle=not args.fastmodel_no_cycle)
         try:
@@ -652,7 +655,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 " ({})".format(report.cap_reason)
                 if report.cap_reason else "")],
             ["cpu capacity", report.cpu_capacity],
-            ["engine", report.engine],
             ["fast wall s", "{:.2f}".format(report.fast_wall_s)],
             ["events/s", "{:.0f}".format(report.events_per_second)],
         ]
@@ -662,9 +664,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if report.speedup_vs_baseline is not None:
             pairs.append(["speedup vs recorded baseline", "{:.2f}x"
                           .format(report.speedup_vs_baseline)])
-        for kind, d in report.drain.items():
-            pairs.append(["drain {} events/s".format(kind),
-                          "{:.0f}".format(d["events_per_second"])])
         if report.fastmodel:
             fm = report.fastmodel
             pairs.append(["fastmodel crosscheck",
@@ -688,8 +687,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     config = NodeConfig(
         suite=args.suite, hierarchy=HIERARCHIES[args.hierarchy](),
         design=args.design, refs_per_core=args.refs,
-        memory_utilization=args.utilization, engine=args.engine,
-        seed=_resolve_seed(args))
+        memory_utilization=args.utilization, seed=_resolve_seed(args))
     profiler = cProfile.Profile()
     profiler.enable()
     simulate_node(config)
@@ -1209,8 +1207,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=0,
                        help="worker processes for cycle cells "
                             "(<=1 serial; fast cells never fan out)")
-    sweep.add_argument("--engine", default=None,
-                       choices=("heap", "calendar"))
     sweep.add_argument("--fidelity", default=None,
                        choices=("cycle", "fast"),
                        help="model tier (default: REPRO_FIDELITY or "
@@ -1415,10 +1411,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace references per core and cell")
     bench.add_argument("--workers", type=int, default=8,
                        help="sweep worker processes (<=1 serial)")
-    bench.add_argument("--engine", default=None,
-                       choices=("heap", "calendar"),
-                       help="event-loop engine (default: REPRO_ENGINE "
-                            "or heap)")
     bench.add_argument("--out", default=None,
                        help="report path (default BENCH_speedup.json)")
     bench.add_argument("--baseline", default=None,
@@ -1427,9 +1419,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--no-reference", action="store_true",
                        help="skip the serial no-dedup reference pass "
                             "(halves the bench time)")
-    bench.add_argument("--drain-events", type=int, default=100000,
-                       help="pending-drain micro-benchmark size "
-                            "(0 disables)")
     bench.add_argument("--fidelity", default=None,
                        choices=("cycle", "fast"),
                        help="tier for the main sweep (the regression "
@@ -1452,8 +1441,6 @@ def build_parser() -> argparse.ArgumentParser:
     pprofile.add_argument("--design", default="hetero-dmr")
     pprofile.add_argument("--utilization", type=float, default=0.2)
     pprofile.add_argument("--refs", type=int, default=3000)
-    pprofile.add_argument("--engine", default=None,
-                          choices=("heap", "calendar"))
     pprofile.add_argument("--top", type=int, default=25,
                           help="rows of profile output to print")
 
@@ -1590,7 +1577,11 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except KnobError as exc:
+        print("repro: {}".format(exc), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":     # pragma: no cover

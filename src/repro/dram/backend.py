@@ -37,19 +37,19 @@ Two backends are registered:
     (16 Gb+ cores), and the eye-width-in-unit-intervals argument of
     Section III-F scales the margin population by the rate ratio.
 
-Selection mirrors :func:`repro.sim.engine.make_event_loop`'s
-``REPRO_ENGINE`` handling: an explicit kind wins, otherwise the
-``REPRO_BACKEND`` environment variable decides (defaulting to
-``ddr4``), and unknown values raise rather than silently simulating a
+Selection follows :func:`repro.knobs.resolve_knob`: an explicit kind
+wins, otherwise the ``REPRO_BACKEND`` environment variable decides
+(defaulting to ``ddr4``), and unknown values raise
+:class:`~repro.knobs.KnobError` rather than silently simulating a
 different technology.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Optional, Tuple
 
+from ..knobs import resolve_knob
 from .timing import (DDR4_MAX_SPEC_MTS, TimingParameters, TimingTable,
                      manufacturer_spec_3200, timing_table)
 
@@ -62,27 +62,9 @@ VALID_BACKENDS = ("ddr4", "mrdimm")
 
 
 def resolve_backend(kind: Optional[str] = None) -> str:
-    """Resolve a memory-backend name.
-
-    ``kind`` may be ``"ddr4"``, ``"mrdimm"``, or None, in which case
-    the ``REPRO_BACKEND`` environment variable decides (defaulting to
-    the DDR4 reference part).  Environment values are stripped and
-    lowercased; anything else raises — a typo in ``REPRO_BACKEND``
-    must not silently change the memory technology under test.
-    """
-    from_env = False
-    if kind is None:
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        from_env = bool(env)
-        kind = env or "ddr4"
-    if kind not in VALID_BACKENDS:
-        raise ValueError(
-            "unknown backend {!r}{}; valid memory backends: {}".format(
-                kind,
-                " (from the {} environment variable)".format(
-                    BACKEND_ENV_VAR) if from_env else "",
-                ", ".join(VALID_BACKENDS)))
-    return kind
+    """Resolve a memory-backend name (``"ddr4"``, ``"mrdimm"``, or None
+    for ``REPRO_BACKEND``, defaulting to the DDR4 reference part)."""
+    return resolve_knob(BACKEND_ENV_VAR, VALID_BACKENDS, "ddr4", kind)
 
 
 class MemoryBackend:

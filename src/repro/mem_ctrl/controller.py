@@ -240,8 +240,7 @@ class ChannelController:
         # Write-mode scheduling: writes are drained first-ready — same-
         # row writes back to back within a bank, banks interleaved
         # round-robin so their row cycles overlap and the data bus
-        # stays packed.  Large batches order through numpy integer
-        # sorts (bit-identical permutation; see mem_ctrl.batch_timing).
+        # stays packed (see mem_ctrl.batch_timing).
         self._write_chunks(order_write_batch(batch), 0)
 
     #: Writes drained per read<->write bus turnaround, as in a

@@ -3,11 +3,11 @@
 Times the Figure 12 sweep three ways —
 
 * **fast**: :class:`~repro.perf.sweep.SweepRunner` with effective-cell
-  deduplication, the selected event-loop engine, and (where the host
-  has cores to spare) a process-pool fan-out;
-* **reference**: the same cell set simulated one-by-one, serially, on
-  the heap reference engine with no deduplication — the shape of the
-  sweep before this harness existed; and
+  deduplication and (where the host has cores to spare) a
+  process-pool fan-out;
+* **reference**: the same cell set simulated one-by-one, serially, at
+  cycle fidelity with no deduplication — the shape of the sweep before
+  this harness existed; and
 * **recorded baseline**: numbers committed in
   ``benchmarks/perf/baseline.json`` (seed-tree serial wall time and an
   events/sec floor), so speedup and regression are judged against a
@@ -16,22 +16,16 @@ Times the Figure 12 sweep three ways —
 The report lands in ``BENCH_speedup.json``; the events/sec regression
 gate trips when the fast path falls more than
 :data:`REGRESSION_TOLERANCE` below the recorded baseline.
-
-Also exposes :func:`drain_benchmark`, a pending-drain micro-benchmark
-that fills each engine with a deterministic pseudo-random event set and
-times schedule + drain.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..sim.engine import make_event_loop
 from .sweep import SweepConfig, SweepRunner, _run_cell
 
 #: Fractional events/sec drop vs the recorded baseline that trips the
@@ -54,45 +48,6 @@ def load_baseline(path: Optional[Path] = None) -> Optional[dict]:
         return json.load(fh)
 
 
-def _noop() -> None:
-    return None
-
-
-def drain_benchmark(n_events: int = 100_000,
-                    horizon_ns: float = 1_000_000.0,
-                    seed: int = 20260806) -> Dict[str, dict]:
-    """Pending-drain micro-benchmark: fill each engine with the same
-    deterministic pseudo-random event set, then time schedule + drain.
-
-    Returns per-engine dicts with ``schedule_s``, ``drain_s``, and the
-    combined ``events_per_second``.
-    """
-    if n_events <= 0:
-        raise ValueError("n_events must be positive")
-    rng = random.Random(seed)
-    times = [rng.uniform(0.0, horizon_ns) for _ in range(n_events)]
-    out: Dict[str, dict] = {}
-    for kind in ("heap", "calendar"):
-        loop = make_event_loop(kind)
-        schedule = loop.schedule
-        t0 = time.perf_counter()
-        for t in times:
-            schedule(t, _noop)
-        t_schedule = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        loop.run()
-        t_drain = time.perf_counter() - t0
-        assert loop.events_processed == n_events
-        total = t_schedule + t_drain
-        out[kind] = {
-            "n_events": n_events,
-            "schedule_s": t_schedule,
-            "drain_s": t_drain,
-            "events_per_second": n_events / total if total else 0.0,
-        }
-    return out
-
-
 @dataclass
 class BenchReport:
     """One ``repro perf bench`` outcome, serialized to
@@ -104,7 +59,6 @@ class BenchReport:
     workers_used: int
     cpu_capacity: int
     cap_reason: str
-    engine: str
     fast_wall_s: float
     events_processed: int
     events_per_second: float
@@ -115,7 +69,6 @@ class BenchReport:
     speedup_vs_baseline: Optional[float] = None
     baseline_events_per_second: Optional[float] = None
     regressed: bool = False
-    drain: Dict[str, dict] = field(default_factory=dict)
     fastmodel: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -128,7 +81,6 @@ class BenchReport:
                         "used": self.workers_used,
                         "cpu_capacity": self.cpu_capacity,
                         "cap_reason": self.cap_reason},
-            "engine": self.engine,
             "fidelity": self.fidelity,
             "fast_wall_s": self.fast_wall_s,
             "events_processed": self.events_processed,
@@ -140,7 +92,6 @@ class BenchReport:
             "baseline_events_per_second": self.baseline_events_per_second,
             "regressed": self.regressed,
             "regression_tolerance": REGRESSION_TOLERANCE,
-            "drain": self.drain,
             "fastmodel": self.fastmodel,
         }
 
@@ -154,13 +105,12 @@ class BenchReport:
 
 def _reference_pass(config: SweepConfig) -> tuple:
     """Time the un-optimized sweep shape: every grid cell simulated
-    serially on the heap engine, no effective-cell deduplication."""
+    serially at cycle fidelity, no effective-cell deduplication."""
+    runner = SweepRunner(replace(config, fidelity="cycle"))
     cells = config.cells()
     t0 = time.perf_counter()
     for cell in cells:
-        _run_cell((cell["suite"], cell["hierarchy"], cell["design"],
-                   cell["margin_mts"], cell["bucket"], cell["seed"],
-                   config.refs_per_core, "heap", "cycle"))
+        _run_cell(runner._task(cell))
     return time.perf_counter() - t0, len(cells)
 
 
@@ -207,12 +157,10 @@ def fastmodel_benchmark(include_cycle: bool = True,
 
 def run_perf_bench(refs_per_core: int = 120,
                    workers: int = 8,
-                   engine: Optional[str] = None,
                    fidelity: Optional[str] = None,
                    baseline_path: Optional[Path] = None,
                    seed: Optional[int] = None,
                    include_reference: bool = True,
-                   drain_events: int = 100_000,
                    include_fastmodel: bool = False,
                    fastmodel_cycle: bool = True) -> BenchReport:
     """Run the Figure 12 sweep benchmark and build the report.
@@ -230,7 +178,7 @@ def run_perf_bench(refs_per_core: int = 120,
     side-by-side section (see :func:`fastmodel_benchmark`).
     """
     kwargs = {"refs_per_core": refs_per_core, "workers": workers,
-              "engine": engine, "fidelity": fidelity}
+              "fidelity": fidelity}
     if seed is not None:
         kwargs["seeds"] = (seed,)
     config = SweepConfig(**kwargs)
@@ -244,12 +192,10 @@ def run_perf_bench(refs_per_core: int = 120,
         workers_used=result.workers_used,
         cpu_capacity=result.cpu_capacity,
         cap_reason=result.cap_reason,
-        engine=engine or "default",
         fidelity=runner._fidelity,
         fast_wall_s=result.wall_s,
         events_processed=result.events_processed,
         events_per_second=result.events_per_second,
-        drain=drain_benchmark(drain_events) if drain_events else {},
         fastmodel=(fastmodel_benchmark(include_cycle=fastmodel_cycle)
                    if include_fastmodel else {}),
     )

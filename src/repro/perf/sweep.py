@@ -76,9 +76,7 @@ class SweepConfig:
     x margins x buckets x seeds`` (baseline cells ignore margins and
     buckets — they are normalized away).  ``workers <= 1`` runs
     serially; larger values fan out over a process pool with identical
-    results.  ``engine`` selects the event-loop implementation for
-    every cell ("heap", "calendar", or None for the environment
-    default).
+    results.
     """
     suites: Tuple[str, ...] = ()
     hierarchies: Tuple[str, ...] = ("Hierarchy1", "Hierarchy2")
@@ -89,7 +87,6 @@ class SweepConfig:
     seeds: Tuple[int, ...] = (12345,)
     refs_per_core: int = 3000
     workers: int = 0
-    engine: Optional[str] = None
     #: Fidelity tier for every cell ("cycle", "fast", or None for the
     #: ``REPRO_FIDELITY`` default).  Fast cells are closed-form: the
     #: runner skips the process pool and evaluates the whole grid as
@@ -171,14 +168,12 @@ def cell_key(cell: dict) -> tuple:
 
 def _task_config(task: Tuple) -> NodeConfig:
     (suite, hierarchy, design, margin_mts, bucket, seed, refs,
-     engine, fidelity, backend, read_error_rate,
-     transition_fault_rate) = task
+     fidelity, backend, read_error_rate, transition_fault_rate) = task
     return NodeConfig(
         suite=suite, hierarchy=HIERARCHIES[hierarchy](), design=design,
         margin_mts=margin_mts,
         memory_utilization=BUCKET_UTILIZATION[bucket],
-        refs_per_core=refs, seed=seed, engine=engine,
-        fidelity=fidelity, backend=backend,
+        refs_per_core=refs, seed=seed, fidelity=fidelity, backend=backend,
         read_error_rate=read_error_rate,
         transition_fault_rate=transition_fault_rate)
 
@@ -255,20 +250,21 @@ class SweepRunner:
         occurrence order (deterministic at any worker count)."""
         order: Dict[tuple, int] = {}
         tasks: List[Tuple] = []
-        cfg = self.config
         for cell in cells:
             key = cell_key(cell)
             if key in order:
                 continue
             order[key] = len(tasks)
-            tasks.append((cell["suite"], cell["hierarchy"],
-                          cell["design"], cell["margin_mts"],
-                          cell["bucket"], cell["seed"],
-                          cfg.refs_per_core, cfg.engine,
-                          self._fidelity, self._backend,
-                          cfg.read_error_rate,
-                          cfg.transition_fault_rate))
+            tasks.append(self._task(cell))
         return tasks, order
+
+    def _task(self, cell: dict) -> Tuple:
+        """The picklable worker task that simulates ``cell``."""
+        cfg = self.config
+        return (cell["suite"], cell["hierarchy"], cell["design"],
+                cell["margin_mts"], cell["bucket"], cell["seed"],
+                cfg.refs_per_core, self._fidelity, self._backend,
+                cfg.read_error_rate, cfg.transition_fault_rate)
 
     def _map(self, tasks: List[Tuple]) -> List[dict]:
         """Run tasks, in order, serially or over a process pool.

@@ -2,41 +2,20 @@
 
 Time is a float in nanoseconds.  Events are callbacks ordered by
 (time, sequence); the sequence number makes simultaneous events FIFO
-and keeps runs deterministic.
-
-Two interchangeable scheduler implementations are provided:
-
-* :class:`EventLoop` — a binary heap (``heapq``), the reference
-  implementation whose event order defines correctness, and
-* :class:`CalendarEventLoop` — a calendar queue [Brown88]: events are
-  bucketed by ``int(time / bucket_width)``, so most operations touch a
-  small per-bucket heap instead of the global one.  It produces the
-  *identical* event order (asserted by the equivalence tests), because
-  the bucket index is monotone in time and ties are still broken by
-  sequence number within a bucket.
-
-:func:`make_event_loop` selects between them, honouring the
-``REPRO_ENGINE`` environment variable (``heap`` | ``calendar``).
+and keeps runs deterministic.  The queue is a binary heap
+(``heapq``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, List, Optional, Tuple
 
 from ..obs import get_recorder
 
-#: Environment variable consulted by :func:`make_event_loop` when no
-#: explicit engine kind is passed.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Engine kinds :func:`make_event_loop` understands.
-VALID_ENGINES = ("heap", "calendar")
-
 
 class EventLoop:
-    """A deterministic event queue (binary-heap reference engine)."""
+    """A deterministic event queue on a binary heap."""
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
@@ -111,161 +90,3 @@ class EventLoop:
             if rec.enabled:
                 rec.counter("engine", "events_processed", processed,
                             kind="heap")
-
-
-class CalendarEventLoop(EventLoop):
-    """Calendar-queue scheduler: same contract and event order as
-    :class:`EventLoop`.
-
-    Events are hashed into ``nbuckets`` buckets by virtual bucket index
-    ``vb = int(time / bucket_width_ns)``; the "year" window
-    ``[cur_vb, cur_vb + nbuckets)`` maps each in-window ``vb`` to a
-    distinct bucket, and events beyond the window wait in an overflow
-    heap.  Because ``vb`` is monotone in time, draining buckets in
-    ``vb`` order and heap-ordering within a bucket reproduces the
-    global ``(time, seq)`` order exactly.
-
-    Only the *active* bucket is kept heapified; future buckets collect
-    events unsorted and are heapified once, when they become active.
-    """
-
-    def __init__(self, bucket_width_ns: float = 64.0,
-                 nbuckets: int = 512) -> None:
-        super().__init__()
-        if bucket_width_ns <= 0.0:
-            raise ValueError("bucket_width_ns must be positive")
-        if nbuckets <= 1:
-            raise ValueError("nbuckets must be at least 2")
-        self.bucket_width_ns = bucket_width_ns
-        self.nbuckets = nbuckets
-        self._buckets: List[List[Tuple[float, int, Callable[[], None]]]] = [
-            [] for _ in range(nbuckets)]
-        self._sorted = [True] * nbuckets
-        self._overflow: List[Tuple[float, int, Callable[[], None]]] = []
-        self._cur_vb = 0
-        self._count = 0
-
-    # -- scheduling ------------------------------------------------------------
-
-    def schedule(self, time_ns: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at ``time_ns`` (clamped to now)."""
-        if time_ns < self.now:
-            time_ns = self.now
-            self.schedule_clamped += 1
-        entry = (time_ns, self._seq, callback)
-        self._seq += 1
-        self._count += 1
-        vb = int(time_ns / self.bucket_width_ns)
-        cur = self._cur_vb
-        if vb < cur:
-            # now is clamped, but now's own bucket may trail cur after
-            # an advance; active bucket keeps order via its heap.
-            vb = cur
-        if vb == cur:
-            heapq.heappush(self._buckets[cur % self.nbuckets], entry)
-        elif vb < cur + self.nbuckets:
-            idx = vb % self.nbuckets
-            self._buckets[idx].append(entry)
-            self._sorted[idx] = False
-        else:
-            heapq.heappush(self._overflow, entry)
-
-    @property
-    def pending(self) -> int:
-        return self._count
-
-    # -- draining --------------------------------------------------------------
-
-    def _drain_overflow(self) -> None:
-        """Move overflow events that now fall inside the year window
-        into their buckets (called whenever ``_cur_vb`` advances)."""
-        overflow = self._overflow
-        width = self.bucket_width_ns
-        horizon = (self._cur_vb + self.nbuckets) * width
-        while overflow and overflow[0][0] < horizon:
-            entry = heapq.heappop(overflow)
-            vb = int(entry[0] / width)
-            if vb <= self._cur_vb:
-                heapq.heappush(
-                    self._buckets[self._cur_vb % self.nbuckets], entry)
-            else:
-                idx = vb % self.nbuckets
-                self._buckets[idx].append(entry)
-                self._sorted[idx] = False
-
-    def _advance(self) -> List[Tuple[float, int, Callable[[], None]]]:
-        """Advance to the next non-empty bucket; returns it heapified.
-        Caller guarantees at least one event is pending."""
-        buckets = self._buckets
-        nbuckets = self.nbuckets
-        in_buckets = self._count - len(self._overflow)
-        if in_buckets == 0:
-            # Jump straight to the earliest overflow event's year.
-            self._cur_vb = int(self._overflow[0][0] / self.bucket_width_ns)
-            self._drain_overflow()
-        while True:
-            bucket = buckets[self._cur_vb % nbuckets]
-            if bucket:
-                idx = self._cur_vb % nbuckets
-                if not self._sorted[idx]:
-                    heapq.heapify(bucket)
-                    self._sorted[idx] = True
-                return bucket
-            self._cur_vb += 1
-            if self._overflow:
-                self._drain_overflow()
-
-    def run(self, until_ns: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Process events until the queue drains (or a bound is hit)."""
-        processed = 0
-        self._stop = False
-        pop = heapq.heappop
-        nbuckets = self.nbuckets
-        while self._count:
-            if self._stop:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            bucket = self._buckets[self._cur_vb % nbuckets]
-            if not bucket:
-                bucket = self._advance()
-            if until_ns is not None and bucket[0][0] > until_ns:
-                break
-            time_ns, _, callback = pop(bucket)
-            self._count -= 1
-            self.now = time_ns
-            callback()
-            processed += 1
-        self.events_processed += processed
-        if processed:
-            rec = get_recorder()
-            if rec.enabled:
-                rec.counter("engine", "events_processed", processed,
-                            kind="calendar")
-
-
-def make_event_loop(kind: Optional[str] = None) -> EventLoop:
-    """Build an event loop of the requested kind.
-
-    ``kind`` may be ``"heap"``, ``"calendar"``, or None, in which case
-    the ``REPRO_ENGINE`` environment variable decides (defaulting to
-    the heap reference engine).  Environment values are stripped and
-    lowercased; anything else raises — a typo in ``REPRO_ENGINE`` must
-    not silently change the engine under test.
-    """
-    from_env = False
-    if kind is None:
-        env = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-        from_env = bool(env)
-        kind = env or "heap"
-    if kind == "heap":
-        return EventLoop()
-    if kind == "calendar":
-        return CalendarEventLoop()
-    raise ValueError(
-        "unknown engine kind {!r}{}; valid engines: {}".format(
-            kind,
-            " (from the {} environment variable)".format(ENGINE_ENV_VAR)
-            if from_env else "",
-            ", ".join(VALID_ENGINES)))

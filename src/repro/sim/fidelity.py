@@ -8,17 +8,18 @@ Two tiers produce :class:`~repro.sim.node.NodeResult` objects:
   (:mod:`repro.fastmodel`), ~10^3-10^4x cheaper per cell, cross-checked
   against the cycle tier on the Figure 12 grid.
 
-:func:`resolve_fidelity` mirrors :func:`repro.sim.engine.make_event_loop`'s
-``REPRO_ENGINE`` handling: an explicit kind wins, otherwise the
-``REPRO_FIDELITY`` environment variable decides (defaulting to
-``cycle``), and unknown values raise rather than silently changing
-which model produced the numbers.
+:func:`resolve_fidelity` follows :func:`repro.knobs.resolve_knob`: an
+explicit kind wins, otherwise the ``REPRO_FIDELITY`` environment
+variable decides (defaulting to ``cycle``), and unknown values raise
+:class:`~repro.knobs.KnobError` rather than silently changing which
+model produced the numbers.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from ..knobs import resolve_knob
 
 #: Environment variable consulted by :func:`resolve_fidelity` when no
 #: explicit fidelity kind is passed.
@@ -67,24 +68,6 @@ def ensure_fidelity_supported(kind: Optional[str] = None,
 
 
 def resolve_fidelity(kind: Optional[str] = None) -> str:
-    """Resolve a fidelity tier name.
-
-    ``kind`` may be ``"cycle"``, ``"fast"``, or None, in which case the
-    ``REPRO_FIDELITY`` environment variable decides (defaulting to the
-    cycle reference tier).  Environment values are stripped and
-    lowercased; anything else raises — a typo in ``REPRO_FIDELITY``
-    must not silently change the model under test.
-    """
-    from_env = False
-    if kind is None:
-        env = os.environ.get(FIDELITY_ENV_VAR, "").strip().lower()
-        from_env = bool(env)
-        kind = env or "cycle"
-    if kind not in VALID_FIDELITIES:
-        raise ValueError(
-            "unknown fidelity {!r}{}; valid fidelity tiers: {}".format(
-                kind,
-                " (from the {} environment variable)".format(
-                    FIDELITY_ENV_VAR) if from_env else "",
-                ", ".join(VALID_FIDELITIES)))
-    return kind
+    """Resolve a fidelity tier name (``"cycle"``, ``"fast"``, or None
+    for ``REPRO_FIDELITY``, defaulting to the cycle reference tier)."""
+    return resolve_knob(FIDELITY_ENV_VAR, VALID_FIDELITIES, "cycle", kind)

@@ -28,7 +28,7 @@ from ..core.config import (DUAL_COPY_UTILIZATION_LIMIT, HeteroDMRConfig,
 from ..core.policies import (BaselinePolicy, FmrPolicy, HeteroDMRPolicy,
                              HeteroFmrPolicy, PlainBaselinePolicy)
 from ..cpu.core import Core
-from ..dram.backend import VALID_BACKENDS, MemoryBackend, get_backend
+from ..dram.backend import MemoryBackend, get_backend, resolve_backend
 from ..dram.channel import Channel
 from ..dram.module import Module, ModuleSpec
 from ..dram.timing import TimingParameters
@@ -38,9 +38,8 @@ from ..mem_ctrl.policy import AccessPolicy
 from ..obs import get_recorder
 from ..workloads.base import TraceGenerator
 from ..workloads.registry import get_profile
-from .engine import VALID_ENGINES, EventLoop, make_event_loop
-from .fidelity import (VALID_FIDELITIES, ensure_fidelity_supported,
-                       resolve_fidelity)
+from .engine import EventLoop
+from .fidelity import ensure_fidelity_supported, resolve_fidelity
 
 #: Designs understood by the simulator.
 DESIGNS = ("baseline", "baseline-plain", "fmr", "hetero-dmr",
@@ -95,16 +94,12 @@ class NodeConfig:
     #: (chaos-campaign knob; 0 disables the fault model entirely).
     transition_fault_rate: float = 0.0
     mlp_limit: int = 16
-    #: Event-loop implementation: "heap", "calendar", or None to defer
-    #: to the ``REPRO_ENGINE`` environment variable.  Both engines
-    #: produce identical results; this only selects the scheduler.
-    engine: Optional[str] = None
     #: Fidelity tier: "cycle" (the trace-driven reference simulator),
     #: "fast" (the calibrated closed-form model in
     #: :mod:`repro.fastmodel`), or None to defer to the
-    #: ``REPRO_FIDELITY`` environment variable.  Unlike ``engine``, the
-    #: tiers produce *different* numbers — the fast tier is an
-    #: approximation cross-checked on the Figure 12 grid.
+    #: ``REPRO_FIDELITY`` environment variable.  The tiers produce
+    #: *different* numbers — the fast tier is an approximation
+    #: cross-checked on the Figure 12 grid.
     fidelity: Optional[str] = None
     #: Memory-technology backend: "ddr4", "mrdimm", or None to defer to
     #: the ``REPRO_BACKEND`` environment variable (defaulting to ddr4).
@@ -127,19 +122,12 @@ class NodeConfig:
                              "channel")
         if self.refs_per_core <= 0:
             raise ValueError("refs_per_core must be positive")
-        if self.engine is not None and self.engine not in VALID_ENGINES:
-            raise ValueError("unknown engine {!r}; valid: {}".format(
-                self.engine, ", ".join(VALID_ENGINES)))
-        if self.fidelity is not None and \
-                self.fidelity not in VALID_FIDELITIES:
-            raise ValueError("unknown fidelity {!r}; valid: {}".format(
-                self.fidelity, ", ".join(VALID_FIDELITIES)))
-        if self.backend is not None and self.backend not in VALID_BACKENDS:
-            raise ValueError("unknown backend {!r}; valid: {}".format(
-                self.backend, ", ".join(VALID_BACKENDS)))
-        if self.fidelity == "fast":
-            # Reject unsupported knob combinations here, at config
-            # construction, instead of deep inside the fast model.
+        if self.backend is not None:
+            resolve_backend(self.backend)
+        if self.fidelity is not None:
+            # Validate the tier, and under "fast" reject unsupported
+            # knob combinations here, at config construction, instead
+            # of deep inside the fast model.
             ensure_fidelity_supported(
                 self.fidelity,
                 knobs={"read_error_rate": self.read_error_rate,
@@ -201,7 +189,7 @@ class NodeSimulation:
 
     def __init__(self, config: NodeConfig):
         self.config = config
-        self.engine = make_event_loop(config.engine)
+        self.engine = EventLoop()
         hier = config.hierarchy
         self.hierarchy = CacheHierarchy(hier)
         self.effective_design = self._effective_design()

@@ -1,18 +1,12 @@
-"""Write-batch drain ordering: vectorized path must be bit-identical
-to the scalar reference, end to end."""
+"""Write-batch drain ordering."""
 
 import random
 
 import pytest
 
-from repro.cache.hierarchy import HIERARCHIES
-from repro.mem_ctrl.batch_timing import (BATCH_ENV_VAR,
-                                         VECTOR_THRESHOLD,
-                                         _order_scalar, order_write_batch,
-                                         vectorized_enabled)
+from repro.mem_ctrl.batch_timing import order_write_batch
 from repro.mem_ctrl.queues import WriteRequest
 from repro.mem_ctrl.address_map import MemLocation
-from repro.sim.node import NodeConfig, simulate_node
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -24,7 +18,7 @@ def _batch(rng, n, ranks=4, banks=16, rows=64):
                              bank=rng.randrange(banks),
                              row=rng.randrange(rows),
                              column=rng.randrange(128)),
-        arrival_ns=float(i)) for i, n_ in enumerate(range(n))]
+        arrival_ns=float(i)) for i in range(n)]
 
 
 def test_scalar_ordering_groups_and_round_robins():
@@ -34,29 +28,10 @@ def test_scalar_ordering_groups_and_round_robins():
     mk = lambda rank, bank, row: WriteRequest(
         location=MemLocation(0, rank, bank, row, 0), arrival_ns=0.0)
     a2, a1, b5, a1b = mk(0, 0, 2), mk(0, 0, 1), mk(1, 3, 5), mk(0, 0, 1)
-    ordered = _order_scalar([a2, a1, b5, a1b])
+    ordered = order_write_batch([a2, a1, b5, a1b])
     # Group (0,0) rows sorted stably (1, 1, 2), run {1,1} emitted whole,
     # then group (1,3)'s first run, then (0,0)'s second run.
     assert ordered == [a1, a1b, b5, a2]
-
-
-@pytest.mark.parametrize("n", [1, VECTOR_THRESHOLD - 1,
-                               VECTOR_THRESHOLD, 500, 2000])
-def test_vectorized_order_matches_scalar(n):
-    pytest.importorskip("numpy")
-    rng = random.Random(n)
-    batch = _batch(rng, n)
-    assert order_write_batch(batch) == _order_scalar(batch)
-
-
-def test_vectorized_order_matches_scalar_degenerate():
-    pytest.importorskip("numpy")
-    rng = random.Random(7)
-    # One bank only: pure row sort.  One row per bank: pure round-robin.
-    one_bank = _batch(rng, 300, ranks=1, banks=1)
-    assert order_write_batch(one_bank) == _order_scalar(one_bank)
-    one_row = _batch(rng, 300, rows=1)
-    assert order_write_batch(one_row) == _order_scalar(one_row)
 
 
 def test_order_is_a_permutation():
@@ -64,36 +39,3 @@ def test_order_is_a_permutation():
     batch = _batch(rng, 400)
     ordered = order_write_batch(batch)
     assert sorted(map(id, ordered)) == sorted(map(id, batch))
-
-
-def test_env_opt_out_disables_vectorized(monkeypatch):
-    pytest.importorskip("numpy")
-    monkeypatch.setenv(BATCH_ENV_VAR, "0")
-    assert not vectorized_enabled()
-    monkeypatch.setenv(BATCH_ENV_VAR, "1")
-    assert vectorized_enabled()
-    monkeypatch.delenv(BATCH_ENV_VAR)
-    assert vectorized_enabled()
-
-
-def test_cycle_sim_identical_with_and_without_vectorized_path(
-        monkeypatch):
-    """End to end: a cycle simulation that actually enters write mode
-    (baseline at refs=600 drains a ~1260-write batch, well past the
-    vectorization threshold) produces bit-identical timing either way."""
-    pytest.importorskip("numpy")
-
-    def run():
-        return simulate_node(NodeConfig(
-            suite="linpack", hierarchy=HIERARCHIES["Hierarchy1"](),
-            design="baseline", margin_mts=800,
-            memory_utilization=0.15, refs_per_core=600, seed=99))
-
-    monkeypatch.setenv(BATCH_ENV_VAR, "0")
-    scalar = run()
-    monkeypatch.delenv(BATCH_ENV_VAR)
-    vectorized = run()
-    assert scalar.time_ns == vectorized.time_ns
-    assert scalar.dram_writes == vectorized.dram_writes
-    assert scalar.events_processed == vectorized.events_processed
-    assert scalar.dram_writes > 0

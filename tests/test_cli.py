@@ -336,17 +336,24 @@ def test_perf_profile_command(capsys):
 def test_perf_bench_parser_wiring():
     args = build_parser().parse_args(
         ["perf", "bench", "--refs", "30", "--workers", "2",
-         "--engine", "calendar", "--no-reference",
-         "--drain-events", "0"])
+         "--no-reference"])
     assert args.command == "perf"
     assert args.perf_command == "bench"
     assert args.refs == 30
     assert args.workers == 2
-    assert args.engine == "calendar"
     assert args.no_reference is True
-    assert args.drain_events == 0
 
 
-def test_perf_bench_rejects_bad_engine():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["perf", "bench", "--engine", "wheel"])
+@pytest.mark.parametrize("command", [["node", "--refs", "20"],
+                                     ["sweep", "--refs", "20"]])
+@pytest.mark.parametrize("env_var", ["REPRO_FIDELITY", "REPRO_BACKEND"])
+def test_bad_knob_env_var_is_a_usage_error(monkeypatch, capsys, env_var,
+                                           command):
+    monkeypatch.setenv(env_var, "bogus")
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: ")
+    assert env_var in lines[0] and "bogus" in lines[0]
+    assert captured.out == ""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.perf import (BenchReport, SweepConfig, SweepRunner, cell_key,
-                        drain_benchmark, load_baseline)
+                        load_baseline)
 
 #: A small grid that still exercises every dedup case: a spec-only
 #: design (fmr), margin-sensitive designs, and the >=50% bucket where
@@ -74,14 +74,12 @@ def test_sweep_config_validation():
         SweepConfig(buckets=("0-99",))
 
 
-def test_drain_benchmark_covers_both_engines():
-    out = drain_benchmark(n_events=5000)
-    assert set(out) == {"heap", "calendar"}
-    for stats in out.values():
-        assert stats["n_events"] == 5000
-        assert stats["events_per_second"] > 0
-    with pytest.raises(ValueError):
-        drain_benchmark(n_events=0)
+def test_reference_pass_simulates_every_cell():
+    from repro.perf.bench import _reference_pass
+    config = SweepConfig(designs=("baseline", "fmr"), **_SMALL)
+    wall_s, n_cells = _reference_pass(config)
+    assert n_cells == len(config.cells()) == 7
+    assert wall_s > 0
 
 
 def test_load_baseline_missing_file(tmp_path):
@@ -92,7 +90,7 @@ def test_bench_report_roundtrip(tmp_path):
     report = BenchReport(
         refs_per_core=60, n_cells=19, unique_simulations=7,
         workers_requested=8, workers_used=1, cpu_capacity=1,
-        cap_reason="cpu-capacity", engine="heap",
+        cap_reason="cpu-capacity",
         fast_wall_s=1.5, events_processed=1000,
         events_per_second=666.0)
     path = report.write(tmp_path / "BENCH_speedup.json")
