@@ -14,11 +14,17 @@ Two Hetero-DMR-specific hooks extend the plain cache:
 * :attr:`CacheStats.cleaned_rewrites` counts lines that were cleaned
   and then dirtied again — the source of the <1% extra DRAM traffic in
   Figure 14.
+
+:meth:`Cache.snapshot` / :meth:`Cache.restore` copy a fully warmed
+cache's lines out to compact arrays and back, so a warm state can be
+rebuilt without replaying its random draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Dict, List, Optional, Tuple
 
 #: Cache line size in bytes throughout the system.
@@ -66,8 +72,9 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         # set index -> {tag: dirty}
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(nsets)]
-        # tags that were proactively cleaned and are still resident clean
-        self._cleaned_tags: List[set] = [set() for _ in range(nsets)]
+        # (set index, tag) of lines that were proactively cleaned and
+        # are still resident clean
+        self._cleaned: set = set()
         self.stats = CacheStats()
 
     # -- address helpers -----------------------------------------------------
@@ -90,9 +97,9 @@ class Cache:
         if tag in ways:
             dirty = ways.pop(tag)
             if is_write:
-                if not dirty and tag in self._cleaned_tags[idx]:
+                if not dirty and (idx, tag) in self._cleaned:
                     self.stats.cleaned_rewrites += 1
-                    self._cleaned_tags[idx].discard(tag)
+                    self._cleaned.discard((idx, tag))
                 dirty = True
             ways[tag] = dirty
             self.stats.hits += 1
@@ -112,7 +119,8 @@ class Cache:
         elif len(ways) >= self.assoc:
             victim_tag, victim_dirty = next(iter(ways.items()))
             del ways[victim_tag]
-            self._cleaned_tags[idx].discard(victim_tag)
+            if self._cleaned:
+                self._cleaned.discard((idx, victim_tag))
             if victim_dirty:
                 self.stats.writebacks += 1
                 victim_addr = self._rebuild(idx, victim_tag)
@@ -122,7 +130,7 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         """Drop the line for ``addr`` if present (no writeback)."""
         idx, tag = self._index_tag(addr)
-        self._cleaned_tags[idx].discard(tag)
+        self._cleaned.discard((idx, tag))
         return self._sets[idx].pop(tag, None) is not None
 
     def contains(self, addr: int) -> bool:
@@ -140,22 +148,61 @@ class Cache:
         Used to start simulations at steady-state occupancy (the paper
         warms caches before measuring).  ``max_line`` bounds the line
         addresses to a workload footprint.  Returns lines inserted.
+
+        Each way draws its tag as ``rng.randrange(limit)`` would for a
+        :class:`random.Random` (``getrandbits`` of the limit's bit
+        length, redrawn while out of range), then one ``rng.random()``
+        for its dirty bit, so the lines and the generator's final
+        state match a ``randrange``/``random`` loop draw for draw.
         """
-        tag_bits_limit = None
+        limit = 1 << 24
         if max_line is not None:
-            tag_bits_limit = max(1, max_line >> (self.nsets.bit_length() - 1))
-        inserted = 0
+            limit = max(1, max_line >> (self.nsets.bit_length() - 1))
+        if limit < self.assoc:
+            raise ValueError("{} distinct tags cannot fill {} ways".format(
+                limit, self.assoc))
+        bits = limit.bit_length()
+        getrandbits = rng.getrandbits
         rand = rng.random
-        randrange = rng.randrange
+        assoc = self.assoc
+        inserted = 0
         for ways in self._sets:
-            while len(ways) < self.assoc:
-                tag = (randrange(tag_bits_limit) if tag_bits_limit
-                       else randrange(1 << 24))
+            missing = assoc - len(ways)
+            inserted += missing
+            while missing > 0:
+                tag = getrandbits(bits)
+                while tag >= limit:
+                    tag = getrandbits(bits)
                 if tag in ways:
                     continue
                 ways[tag] = rand() < dirty_prob
-                inserted += 1
+                missing -= 1
         return inserted
+
+    def snapshot(self) -> Tuple[array, bytes]:
+        """Copy a full cache's lines out as set-major, LRU-first tags
+        (``array('q')``) and one dirty byte per line."""
+        tags = array("q", chain.from_iterable(self._sets))
+        # No set holds more than ``assoc`` lines, so the total decides.
+        if len(tags) != self.nsets * self.assoc:
+            raise ValueError("only a full cache can be snapshotted")
+        return tags, bytes(chain.from_iterable(map(dict.values,
+                                                   self._sets)))
+
+    def restore(self, tags: array, dirty: Optional[bytes] = None) -> None:
+        """Replace every set with the lines of a :meth:`snapshot` of a
+        cache of the same geometry; ``dirty=None`` restores them all
+        clean."""
+        if len(tags) != self.nsets * self.assoc:
+            raise ValueError("snapshot does not match this cache's "
+                             "geometry")
+        assoc = self.assoc
+        lines = zip(tags, repeat(False) if dirty is None
+                    else map(bool, dirty))
+        for ways in self._sets:
+            ways.clear()
+            ways.update(islice(lines, assoc))
+        self._cleaned.clear()
 
     # -- Hetero-DMR cleaning hooks ------------------------------------------------
 
@@ -186,7 +233,7 @@ class Cache:
             ways = self._sets[idx]
             if ways.get(tag):
                 ways[tag] = False
-                self._cleaned_tags[idx].add(tag)
+                self._cleaned.add((idx, tag))
                 cleaned.append(addr)
                 self.stats.cleaned += 1
         return cleaned

@@ -10,11 +10,18 @@ shared L3 (22 ns latency) making up the remainder of the per-core
 budget.  The workload traces are generated at L2-reference granularity
 (L1 behaviour is folded into each trace's compute gaps), so the
 hierarchy's job is L2 -> L3 -> memory filtering plus writeback traffic.
+
+:meth:`CacheHierarchy.warm` fills every cache to steady-state occupancy
+and keeps the last warm state built in the process as one compact
+snapshot, so consecutive nodes with the same warm key restore it
+instead of redrawing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from array import array
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .cache import Cache, LINE_BYTES
@@ -77,6 +84,14 @@ class AccessOutcome:
     writebacks: List[int]          # dirty evictions headed to DRAM
 
 
+#: The last warm state built in this process: its key and one
+#: :meth:`Cache.snapshot` per cache, L3 first.  A restore is
+#: bit-identical to a fresh warm, so no result depends on which caller
+#: left it.  One entry only: a snapshot is ~6 MB of arrays, where live
+#: dicts would be ~50 MB per cached state.
+_last_warm: Optional[Tuple[tuple, List[Tuple[array, bytes]]]] = None
+
+
 class CacheHierarchy:
     """Private L2s in front of a shared L3."""
 
@@ -130,9 +145,38 @@ class CacheHierarchy:
         wb = self.l3.fill(addr, dirty=False)
         return [wb] if wb is not None else []
 
-    def llc_dirty_lru(self, limit: int) -> List[int]:
-        """Hetero-DMR cleaning hook: least-recently-used dirty LLC lines."""
-        return self.l3.dirty_lru_blocks(limit)
+    def clean_llc(self, limit: int) -> List[int]:
+        """Hetero-DMR write-mode hook: clean up to ``limit``
+        least-recently-used dirty LLC lines; returns their addresses."""
+        return self.l3.clean_blocks(self.l3.dirty_lru_blocks(limit))
 
-    def llc_clean(self, addrs: List[int]) -> List[int]:
-        return self.l3.clean_blocks(addrs)
+    def warm(self, seed: int, footprint_lines: int, write_fraction: float,
+             clean_llc: bool = False) -> None:
+        """Fill a fresh hierarchy's caches with footprint-resident lines.
+
+        One ``random.Random(seed)`` stream warms the L3, then each L2,
+        marking lines dirty with probability ``write_fraction``.  With
+        ``clean_llc`` the L3 starts all-clean instead; its lines, and
+        every draw, are the same.  The state depends only on the
+        geometry and the arguments, so the last one built in the
+        process is restored from its snapshot when the key repeats.
+        """
+        global _last_warm
+        key = (self.config, footprint_lines, seed, write_fraction)
+        caches = [self.l3] + self.l2s
+        last = _last_warm
+        if last is not None and last[0] == key:
+            snapshots = last[1]
+            for cache, (tags, dirty) in zip(caches, snapshots):
+                cache.restore(tags, None if clean_llc and cache is self.l3
+                              else dirty)
+            return
+        _last_warm = None
+        rng = random.Random(seed)
+        for cache in caches:
+            cache.warm(rng, dirty_prob=write_fraction,
+                       max_line=footprint_lines)
+        snapshots = [cache.snapshot() for cache in caches]
+        _last_warm = (key, snapshots)
+        if clean_llc:
+            self.l3.restore(snapshots[0][0])

@@ -238,24 +238,19 @@ class NodeSimulation:
         footprint-resident lines, dirty with the workload's store
         probability, so eviction/writeback traffic is in steady state
         from the first measured reference.
+
+        Hetero-DMR's proactive cleaning keeps the steady-state LLC
+        essentially clean (Section III-E): the measured window starts
+        as if a cleaning batch just completed, so in-window cleaning
+        covers only lines dirtied in-window — the same write volume the
+        baseline's evictions carry.
         """
-        import random as _random
         prof = get_profile(self.config.suite)
-        rng = _random.Random(self.config.seed ^ 0x5EED)
-        lines_total = prof.footprint_bytes // 64
-        l3 = self.hierarchy.l3
-        dirty_prob = prof.write_fraction
-        if self.effective_design in ("hetero-dmr", "hetero-dmr+fmr"):
-            # Hetero-DMR's proactive cleaning keeps the steady-state
-            # LLC essentially clean (Section III-E): the measured
-            # window starts as if a cleaning batch just completed, so
-            # in-window cleaning covers only lines dirtied in-window —
-            # the same write volume the baseline's evictions carry.
-            dirty_prob = 0.0
-        l3.warm(rng, dirty_prob=dirty_prob, max_line=lines_total)
-        for l2 in self.hierarchy.l2s:
-            l2.warm(rng, dirty_prob=prof.write_fraction,
-                    max_line=lines_total)
+        self.hierarchy.warm(
+            self.config.seed ^ 0x5EED, prof.footprint_bytes // 64,
+            prof.write_fraction,
+            clean_llc=self.effective_design in ("hetero-dmr",
+                                                "hetero-dmr+fmr"))
 
     # -- construction ----------------------------------------------------------------
 
@@ -307,10 +302,10 @@ class NodeSimulation:
             return FmrPolicy()
         if design == "hetero-dmr":
             return HeteroDMRPolicy(hdmr_cfg,
-                                   llc_clean_hook=self._clean_llc)
+                                   llc_clean_hook=self.hierarchy.clean_llc)
         if design == "hetero-dmr+fmr":
             return HeteroFmrPolicy(hdmr_cfg,
-                                   llc_clean_hook=self._clean_llc)
+                                   llc_clean_hook=self.hierarchy.clean_llc)
         raise ValueError(design)
 
     def _start_fast_designs(self) -> None:
@@ -322,11 +317,6 @@ class NodeSimulation:
             channel.modules[free_idx].holds_copies = True
             channel.modules[free_idx].is_free = True
             channel.to_fast(0.0)
-
-    def _clean_llc(self, limit: int) -> List[int]:
-        """Hetero-DMR write-mode hook: clean dirty-LRU LLC lines."""
-        addrs = self.hierarchy.llc_dirty_lru(limit)
-        return self.hierarchy.llc_clean(addrs)
 
     # -- execution --------------------------------------------------------------------
 

@@ -160,6 +160,104 @@ def test_warm_respects_max_line():
             assert tag <= max(1, 1000 >> (c.nsets.bit_length() - 1))
 
 
+def _reference_warm(cache, rng, dirty_prob, max_line):
+    """The warm-up as a plain ``randrange``/``random`` loop."""
+    limit = 1 << 24
+    if max_line is not None:
+        limit = max(1, max_line >> (cache.nsets.bit_length() - 1))
+    for ways in cache._sets:
+        while len(ways) < cache.assoc:
+            tag = rng.randrange(limit)
+            if tag in ways:
+                continue
+            ways[tag] = rng.random() < dirty_prob
+
+
+def check_warm_matches_randrange(assoc, sets, max_line, dirty_prob,
+                                 seed=7):
+    """``Cache.warm`` leaves the same lines (tags, LRU order, dirty
+    flags) and the same generator state as the reference loop.  Uses
+    no pytest, so it can be run under any interpreter."""
+    fast, ref = small_cache(assoc, sets), small_cache(assoc, sets)
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    inserted = fast.warm(fast_rng, dirty_prob=dirty_prob,
+                         max_line=max_line)
+    _reference_warm(ref, ref_rng, dirty_prob, max_line)
+    assert inserted == assoc * sets
+    assert [list(w.items()) for w in fast._sets] == \
+        [list(w.items()) for w in ref._sets]
+    assert fast_rng.getstate() == ref_rng.getstate()
+
+
+#: (assoc, sets, max_line): tag limit 1 << 24, 1, 64 (a power of
+#: two), 65 (2^n + 1) and 3 — each set of 8 needs max_line >> 3.
+WARM_CASES = [(4, 8, None), (1, 8, 8), (4, 8, 64 * 8), (4, 8, 65 * 8),
+              (2, 8, 3 * 8)]
+
+
+@pytest.mark.parametrize("dirty_prob", [0.0, 0.3])
+@pytest.mark.parametrize("assoc,sets,max_line", WARM_CASES)
+def test_warm_matches_randrange_reference(assoc, sets, max_line,
+                                          dirty_prob):
+    check_warm_matches_randrange(assoc, sets, max_line, dirty_prob)
+
+
+def test_warm_rejects_limit_below_associativity():
+    with pytest.raises(ValueError):
+        small_cache(assoc=4, sets=8).warm(random.Random(0), max_line=3 * 8)
+
+
+def test_snapshot_restore_round_trip():
+    c = small_cache(assoc=4, sets=8)
+    c.warm(random.Random(3), dirty_prob=0.5, max_line=4096)
+    tags, dirty = c.snapshot()
+    copy = small_cache(assoc=4, sets=8)
+    copy.restore(tags, dirty)
+    assert [list(w.items()) for w in copy._sets] == \
+        [list(w.items()) for w in c._sets]
+    clean = small_cache(assoc=4, sets=8)
+    clean.restore(tags)
+    assert [list(w) for w in clean._sets] == [list(w) for w in c._sets]
+    assert clean.dirty_line_count() == 0
+    with pytest.raises(ValueError):
+        small_cache(assoc=2, sets=8).restore(tags, dirty)
+    with pytest.raises(ValueError):
+        small_cache().snapshot()      # empty sets
+
+
+def test_cleaned_line_evicted_or_invalidated_is_not_a_rewrite():
+    """Once a cleaned line leaves the cache, re-filling and writing it
+    is an ordinary write, not a Figure 14 cleaned rewrite."""
+    c = small_cache(assoc=2, sets=8)
+    same_set = [0, 8 * 64, 16 * 64]           # three lines of set 0
+    c.fill(same_set[0], dirty=True)
+    c.clean_blocks([same_set[0]])
+    c.fill(same_set[1])
+    c.fill(same_set[2])                       # evicts the cleaned line
+    assert not c.contains(same_set[0])
+    c.fill(same_set[0])
+    c.access(same_set[0], True)
+    c.fill(64, dirty=True)                    # set 1, tag 0
+    c.clean_blocks([64])
+    c.invalidate(64)
+    c.fill(64)
+    c.access(64, True)
+    assert c.stats.cleaned == 2
+    assert c.stats.cleaned_rewrites == 0
+
+
+def test_cleaned_tracking_is_per_set():
+    """The same tag in another set was never cleaned."""
+    c = small_cache(assoc=2, sets=8)
+    c.fill(0, dirty=True)                     # set 0, tag 0
+    c.clean_blocks([0])
+    c.fill(64)                                # set 1, tag 0
+    c.access(64, True)
+    assert c.stats.cleaned_rewrites == 0
+    c.access(0, True)
+    assert c.stats.cleaned_rewrites == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=200),
        st.integers(0, 2**31 - 1))

@@ -100,11 +100,12 @@ def test_llc_cleaning_hooks():
     h = CacheHierarchy(hierarchy1())
     for i in range(10):
         h.l3.fill(i * 64, dirty=True)
-    addrs = h.llc_dirty_lru(5)
-    assert len(addrs) == 5
-    cleaned = h.llc_clean(addrs)
-    assert cleaned == addrs
+    cleaned = h.clean_llc(5)
+    assert cleaned == [i * 64 for i in range(5)]      # LRU first
     assert h.l3.dirty_line_count() == 5
+    assert h.l3.stats.cleaned == 5
+    assert h.clean_llc(100) == [i * 64 for i in range(5, 10)]
+    assert h.l3.dirty_line_count() == 0
 
 
 def test_fill_prefetch_only_l3():

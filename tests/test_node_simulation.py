@@ -1,7 +1,12 @@
 """Integration tests for the single-node performance simulator."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.cache import hierarchy as hierarchy_module
+from repro.cache.hierarchy import hierarchy1, hierarchy2
 from repro.sim import NodeConfig, simulate_node
 from repro.sim.node import NodeSimulation
 from repro.dram.timing import exploit_freq_lat_margins
@@ -116,3 +121,68 @@ def test_error_injection_slows_hetero_dmr():
                                refs_per_core=1200,
                                read_error_rate=0.01))
     assert noisy.time_ns > clean.time_ns
+
+
+def _paper_cfg(suite, hierarchy, design, seed=12345):
+    return NodeConfig(suite=suite, hierarchy=hierarchy, design=design,
+                      seed=seed, memory_utilization=0.2, refs_per_core=40)
+
+
+#: Consecutive builds exercising every way the warm key can repeat or
+#: change: design only, suite, hierarchy, seed, and an exact repeat.
+WARM_SEQUENCE = [
+    ("linpack", hierarchy1(), "baseline", 12345),
+    ("linpack", hierarchy1(), "hetero-dmr+fmr", 12345),
+    ("lulesh", hierarchy1(), "baseline", 12345),
+    ("linpack", hierarchy2(), "baseline", 12345),
+    ("linpack", hierarchy1(), "baseline", 99),
+    ("linpack", hierarchy1(), "baseline", 99),
+]
+
+
+def test_reused_warm_state_matches_cold_builds():
+    cold = []
+    for cell in WARM_SEQUENCE:
+        hierarchy_module._last_warm = None
+        cold.append(NodeSimulation(_paper_cfg(*cell)).run())
+    hierarchy_module._last_warm = None
+    for i, cell in enumerate(WARM_SEQUENCE):
+        before = hierarchy_module._last_warm
+        assert NodeSimulation(_paper_cfg(*cell)).run() == cold[i]
+        if i in (1, 5):      # same warm key as the build before
+            assert hierarchy_module._last_warm is before
+
+
+def test_hetero_llc_starts_clean_without_disturbing_the_snapshot():
+    hierarchy_module._last_warm = None
+    base = _paper_cfg("linpack", hierarchy1(), "baseline")
+    cold_dirty = NodeSimulation(base).hierarchy.l3.dirty_line_count()
+    assert cold_dirty > 0
+    hetero = NodeSimulation(_paper_cfg("linpack", hierarchy1(),
+                                       "hetero-dmr"))
+    assert hetero.hierarchy.l3.dirty_line_count() == 0
+    assert hetero.hierarchy.l2s[0].dirty_line_count() > 0
+    assert NodeSimulation(base).hierarchy.l3.dirty_line_count() == \
+        cold_dirty
+    # A hetero node warmed cold still leaves the dirty snapshot behind.
+    hierarchy_module._last_warm = None
+    NodeSimulation(_paper_cfg("linpack", hierarchy1(), "hetero-dmr+fmr"))
+    assert NodeSimulation(base).hierarchy.l3.dirty_line_count() == \
+        cold_dirty
+
+
+@pytest.mark.parametrize("design", ["baseline", "hetero-dmr+fmr"])
+def test_finished_node_is_freed_without_the_cycle_collector(design):
+    """No reference cycle keeps a finished node and its caches alive
+    until a gen-2 collection."""
+    sim = NodeSimulation(_cfg(design=design, memory_utilization=0.2,
+                              refs_per_core=200))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
