@@ -18,7 +18,7 @@ Four designs from Section IV-A:
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..dram.channel import Channel
 from ..dram.frequency import FrequencyState
@@ -26,24 +26,6 @@ from ..mem_ctrl.policy import AccessPolicy, CONVENTIONAL_TURNAROUND_NS
 from ..mem_ctrl.queues import ReadRequest
 from .config import HeteroDMRConfig
 from .epoch_guard import EpochGuard
-
-
-def _pick_replica(channel: Channel, candidates, bank_idx: int,
-                  row: int) -> int:
-    """Replica selection shared by FMR-style designs: prefer the
-    replica whose row buffer already holds the row (FMR's 'faster
-    state'), then a closed bank (activate without precharge), then the
-    bank that frees up first.  Letting streams colonize the copy rank's
-    banks is what gives FMR its effective row-buffer doubling."""
-    pairs = channel.all_ranks()
-    for flat in candidates:
-        if pairs[flat][1].banks[bank_idx].open_row == row:
-            return flat
-    for flat in candidates:
-        if pairs[flat][1].banks[bank_idx].open_row is None:
-            return flat
-    return min(candidates,
-               key=lambda f: pairs[f][1].banks[bank_idx].column_ready_ns)
 
 
 class BaselinePolicy(AccessPolicy):
@@ -66,17 +48,14 @@ class FmrPolicy(AccessPolicy):
     name = "fmr"
     broadcast_writes = True
     uses_writeback_cache = True
-    identity_read_rank = False
+    prefer_closed_replica = True
 
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
-        """Pick between the original rank and its replica: prefer an
-        open-row hit, then the rank whose bank frees up first."""
+    def read_candidates(self, channel: Channel,
+                        local_rank: int) -> Tuple[int, ...]:
+        """The original rank and its replica half a channel away."""
         nranks = channel.rank_count()
-        base = request.location.rank % nranks
-        partner = (base + nranks // 2) % nranks
-        row, bank_idx = request.location.row, request.location.bank
-        return _pick_replica(channel, (base, partner), bank_idx, row)
+        base = local_rank % nranks
+        return (base, (base + nranks // 2) % nranks)
 
     def writes_per_transaction(self) -> int:
         return 2
@@ -88,7 +67,6 @@ class HeteroDMRPolicy(AccessPolicy):
     name = "hetero-dmr"
     broadcast_writes = True
     uses_writeback_cache = True
-    identity_read_rank = False
 
     def __init__(self, config: Optional[HeteroDMRConfig] = None,
                  free_module_index: int = 1,
@@ -112,13 +90,12 @@ class HeteroDMRPolicy(AccessPolicy):
             base += len(module.ranks)
         return base
 
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
+    def read_candidates(self, channel: Channel,
+                        local_rank: int) -> Tuple[int, ...]:
         """Copies live at the same location in the Free Module, so reads
         touch only that module's ranks (Section III-A2)."""
-        free = channel.modules[self.free_module_index]
-        nfree = len(free.ranks)
-        return self._free_rank_base(channel) + request.location.rank % nfree
+        nfree = len(channel.modules[self.free_module_index].ranks)
+        return (self._free_rank_base(channel) + local_rank % nfree,)
 
     # -- write mode: frequency transitions ------------------------------------------
 
@@ -178,21 +155,16 @@ class HeteroFmrPolicy(HeteroDMRPolicy):
 
     name = "hetero-dmr+fmr"
 
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
-        free = channel.modules[self.free_module_index]
+    def read_candidates(self, channel: Channel,
+                        local_rank: int) -> Tuple[int, ...]:
+        """The home copy and the next copy in the Free Module.  FMR's
+        contribution on top of Hetero-DMR is picking whichever copy is
+        "in the faster state" — i.e., whose row buffer holds the row;
+        the home copy serves everything else."""
         base = self._free_rank_base(channel)
-        nfree = len(free.ranks)
-        fixed = base + request.location.rank % nfree
-        row, bank_idx = request.location.row, request.location.bank
-        # FMR's contribution on top of Hetero-DMR is picking whichever
-        # copy is "in the faster state" — i.e., whose row buffer holds
-        # the row.  The home copy rank serves everything else.
-        pairs = channel.all_ranks()
-        for flat in (fixed, base + (fixed - base + 1) % nfree):
-            if pairs[flat][1].banks[bank_idx].open_row == row:
-                return flat
-        return fixed
+        nfree = len(channel.modules[self.free_module_index].ranks)
+        home = local_rank % nfree
+        return (base + home, base + (home + 1) % nfree)
 
     def writes_per_transaction(self) -> int:
         return 3

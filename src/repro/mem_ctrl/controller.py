@@ -20,7 +20,7 @@ specification — speed, Hetero-DMR's "no benefit for writes" behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..dram.channel import Channel
 from ..dram.frequency import FrequencyState
@@ -28,7 +28,7 @@ from ..obs import get_recorder
 from .address_map import AddressMapping, MemLocation
 from .batch_timing import order_write_batch
 from .page_policy import PagePolicy
-from .policy import AccessPolicy
+from .policy import AccessPolicy, CONVENTIONAL_TURNAROUND_NS, Candidate
 from .queues import (READ_QUEUE_ENTRIES, ReadRequest, WRITE_QUEUE_ENTRIES,
                      WriteRequest)
 from .scheduler import FrFcfsScheduler
@@ -77,11 +77,16 @@ class ChannelController:
         self.mapping = mapping
         self.policy = policy or AccessPolicy()
         self.page_policy = page_policy or PagePolicy()
-        self.scheduler = FrFcfsScheduler(self.page_policy)
+        self.scheduler = FrFcfsScheduler(
+            self.page_policy,
+            prefer_closed_replica=self.policy.prefer_closed_replica)
         self.max_inflight = max_inflight
         self.write_high = write_high_watermark
         self.write_low = write_low_watermark
         self.read_queue: List[ReadRequest] = []
+        # (local rank, bank) -> the policy's replica banks; the module
+        # layout is fixed for a controller's lifetime.
+        self._replicas: Dict[Tuple[int, int], Tuple[Candidate, ...]] = {}
         self.write_queue: List[WriteRequest] = []
         self.wb_cache: Optional[WritebackCache] = (
             WritebackCache() if self.policy.uses_writeback_cache else None)
@@ -96,10 +101,13 @@ class ChannelController:
 
     def submit_read(self, address: int, now_ns: float,
                     callback: Callable[[float], None], core_id: int = -1,
-                    is_prefetch: bool = False) -> None:
+                    is_prefetch: bool = False,
+                    loc: Optional[MemLocation] = None) -> None:
         """Queue a read for ``address``; ``callback(finish_ns)`` fires
-        when its data returns."""
-        loc = self.mapping.decode(address)
+        when its data returns.  ``loc`` is the address's decoded
+        location when the caller already has it."""
+        if loc is None:
+            loc = self.mapping.decode(address)
         line = address
         if self.wb_cache is not None and self.wb_cache.contains(line):
             # Forward buffered dirty data without touching DRAM.
@@ -119,24 +127,31 @@ class ChannelController:
             self.engine.schedule_in(
                 200.0, lambda: self.submit_read(address, self.engine.now,
                                                 callback, core_id,
-                                                is_prefetch))
+                                                is_prefetch, loc))
             return
+        key = (loc.rank, loc.bank)
+        replicas = self._replicas.get(key)
+        if replicas is None:
+            replicas = self._replicas[key] = self.policy.replica_banks(
+                self.channel, loc.rank, loc.bank)
         self.read_queue.append(ReadRequest(loc, now_ns, callback, core_id,
-                                           is_prefetch))
+                                           is_prefetch, replicas))
         self._pump()
 
     def submit_write(self, address: int, now_ns: float,
-                     from_cleaning: bool = False) -> None:
+                     from_cleaning: bool = False,
+                     loc: Optional[MemLocation] = None) -> None:
         """Queue a writeback.  Dirty evictions go through the writeback
         cache when the policy has one; overflow lands in the write
         queue, which triggers write mode at its high watermark."""
-        loc = self.mapping.decode(address)
         if self.wb_cache is not None and not from_cleaning:
             if self.wb_cache.insert(address):
                 if (self.wb_cache.occupancy >= 0.95 and
                         self.mode == "read"):
                     self._enter_write_mode()
                 return
+        if loc is None:
+            loc = self.mapping.decode(address)
         self.write_queue.append(WriteRequest(loc, now_ns, from_cleaning))
         if len(self.write_queue) >= self.write_high and self.mode == "read":
             self._enter_write_mode()
@@ -159,25 +174,18 @@ class ChannelController:
         # writes" — not "no service"), and the bus model naturally
         # interleaves read bursts into gaps between write chunks.
         now = self.engine.now
-        # Identity policies resolve ranks inline inside the scheduler's
-        # scan loop (rank_of=None) instead of paying the read_rank call
-        # chain per candidate.
-        rank_of = None if self.policy.identity_read_rank else self._rank_of
         while self.inflight < self.max_inflight and self.read_queue:
-            idx = self.scheduler.pick(self.read_queue, self.channel, now,
-                                      rank_of=rank_of)
+            idx = self.scheduler.pick(self.read_queue, self.channel, now)
             if idx is None:
                 break
             req = self.read_queue.pop(idx)
             self._issue_read(req, now)
 
-    def _rank_of(self, req: ReadRequest) -> int:
-        return self.policy.read_rank(self.channel, req, self.engine.now)
-
     def _issue_read(self, req: ReadRequest, now_ns: float) -> None:
-        flat_rank = self._rank_of(req)
-        _, rank = self.channel.locate_rank(flat_rank)
-        self.page_policy.apply(rank.banks[req.location.bank], now_ns)
+        # Resolve the replica afresh, not from the scan: the scan's own
+        # page-policy closes may have moved the row-hit copy.
+        flat_rank, _, bank = self.scheduler.serve(req)
+        self.page_policy.apply(bank, now_ns)
         finish = self.channel.access(flat_rank, req.location.bank,
                                      req.location.row, now_ns,
                                      is_write=False)
@@ -227,8 +235,10 @@ class ChannelController:
             self.write_queue = []
         else:
             keep = 0 if self.wb_cache is not None else self.write_low
-            while len(self.write_queue) > keep:
-                batch.append(self.write_queue.pop(0))
+            drained = len(self.write_queue) - keep
+            if drained > 0:
+                batch = self.write_queue[:drained]
+                del self.write_queue[:drained]
         if self.wb_cache is not None:
             for addr in self.wb_cache.drain_all():
                 batch.append(WriteRequest(self.mapping.decode(addr),
@@ -257,7 +267,6 @@ class ChannelController:
         now_ns = self.engine.now
         broadcast = self.policy.broadcast_writes
         # Bus turnaround into write mode for this chunk.
-        from .policy import CONVENTIONAL_TURNAROUND_NS
         self.channel.bus_free_ns = max(self.channel.bus_free_ns,
                                        now_ns) + CONVENTIONAL_TURNAROUND_NS
         t = now_ns
@@ -341,11 +350,11 @@ class MemoryController:
                     is_prefetch: bool = False) -> None:
         loc = self.mapping.decode(address)
         self.controllers[loc.channel].submit_read(
-            address, now_ns, callback, core_id, is_prefetch)
+            address, now_ns, callback, core_id, is_prefetch, loc)
 
     def submit_write(self, address: int, now_ns: float) -> None:
         loc = self.mapping.decode(address)
-        self.controllers[loc.channel].submit_write(address, now_ns)
+        self.controllers[loc.channel].submit_write(address, now_ns, loc=loc)
 
     def drain(self) -> None:
         for ctrl in self.controllers:

@@ -34,29 +34,22 @@ class PagePolicy:
             raise ValueError("unknown page policy {!r}".format(self.kind))
         if self.timeout_cycles <= 0:
             raise ValueError("timeout must be positive")
-        # apply() runs once per scheduler-scanned candidate; the
-        # timeout must be an attribute load there, not a division.
-        object.__setattr__(self, "_timeout_ns",
-                           self.timeout_cycles / self.cpu_ghz)
+        timeout_ns = self.timeout_cycles / self.cpu_ghz
+        object.__setattr__(self, "_timeout_ns", timeout_ns)
+        # Every kind is one rule: a row idle for longer than
+        # ``close_after_ns`` is closed.  The scheduler's scan inlines it.
+        object.__setattr__(self, "close_after_ns", {
+            "open": float("inf"), "closed": float("-inf"),
+            "hybrid": timeout_ns}[self.kind])
 
     @property
     def timeout_ns(self) -> float:
         return self._timeout_ns
 
     def apply(self, bank: Bank, now_ns: float) -> None:
-        """Close the bank's row if the policy would have by ``now_ns``."""
-        if bank.open_row is None:
-            return
-        kind = self.kind
-        if kind == "hybrid":
-            if now_ns - bank.last_access_ns > self._timeout_ns:
-                bank.open_row = None
-        elif kind == "closed":
-            self._idle_close(bank)
-
-    @staticmethod
-    def _idle_close(bank: Bank) -> None:
-        # The precharge occurred while the bank was idle; by the time a
-        # new request arrives its tRP has already elapsed, so only the
-        # row-buffer state changes.
-        bank.open_row = None
+        """Close the bank's row if the policy would have by ``now_ns``.
+        The precharge happened while the bank was idle, so its tRP is
+        already paid and only the row-buffer state changes."""
+        if bank.open_row is not None and \
+                now_ns - bank.last_access_ns > self.close_after_ns:
+            bank.open_row = None

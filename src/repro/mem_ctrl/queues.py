@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .address_map import MemLocation
 
@@ -17,6 +17,11 @@ class ReadRequest:
     callback: Callable[[float], None]
     core_id: int = -1
     is_prefetch: bool = False
+    #: The (flat rank, Rank, Bank) places holding this read's data, home
+    #: copy first — the design policy's ``replica_banks``, resolved once
+    #: at submission.  Which one serves is decided at pick and issue time
+    #: by :func:`repro.mem_ctrl.policy.serve_replica`.
+    candidates: Tuple[tuple, ...] = ()
 
 
 @dataclass

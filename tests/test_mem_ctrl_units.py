@@ -8,6 +8,7 @@ from repro.dram.module import Module, ModuleSpec
 from repro.dram.timing import manufacturer_spec_3200
 from repro.mem_ctrl.address_map import AddressMapping, MemLocation
 from repro.mem_ctrl.page_policy import PagePolicy
+from repro.mem_ctrl.policy import AccessPolicy
 from repro.mem_ctrl.queues import BoundedQueue, ReadRequest
 from repro.mem_ctrl.scheduler import FrFcfsScheduler
 from repro.mem_ctrl.writeback_cache import WritebackCache
@@ -124,10 +125,19 @@ def _req(rank, bank, row, arrival, prefetch=False):
                        lambda t: None, is_prefetch=prefetch)
 
 
+def _on(ch, queue):
+    """Attach each request's baseline replica banks, as the controller
+    does at submission."""
+    for req in queue:
+        req.candidates = AccessPolicy().replica_banks(
+            ch, req.location.rank, req.location.bank)
+    return queue
+
+
 def test_frfcfs_prefers_row_hit():
     ch = _channel_with_open_row(3, 7)
     sched = FrFcfsScheduler()
-    queue = [_req(0, 1, 5, 0.0), _req(0, 3, 7, 1.0)]
+    queue = _on(ch, [_req(0, 1, 5, 0.0), _req(0, 3, 7, 1.0)])
     assert sched.pick(queue, ch, 10.0) == 1
     assert sched.stats.row_hit_picks == 1
 
@@ -135,7 +145,7 @@ def test_frfcfs_prefers_row_hit():
 def test_frfcfs_falls_back_to_oldest():
     ch = _channel_with_open_row(3, 7)
     sched = FrFcfsScheduler()
-    queue = [_req(0, 1, 5, 0.0), _req(0, 2, 6, 1.0)]
+    queue = _on(ch, [_req(0, 1, 5, 0.0), _req(0, 2, 6, 1.0)])
     assert sched.pick(queue, ch, 10.0) == 0
     assert sched.stats.oldest_picks == 1
 
@@ -148,7 +158,8 @@ def test_frfcfs_empty_queue():
 def test_frfcfs_fairness_cap():
     ch = _channel_with_open_row(3, 7)
     sched = FrFcfsScheduler(fairness_cap=2)
-    queue = [_req(0, 1, 5, 0.0)] + [_req(0, 3, 7, float(i)) for i in range(5)]
+    queue = _on(ch, [_req(0, 1, 5, 0.0)] +
+                [_req(0, 3, 7, float(i)) for i in range(5)])
     picks = []
     for _ in range(3):
         idx = sched.pick(queue, ch, 10.0)
@@ -162,12 +173,12 @@ def test_frfcfs_fairness_cap():
 def test_frfcfs_demand_hit_beats_prefetch_hit():
     ch = _channel_with_open_row(3, 7)
     sched = FrFcfsScheduler()
-    queue = [_req(0, 3, 7, 0.0, prefetch=True), _req(0, 3, 7, 1.0)]
+    queue = _on(ch, [_req(0, 3, 7, 0.0, prefetch=True), _req(0, 3, 7, 1.0)])
     assert sched.pick(queue, ch, 10.0) == 1
 
 
 def test_frfcfs_prefetch_hit_over_oldest_miss():
     ch = _channel_with_open_row(3, 7)
     sched = FrFcfsScheduler()
-    queue = [_req(0, 1, 5, 0.0), _req(0, 3, 7, 1.0, prefetch=True)]
+    queue = _on(ch, [_req(0, 1, 5, 0.0), _req(0, 3, 7, 1.0, prefetch=True)])
     assert sched.pick(queue, ch, 10.0) == 1
