@@ -16,6 +16,7 @@
     python -m repro obs trace               # deterministic trace run
     python -m repro serve                   # placement daemon (JSONL)
     python -m repro soak --smoke            # seeded soak + gate
+    python -m repro smoke chaos-smoke       # one CI smoke scenario
     python -m repro suites                  # workload catalogue
 
 Each subcommand prints the same plain-text tables the benchmark
@@ -26,21 +27,31 @@ Conventions shared by every subcommand:
 * ``--seed`` may be given globally (``repro --seed 7 hpc``) or after
   the subcommand (``repro hpc --seed 7``); the subcommand-level value
   wins, and both default to 2021.
-* Exit codes: 0 success, 1 domain failure (a campaign FAILed, nothing
-  could be profiled/placed), 2 I/O error (unreadable registry,
-  unwritable report) or usage error: argparse rejected an argument, or
-  a knob environment variable (``REPRO_FIDELITY``, ``REPRO_BACKEND``)
-  holds an unknown value, reported as one ``repro: <cause>`` line on
-  stderr.
+* Exit codes.  A handler returns 0, or 1 when its own verdict is a
+  failure (a campaign FAILed, a job went unplaced).  Anything else is
+  raised, and :func:`main` alone maps it to a code, printing one
+  ``repro <command>: <cause>`` line on stderr:
+
+  ==========================================================  ====
+  ``FidelityError``, ``FastModelError``,                      1
+  ``CalibrationError``, :class:`DomainFailure`
+  ``OSError``, ``RegistryError`` (I/O, corrupt input)         2
+  ``KnobError`` (bad ``REPRO_*`` value; ``repro: <cause>``)   2
+  argparse usage error (bad choice, number out of range)      2
+  ==========================================================  ====
+
+  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
-from .analysis.reporting import format_bar_chart, format_table
+from .analysis.reporting import format_bar_chart, format_kv, format_table
 from .analysis.stats import histogram, mean, stdev
 from .knobs import KnobError
 
@@ -52,6 +63,37 @@ EXIT_OK = 0
 EXIT_DOMAIN_FAILURE = 1
 EXIT_IO_ERROR = 2
 EXIT_USAGE = 2
+
+#: Memory-technology backends the ``--backend`` options accept.
+BACKENDS = ("ddr4", "mrdimm")
+
+
+class DomainFailure(Exception):
+    """The command ran but cannot do what was asked (exit 1)."""
+
+
+@contextlib.contextmanager
+def _io(action: str, *parse_errors: type) -> Iterator[None]:
+    """Prefix an ``OSError`` or ``RegistryError`` raised in the block
+    with ``action`` ("cannot load registry").  ``parse_errors`` names
+    further exception types that mean the file read in the block is
+    corrupt; they become ``OSError`` too."""
+    from .fleet.registry import RegistryError
+    try:
+        yield
+    except RegistryError as exc:
+        raise RegistryError("{}: {}".format(action, exc)) from exc
+    except (OSError,) + parse_errors as exc:
+        raise OSError("{}: {}".format(action, exc)) from exc
+
+
+def _write(path: str, content: object, what: str = "report") -> None:
+    """Write ``content`` to ``path``: text as is, anything else as
+    indented sorted-key JSON plus a newline."""
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    with _io("cannot write {}".format(what)), open(path, "w") as fh:
+        fh.write(content)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -135,24 +177,15 @@ def _cmd_hpc(args: argparse.Namespace) -> int:
     from .hpc import (CONVENTIONAL_MODEL, Cluster, EasyBackfillScheduler,
                       MarginAwareAllocationPolicy, PerformanceModel,
                       SystemSimulator, TraceConfig, generate_trace)
-    from .sim.fidelity import FidelityError, ensure_fidelity_supported
-    try:
-        ensure_fidelity_supported(
-            args.fidelity,
-            knobs={"read_error_rate": args.read_error_rate,
-                   "transition_fault_rate": args.transition_fault_rate},
-            source="repro hpc --fidelity fast")
-    except FidelityError as exc:
-        print("repro hpc: {}".format(exc), file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
-    if args.fidelity == "fast":
-        from .fastmodel import (CalibrationError,
-                                performance_model_from_calibration)
-        try:
-            model = performance_model_from_calibration()
-        except CalibrationError as exc:
-            print("repro hpc: {}".format(exc), file=sys.stderr)
-            return EXIT_DOMAIN_FAILURE
+    from .sim.fidelity import ensure_fidelity_supported
+    fidelity = ensure_fidelity_supported(
+        args.fidelity,
+        knobs={"read_error_rate": args.read_error_rate,
+               "transition_fault_rate": args.transition_fault_rate},
+        source="repro hpc --fidelity fast")
+    if fidelity == "fast":
+        from .fastmodel import performance_model_from_calibration
+        model = performance_model_from_calibration()
     elif args.read_error_rate or args.transition_fault_rate:
         # Degraded fleet: derive the node-speedup model from real
         # cycle simulations honoring the fault knobs instead of the
@@ -187,26 +220,11 @@ def _cmd_hpc(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-    from .analysis.reporting import format_kv
     from .perf.sweep import SweepConfig, SweepRunner
     config = SweepConfig(refs_per_core=args.refs, workers=args.workers,
                          fidelity=args.fidelity,
                          seeds=(_resolve_seed(args),))
     result = SweepRunner(config).run()
-    if args.out:
-        payload = {"sweep": "fig12_grid",
-                   "refs_per_core": args.refs,
-                   "fidelity": args.fidelity or "default",
-                   "cells": result.deterministic_view()}
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print("repro sweep: cannot write {}: {}".format(
-                args.out, exc), file=sys.stderr)
-            return EXIT_IO_ERROR
     pairs = [
         ["cells", len(result.cells)],
         ["unique simulations", result.unique_simulations],
@@ -221,36 +239,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         pairs.append(["events/s", "{:.0f}".format(
             result.events_per_second)])
     if args.out:
+        _write(args.out, {"sweep": "fig12_grid",
+                          "refs_per_core": args.refs,
+                          "fidelity": args.fidelity or "default",
+                          "cells": result.deterministic_view()},
+               "records")
         pairs.append(["records", args.out])
     print(format_kv("fig12 grid sweep", pairs))
     return EXIT_OK
 
 
 def _cmd_fastmodel(args: argparse.Namespace) -> int:
-    import json
-    from .analysis.reporting import format_kv
-    from .fastmodel import (CalibrationError, FastModelError,
-                            cluster_sweep, run_calibration,
-                            run_crosscheck)
+    from .fastmodel import cluster_sweep, run_calibration, run_crosscheck
 
     if args.fastmodel_command == "calibrate":
         from .fastmodel.calibration import GRID_REFS_PER_CORE
-        suites = tuple(args.suites.split(",")) if args.suites else None
-        progress = (lambda line: print(line)) if args.verbose else None
-        try:
-            calibration = run_calibration(
-                suites=suites,
-                refs_per_core=args.refs or GRID_REFS_PER_CORE,
-                progress=progress, backend=args.backend)
-        except (FastModelError, ValueError, KeyError) as exc:
-            print("repro fastmodel: {}".format(exc), file=sys.stderr)
-            return EXIT_DOMAIN_FAILURE
-        try:
+        calibration = run_calibration(
+            suites=args.suites,
+            refs_per_core=args.refs or GRID_REFS_PER_CORE,
+            progress=print if args.verbose else None,
+            backend=args.backend)
+        with _io("cannot write artifact"):
             path = calibration.save(args.out)
-        except OSError as exc:
-            print("repro fastmodel: cannot write artifact: {}".format(
-                exc), file=sys.stderr)
-            return EXIT_IO_ERROR
         worst = max(calibration.fit_errors.values()) \
             if calibration.fit_errors else 0.0
         print(format_kv("fastmodel calibrate", [
@@ -263,21 +273,7 @@ def _cmd_fastmodel(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.fastmodel_command == "check":
-        suites = tuple(args.suites.split(",")) if args.suites else None
-        try:
-            report = run_crosscheck(suites=suites)
-        except (CalibrationError, FastModelError, ValueError) as exc:
-            print("repro fastmodel: {}".format(exc), file=sys.stderr)
-            return EXIT_DOMAIN_FAILURE
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                print("repro fastmodel: cannot write {}: {}".format(
-                    args.out, exc), file=sys.stderr)
-                return EXIT_IO_ERROR
+        report = run_crosscheck(suites=args.suites)
         pairs = []
         for hier, d in sorted(report["hierarchies"].items()):
             pairs.append(["{} rankings".format(hier),
@@ -289,27 +285,16 @@ def _cmd_fastmodel(args: argparse.Namespace) -> int:
         pairs.append(["tolerance", report["tolerance"]])
         pairs.append(["passed", report["passed"]])
         if args.out:
+            _write(args.out, report)
             pairs.append(["report", args.out])
         print(format_kv("fastmodel fig12 cross-check", pairs))
         return EXIT_OK if report["passed"] else EXIT_DOMAIN_FAILURE
 
     # cluster
-    try:
-        report = cluster_sweep(total_nodes=args.nodes,
-                               job_count=args.jobs,
-                               seed=_resolve_seed(args))
-    except (CalibrationError, FastModelError) as exc:
-        print("repro fastmodel: {}".format(exc), file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
+    report = cluster_sweep(total_nodes=args.nodes, job_count=args.jobs,
+                           seed=_resolve_seed(args))
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print("repro fastmodel: cannot write {}: {}".format(
-                args.out, exc), file=sys.stderr)
-            return EXIT_IO_ERROR
+        _write(args.out, report)
     print(format_kv("fastmodel cluster sweep", [
         ["nodes", report["total_nodes"]],
         ["jobs", report["job_count"]],
@@ -325,34 +310,13 @@ def _cmd_fastmodel(args: argparse.Namespace) -> int:
 
 
 def _cmd_backend(args: argparse.Namespace) -> int:
-    import json
-    from .analysis.reporting import format_kv
     from .characterization.crosstech import (characterize_backend,
                                              compare_backends)
 
-    def write_report(report: dict) -> int:
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                print("repro backend: cannot write {}: {}".format(
-                    args.out, exc), file=sys.stderr)
-                return EXIT_IO_ERROR
-        return EXIT_OK
-
     if args.backend_command == "characterize":
-        try:
-            report = characterize_backend(args.backend,
-                                          trials=args.trials,
-                                          seed=_resolve_seed(args))
-        except ValueError as exc:
-            print("repro backend: {}".format(exc), file=sys.stderr)
-            return EXIT_DOMAIN_FAILURE
-        status = write_report(report)
-        if status != EXIT_OK:
-            return status
+        report = characterize_backend(args.backend, trials=args.trials,
+                                      seed=_resolve_seed(args))
+        title = "backend characterization"
         pairs = [
             ["backend", report["backend"]],
             ["spec data rate MT/s", report["spec_data_rate_mts"]],
@@ -362,42 +326,30 @@ def _cmd_backend(args: argparse.Namespace) -> int:
         for bucket, frac in report["node_group_fractions"].items():
             pairs.append(["nodes @ {} MT/s".format(bucket),
                           "{:.1%}".format(frac)])
-        if args.out:
-            pairs.append(["report", args.out])
-        print(format_kv("backend characterization", pairs))
-        return EXIT_OK
-
-    # compare
-    backends = tuple(b.strip() for b in args.backends.split(",")
-                     if b.strip())
-    try:
-        report = compare_backends(backends=backends,
+    else:
+        report = compare_backends(backends=args.backends,
                                   refs_per_core=args.refs,
                                   trials=args.trials,
                                   total_nodes=args.nodes,
                                   job_count=args.jobs,
                                   seed=_resolve_seed(args))
-    except ValueError as exc:
-        print("repro backend: {}".format(exc), file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
-    status = write_report(report)
-    if status != EXIT_OK:
-        return status
-    pairs = []
-    for name, entry in report["backends"].items():
-        pairs.append(["{} spec MT/s".format(name),
-                      entry["spec_data_rate_mts"]])
-        pairs.append(["{} turnaround improvement".format(name),
-                      "{:.4f}x".format(
-                          entry["system"]
-                          ["mean_turnaround_improvement"])])
-    for name, row in report["comparison"].items():
-        pairs.append(["{} vs {} improvement delta".format(
-            name, row["vs"]), "{:+.4f}".format(
-                row["turnaround_improvement_delta"])])
+        title = "cross-technology backend comparison"
+        pairs = []
+        for name, entry in report["backends"].items():
+            pairs.append(["{} spec MT/s".format(name),
+                          entry["spec_data_rate_mts"]])
+            pairs.append(["{} turnaround improvement".format(name),
+                          "{:.4f}x".format(
+                              entry["system"]
+                              ["mean_turnaround_improvement"])])
+        for name, row in report["comparison"].items():
+            pairs.append(["{} vs {} improvement delta".format(
+                name, row["vs"]), "{:+.4f}".format(
+                    row["turnaround_improvement_delta"])])
     if args.out:
+        _write(args.out, report)
         pairs.append(["report", args.out])
-    print(format_kv("cross-technology backend comparison", pairs))
+    print(format_kv(title, pairs))
     return EXIT_OK
 
 
@@ -409,15 +361,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     report = run_chaos_campaign(config)
     text = report.render()
     if args.report_file:
-        try:
-            with open(args.report_file, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("repro chaos: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return 2   # distinct from exit 1 == campaign FAIL
+        _write(args.report_file, text)
     print(text, end="")
-    return 0 if report.passed() else 1
+    return EXIT_OK if report.passed() else EXIT_DOMAIN_FAILURE
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
@@ -433,60 +379,36 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         compare_static=not (args.static or args.no_baseline))
     text = report.render()
     if args.report_file:
-        try:
-            with open(args.report_file, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("repro adapt: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
+        _write(args.report_file, text)
     print(text, end="")
     return EXIT_OK if report.passed() else EXIT_DOMAIN_FAILURE
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .fleet import (FleetConfig, FleetProfiler, MarginRegistry,
-                        PlacementService, RegistryError)
+                        PlacementService)
     seed = _resolve_seed(args)
 
     if args.fleet_command == "profile":
-        try:
+        with _io("cannot open registry"):
             registry = MarginRegistry(args.registry)
-        except (RegistryError, OSError) as exc:
-            print("repro fleet: cannot open registry: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
         config = FleetConfig(nodes=args.nodes, seed=seed,
                              guard_band_mts=args.guard_band,
                              flaky_node_rate=args.flaky_rate,
                              workers=args.workers)
-        try:
+        with _io("registry write failed"):
             summary = FleetProfiler(config, registry).run(
                 resume=args.resume, crash_after=args.crash_after)
-        except OSError as exc:
-            print("repro fleet: registry write failed: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
         text = summary.render()
         if args.report_file:
-            try:
-                with open(args.report_file, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print("repro fleet: cannot write report: {}".format(exc),
-                      file=sys.stderr)
-                return EXIT_IO_ERROR
+            _write(args.report_file, text)
         print(text, end="")
         if registry.path is not None:
             print("registry: {}".format(registry.snapshot_path))
         return EXIT_OK if summary.succeeded else EXIT_DOMAIN_FAILURE
 
-    try:
+    with _io("cannot load registry"):
         registry = MarginRegistry(args.registry, create=False)
-    except (RegistryError, OSError) as exc:
-        print("repro fleet: cannot load registry: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO_ERROR
 
     if args.fleet_command == "status":
         rows = [[rec.node,
@@ -508,16 +430,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return EXIT_OK if len(registry) else EXIT_DOMAIN_FAILURE
 
     # place
-    try:
-        widths = [int(w) for w in args.widths.split(",") if w.strip()]
-    except ValueError:
-        print("repro fleet: --widths must be comma-separated integers",
-              file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
-    if not widths or any(w <= 0 for w in widths):
-        print("repro fleet: --widths must be positive integers",
-              file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
+    fields = [w.strip() for w in args.widths.split(",") if w.strip()]
+    if not fields or not all(w.isdigit() and int(w) > 0 for w in fields):
+        raise DomainFailure("--widths must be comma-separated positive "
+                            "integers")
+    widths = [int(w) for w in fields]
     service = PlacementService(registry)
     assignments = service.place(widths)
     rows = []
@@ -537,16 +454,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    from .analysis.reporting import format_kv
-    from .fleet import MarginRegistry, RegistryError
+    from .fleet import MarginRegistry
     from .recovery import CheckpointStore, RecoveryManager
 
     if args.recover_command == "status":
         from pathlib import Path
         if not Path(args.store).is_dir():
-            print("repro recover: no checkpoint store at {}"
-                  .format(args.store), file=sys.stderr)
-            return EXIT_IO_ERROR
+            raise FileNotFoundError(
+                "no checkpoint store at {}".format(args.store))
         store = CheckpointStore(args.store)
         rows = []
         valid = 0
@@ -566,28 +481,19 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                 args.store, valid, len(rows))))
         return EXIT_OK if valid else EXIT_DOMAIN_FAILURE
 
-    try:
+    with _io("cannot load registry"):
         registry = MarginRegistry(args.registry, create=False)
-    except (RegistryError, OSError) as exc:
-        print("repro recover: cannot load registry: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO_ERROR
 
     if args.recover_command == "checkpoint":
         if not registry.has_node(args.node):
-            print("repro recover: node {} unknown to the registry"
-                  .format(args.node), file=sys.stderr)
-            return EXIT_DOMAIN_FAILURE
+            raise DomainFailure("node {} unknown to the registry"
+                                .format(args.node))
         record = registry.node(args.node)
-        store = CheckpointStore(args.store)
-        manager = RecoveryManager(store, registry, node=args.node)
-        try:
+        with _io("checkpoint write failed"):
+            manager = RecoveryManager(CheckpointStore(args.store),
+                                      registry, node=args.node)
             ckpt = manager.checkpoint_state(
                 {"node_record": record.to_dict()}, now_ns=0.0)
-        except OSError as exc:
-            print("repro recover: checkpoint write failed: {}"
-                  .format(exc), file=sys.stderr)
-            return EXIT_IO_ERROR
         print(format_kv("recover checkpoint", [
             ["node", args.node], ["seq", ckpt.seq],
             ["store", args.store],
@@ -595,22 +501,19 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # restore
-    try:
+    with _io("registry repair failed"):
         repaired = registry.repair_log()
         registry.write_snapshot()
-    except (RegistryError, OSError) as exc:
-        print("repro recover: registry repair failed: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO_ERROR
     pairs = [["registry", str(args.registry)],
              ["torn log bytes dropped", repaired],
              ["events replayed into snapshot", registry.last_seq],
              ["nodes", len(registry)]]
     restorable = len(registry) > 0
     if args.store is not None:
-        store = CheckpointStore(args.store)
-        manager = RecoveryManager(store, registry, node=args.node)
-        recovered = manager.recover()
+        with _io("cannot read checkpoint store"):
+            manager = RecoveryManager(CheckpointStore(args.store),
+                                      registry, node=args.node)
+            recovered = manager.recover()
         rung = recovered.durable_rung()
         pairs += [["node", args.node],
                   ["checkpoint seq", recovered.checkpoint_seq],
@@ -625,10 +528,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from .analysis.reporting import format_kv
-
     if args.perf_command == "bench":
-        from .perf import run_perf_bench
+        from .perf import load_baseline, run_perf_bench
+        # Fail on a corrupt baseline before the sweep, not after it.
+        with _io("cannot load baseline", ValueError):
+            load_baseline(args.baseline)
         # Unlike the other subcommands the bench defaults to the grid
         # seed the baseline was recorded with, not DEFAULT_SEED, so an
         # argument-less run stays comparable to the committed baseline.
@@ -641,12 +545,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             seed=seed, include_reference=not args.no_reference,
             include_fastmodel=args.fastmodel,
             fastmodel_cycle=not args.fastmodel_no_cycle)
-        try:
+        with _io("cannot write report"):
             path = report.write(args.out)
-        except OSError as exc:
-            print("repro perf: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
         pairs = [
             ["cells", report.n_cells],
             ["unique simulations", report.unique_simulations],
@@ -688,10 +588,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         suite=args.suite, hierarchy=HIERARCHIES[args.hierarchy](),
         design=args.design, refs_per_core=args.refs,
         memory_utilization=args.utilization, seed=_resolve_seed(args))
-    profiler = cProfile.Profile()
-    profiler.enable()
-    simulate_node(config)
-    profiler.disable()
+    # The block disables the profiler even when the run raises.
+    with cProfile.Profile() as profiler:
+        simulate_node(config)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     try:
         stats.sort_stats("cumulative").print_stats(args.top)
@@ -719,14 +618,13 @@ def _obs_run_scenario(name: str, seed: int, recorder) -> bool:
                     design="hetero-dmr+fmr", refs_per_core=2000,
                     memory_utilization=util, seed=seed))
             return True
+        import dataclasses
         if name == "adapt-smoke":
-            import dataclasses
             from .adaptive import MovingMarginCampaign, MovingMarginConfig
             config = dataclasses.replace(MovingMarginConfig.smoke(),
                                          seed=seed)
             return MovingMarginCampaign(config).run().passed()
         # chaos-smoke
-        import dataclasses
         from .resilience import ChaosConfig, run_chaos_campaign
         config = dataclasses.replace(ChaosConfig.smoke(), seed=seed)
         return run_chaos_campaign(config).passed()
@@ -734,7 +632,6 @@ def _obs_run_scenario(name: str, seed: int, recorder) -> bool:
 
 def _obs_summarize(events: List[dict]) -> str:
     """Per-(subsystem, event) counts and time spans for a trace."""
-    from .analysis.reporting import format_kv
     spans: dict = {}
     for ev in events:
         key = (str(ev["subsystem"]), str(ev["event"]))
@@ -754,23 +651,16 @@ def _obs_summarize(events: List[dict]) -> str:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from .analysis.reporting import format_kv
     from .obs import (JsonlTraceSink, MemoryTraceSink, Recorder,
                       read_trace, to_json, to_prometheus)
     seed = _resolve_seed(args)
 
     if args.obs_command == "trace":
-        try:
+        with _io("cannot open trace file"):
             sink = JsonlTraceSink(args.out)
-        except OSError as exc:
-            print("repro obs: cannot open trace file: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
-        try:
+        with sink:
             ok = _obs_run_scenario(args.scenario, seed,
                                    Recorder(trace=sink))
-        finally:
-            sink.close()
         print(format_kv("obs trace", [
             ["scenario", args.scenario], ["seed", seed],
             ["trace", args.out], ["events", sink.events_emitted],
@@ -785,13 +675,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             if args.format == "prometheus" \
             else to_json(recorder.snapshot())
         if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print("repro obs: cannot write metrics: {}".format(exc),
-                      file=sys.stderr)
-                return EXIT_IO_ERROR
+            _write(args.out, text, "metrics")
             print("metrics: {}".format(args.out))
         else:
             print(text, end="")
@@ -799,326 +683,233 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     # summary
     if args.trace_file is not None:
-        try:
+        # A line that parses but is not an event is corrupt too.
+        with _io("cannot read trace", ValueError, KeyError, TypeError):
             events = read_trace(args.trace_file)
-        except OSError as exc:
-            print("repro obs: cannot read trace: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
-        except ValueError as exc:
-            print("repro obs: {}".format(exc), file=sys.stderr)
-            return EXIT_IO_ERROR
+            text = _obs_summarize(events)
     elif args.scenario is not None:
         sink = MemoryTraceSink()
         _obs_run_scenario(args.scenario, seed, Recorder(trace=sink))
         events = sink.events
+        text = _obs_summarize(events)
     else:
-        print("repro obs: summary needs --trace-file or --scenario",
-              file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
+        raise DomainFailure("summary needs --trace-file or --scenario")
     try:
-        print(_obs_summarize(events))
+        print(text)
     except BrokenPipeError:    # e.g. piped into head
         pass
     return EXIT_OK if events else EXIT_DOMAIN_FAILURE
 
 
-def _cmd_serve_ha(args: argparse.Namespace, seed: int) -> int:
+def _serve_requests(path: Optional[str]) -> tuple:
+    """Parse the JSONL request stream (``path``, or stdin when None)
+    into service requests.  A malformed line is reported as ``repro
+    serve: bad request line N: <cause>`` and skipped; returns the
+    requests and the number of bad lines."""
+    from .fleet.registry import coerce_event
+    from .service import (ClockTick, PlaceRequest, RegistryWrite,
+                          ReleaseRequest)
+    with _io("cannot read requests"):
+        if path is None:
+            lines = sys.stdin.readlines()
+        else:
+            with open(path) as fh:
+                lines = fh.readlines()
+    requests, bad = [], 0
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            op = doc["op"]
+            if op == "place":
+                deadline = doc.get("deadline_s")
+                request = PlaceRequest(
+                    int(doc["job"]), int(doc.get("nodes", 1)),
+                    float(deadline) if deadline is not None else None)
+                if request.nodes_requested <= 0:
+                    raise ValueError("jobs need at least one node")
+            elif op == "release":
+                request = ReleaseRequest(int(doc["job"]))
+            elif op == "write":
+                kind, node = str(doc["kind"]), int(doc["node"])
+                request = RegistryWrite(kind, node, coerce_event(
+                    kind, node, doc.get("payload", {})))
+            elif op == "tick":
+                request = ClockTick(float(doc["now_s"]))
+            else:
+                raise ValueError("unknown op {!r}".format(op))
+            requests.append(request)
+        except (KeyError, TypeError, ValueError) as exc:
+            print("repro serve: bad request line {}: {}"
+                  .format(lineno, exc), file=sys.stderr)
+            bad += 1
+    return requests, bad
+
+
+def _serve_ha(args: argparse.Namespace, seed: int, requests: list,
+              sink) -> str:
     """``repro serve --daemons N``: the HA control plane answers the
-    same JSONL request stream from N lease-holding daemons."""
-    import json
-    from .fleet.registry import EVENT_KINDS, RegistryError
-    from .service import HAConfig, HAControlPlane, RegistryWrite
+    request stream from N lease-holding daemons."""
+    from .service import (HAConfig, HAControlPlane, PlaceRequest,
+                          RegistryWrite, ReleaseRequest)
     from .service.sharding import DEFAULT_SHARDS
-    if args.registry is not None:
-        print("repro serve: --registry is not supported with "
-              "--daemons > 1 (the HA plane seeds its own fleet)",
-              file=sys.stderr)
-        return EXIT_IO_ERROR
     config = HAConfig(nodes=args.nodes,
                       shards=(args.shards if args.shards is not None
                               else DEFAULT_SHARDS),
                       daemons=args.daemons, seed=seed)
-    try:
-        if args.requests is not None:
-            with open(args.requests) as fh:
-                lines = fh.readlines()
+    plane = HAControlPlane(config, decision_sink=sink)
+    for request in requests:
+        if isinstance(request, PlaceRequest):
+            plane.submit_place(request.job_id, request.nodes_requested)
+        elif isinstance(request, ReleaseRequest):
+            plane.submit_release(request.job_id)
+        elif isinstance(request, RegistryWrite):
+            plane.submit_write(request)
         else:
-            lines = sys.stdin.readlines()
-    except OSError as exc:
-        print("repro serve: cannot read requests: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO_ERROR
-    out_fh = None
-    if args.out is not None:
-        try:
-            out_fh = open(args.out, "w")
-        except OSError as exc:
-            print("repro serve: cannot open output: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
-    stream = out_fh if out_fh is not None else sys.stdout
-    plane = HAControlPlane(
-        config, decision_sink=lambda d: stream.write(d.to_json()
-                                                     + "\n"))
-    bad = 0
-    try:
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                op = doc["op"]
-                if op == "place":
-                    plane.submit_place(int(doc["job"]),
-                                       int(doc.get("nodes", 1)))
-                elif op == "release":
-                    plane.submit_release(int(doc["job"]))
-                elif op == "write":
-                    kind = str(doc["kind"])
-                    if kind not in EVENT_KINDS:
-                        raise ValueError("unknown event kind {!r}"
-                                         .format(kind))
-                    plane.submit_write(RegistryWrite(
-                        kind, int(doc["node"]),
-                        dict(doc.get("payload", {}))))
-                elif op == "tick":
-                    plane.tick(float(doc["now_s"]))
-                else:
-                    raise ValueError("unknown op {!r}".format(op))
-            except (KeyError, TypeError, ValueError) as exc:
-                print("repro serve: bad request line {}: {}"
-                      .format(lineno, exc), file=sys.stderr)
-                bad += 1
-        guard = 0
-        while plane.pending and guard < 100_000:
-            plane.tick(plane.now_s + 0.25)
-            guard += 1
-        plane.stop()
-    except RegistryError as exc:
-        print("repro serve: registry write failed: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_DOMAIN_FAILURE
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+            plane.tick(request.now_s)
+    guard = 0
+    while plane.pending and guard < 100_000:
+        plane.tick(plane.now_s + 0.25)
+        guard += 1
+    plane.stop()
     stats = plane.stats
-    print("repro serve: {} daemons, {} decisions (placed {}, "
-          "unsatisfiable {}, released {}), {} writes, {} failovers, "
-          "{} fenced writes".format(
-              args.daemons, stats.decisions, stats.placed,
-              stats.unsatisfiable, stats.released, stats.writes,
-              plane.failover.failovers,
-              plane.table.stats.fenced_writes),
-          file=sys.stderr)
-    return EXIT_DOMAIN_FAILURE if bad else EXIT_OK
+    return ("repro serve: {} daemons, {} decisions (placed {}, "
+            "unsatisfiable {}, released {}), {} writes, {} failovers, "
+            "{} fenced writes".format(
+                args.daemons, stats.decisions, stats.placed,
+                stats.unsatisfiable, stats.released, stats.writes,
+                plane.failover.failovers,
+                plane.table.stats.fenced_writes))
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve_daemon(args: argparse.Namespace, registry, requests: list,
+                  sink) -> str:
+    """``repro serve``: one asyncio placement daemon."""
     import asyncio
-    import json
-    from .fleet.registry import RegistryError
-    from .hpc.cluster import Cluster
     from .service import (DaemonConfig, PlaceRequest, PlacementDaemon,
-                          RegistryWrite, ReleaseRequest,
-                          ShardedRegistry)
-    seed = _resolve_seed(args)
-    if args.daemons > 1:
-        return _cmd_serve_ha(args, seed)
-    try:
-        if args.registry is not None:
-            registry = ShardedRegistry(args.registry, create=False)
-        else:
-            registry = ShardedRegistry(shards=args.shards)
-            for node in Cluster(args.nodes, seed=seed).nodes:
-                registry.record_profile(node.index, node.margin_mts)
-    except (RegistryError, OSError) as exc:
-        print("repro serve: cannot open registry: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO_ERROR
-    try:
-        if args.requests is not None:
-            with open(args.requests) as fh:
-                lines = fh.readlines()
-        else:
-            lines = sys.stdin.readlines()
-    except OSError as exc:
-        print("repro serve: cannot read requests: {}".format(exc),
-              file=sys.stderr)
-        return EXIT_IO_ERROR
-    out_fh = None
-    if args.out is not None:
-        try:
-            out_fh = open(args.out, "w")
-        except OSError as exc:
-            print("repro serve: cannot open output: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
-    stream = out_fh if out_fh is not None else sys.stdout
+                          RegistryWrite, ReleaseRequest)
     config = DaemonConfig(
         queue_limit=args.queue_limit,
         event_queue_limit=max(4096, 2 * args.queue_limit))
-    daemon = PlacementDaemon(
-        registry, config,
-        decision_sink=lambda d: stream.write(d.to_json() + "\n"))
+    daemon = PlacementDaemon(registry, config, decision_sink=sink)
 
-    async def run_requests() -> int:
-        bad = 0
+    async def run_requests() -> None:
         async with daemon:
             futures = []
-            for lineno, line in enumerate(lines, 1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    op = doc["op"]
-                    if op == "place":
-                        deadline = doc.get("deadline_s")
-                        futures.append(daemon.submit(PlaceRequest(
-                            int(doc["job"]),
-                            int(doc.get("nodes", 1)),
-                            float(deadline) if deadline is not None
-                            else None)))
-                    elif op == "release":
-                        futures.append(await daemon.submit_release(
-                            ReleaseRequest(int(doc["job"]))))
-                    elif op == "write":
-                        await daemon.submit_write(RegistryWrite(
-                            str(doc["kind"]), int(doc["node"]),
-                            dict(doc.get("payload", {}))))
-                    elif op == "tick":
-                        await daemon.submit_tick(float(doc["now_s"]))
-                    else:
-                        raise ValueError("unknown op {!r}".format(op))
-                except (KeyError, TypeError, ValueError) as exc:
-                    print("repro serve: bad request line {}: {}"
-                          .format(lineno, exc), file=sys.stderr)
-                    bad += 1
+            for request in requests:
+                if isinstance(request, PlaceRequest):
+                    futures.append(daemon.submit(request))
+                elif isinstance(request, ReleaseRequest):
+                    futures.append(await daemon.submit_release(request))
+                elif isinstance(request, RegistryWrite):
+                    await daemon.submit_write(request)
+                else:
+                    await daemon.submit_tick(request.now_s)
             if futures:
                 await asyncio.gather(*futures)
-        return bad
 
-    try:
-        bad = asyncio.run(run_requests())
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+    asyncio.run(run_requests())
     stats = daemon.stats
-    print("repro serve: {} decisions (placed {}, shed {}, expired {}, "
-          "released {}), {} writes, queue peak {}".format(
-              stats.decisions, stats.placed, stats.shed, stats.expired,
-              stats.released, stats.writes, stats.queue_peak),
-          file=sys.stderr)
+    return ("repro serve: {} decisions (placed {}, shed {}, expired {}, "
+            "released {}), {} writes, queue peak {}".format(
+                stats.decisions, stats.placed, stats.shed, stats.expired,
+                stats.released, stats.writes, stats.queue_peak))
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .fleet.registry import RegistryError
+    seed = _resolve_seed(args)
+    registry = None
+    if args.daemons > 1:
+        if args.registry is not None:
+            raise RegistryError("--registry is not supported with "
+                                "--daemons > 1 (the HA plane seeds its "
+                                "own fleet)")
+    else:
+        from .hpc.cluster import Cluster
+        from .service import ShardedRegistry
+        with _io("cannot open registry"):
+            if args.registry is not None:
+                registry = ShardedRegistry(args.registry, create=False)
+            else:
+                registry = ShardedRegistry(shards=args.shards)
+                for node in Cluster(args.nodes, seed=seed).nodes:
+                    registry.record_profile(node.index, node.margin_mts)
+    requests, bad = _serve_requests(args.requests)
+    with contextlib.ExitStack() as stack:
+        with _io("cannot open output"):
+            stream = sys.stdout if args.out is None else \
+                stack.enter_context(open(args.out, "w"))
+
+        def sink(decision) -> None:
+            stream.write(decision.to_json() + "\n")
+
+        summary = (_serve_ha(args, seed, requests, sink)
+                   if registry is None else
+                   _serve_daemon(args, registry, requests, sink))
+    print(summary, file=sys.stderr)
     return EXIT_DOMAIN_FAILURE if bad else EXIT_OK
 
 
-def _cmd_soak_failover(args: argparse.Namespace) -> int:
-    """``repro soak --failover``: the HA failover drill — seeded
-    faults against N daemons, decision stream compared against a
-    never-crashed single-daemon reference."""
+def _cmd_soak(args: argparse.Namespace) -> int:
+    """``repro soak``: the seeded placement-daemon soak, or with
+    ``--failover`` the HA drill — seeded faults against N daemons,
+    decision stream compared against a never-crashed single-daemon
+    reference."""
     import dataclasses
     import tempfile
-    from .service import HAConfig, HAFailoverDrill
-    config = HAConfig.smoke() if args.smoke else HAConfig()
-    overrides = {"seed": _resolve_seed(args)}
-    for attr, value in (("events", args.events),
-                        ("nodes", args.nodes),
-                        ("shards", args.shards),
-                        ("daemons", args.daemons),
-                        ("p999_budget_s", args.p999_budget),
-                        ("compact_every", args.compact_every)):
-        if value is not None:
-            overrides[attr] = value
-    tempdir = None
-    registry_dir = args.registry
-    if registry_dir is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="repro-ha-")
-        registry_dir = tempdir.name
-    config = dataclasses.replace(config, registry_dir=registry_dir,
-                                 **overrides)
-    stream = ref_stream = None
-    try:
-        try:
-            if args.decisions is not None:
-                stream = open(args.decisions, "w")
-            if args.reference_decisions is not None:
-                ref_stream = open(args.reference_decisions, "w")
-        except OSError as exc:
-            print("repro soak: cannot open decision log: {}"
-                  .format(exc), file=sys.stderr)
-            return EXIT_IO_ERROR
-        result = HAFailoverDrill(config).run(
-            stream=stream, reference_stream=ref_stream)
-    finally:
-        for fh in (stream, ref_stream):
-            if fh is not None:
-                fh.close()
-        if tempdir is not None:
-            tempdir.cleanup()
+    from .service import HAConfig, HAFailoverDrill, SoakConfig, SoakScenario
+    overrides = [("events", args.events), ("nodes", args.nodes),
+                 ("shards", args.shards),
+                 ("p999_budget_s", args.p999_budget),
+                 ("compact_every", args.compact_every)]
+    if args.failover:
+        config = HAConfig.smoke() if args.smoke else HAConfig()
+        overrides.append(("daemons", args.daemons))
+        logs = (args.decisions, args.reference_decisions)
+    else:
+        config = SoakConfig.smoke() if args.smoke else SoakConfig()
+        overrides += [("verify", not args.no_verify),
+                      ("queue_limit", args.queue_limit)]
+        logs = (args.decisions,)
+    with contextlib.ExitStack() as stack:
+        registry_dir = args.registry
+        if registry_dir is None:
+            registry_dir = stack.enter_context(tempfile.TemporaryDirectory(
+                prefix="repro-ha-" if args.failover else "repro-soak-"))
+        config = dataclasses.replace(
+            config, registry_dir=registry_dir, seed=_resolve_seed(args),
+            **{k: v for k, v in overrides if v is not None})
+        with _io("cannot open decision log"):
+            streams = [stack.enter_context(open(path, "w"))
+                       if path is not None else None for path in logs]
+        if args.failover:
+            result = HAFailoverDrill(config).run(
+                stream=streams[0], reference_stream=streams[1])
+        else:
+            result = SoakScenario(config).run(stream=streams[0])
     if args.report_file is not None:
-        try:
-            with open(args.report_file, "w") as fh:
-                fh.write(result.report.render())
-        except OSError as exc:
-            print("repro soak: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
-    print(result.format_summary())
+        _write(args.report_file, result.report.render()
+               if args.failover else result.to_dict())
+    print(result.format_summary() if args.failover
+          else result.format_report())
     return EXIT_OK if result.passed() else EXIT_DOMAIN_FAILURE
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-    import tempfile
-    from .service import SoakConfig, SoakScenario
-    if args.failover:
-        return _cmd_soak_failover(args)
-    config = SoakConfig.smoke() if args.smoke else SoakConfig()
-    overrides = {"seed": _resolve_seed(args),
-                 "verify": not args.no_verify}
-    for attr, value in (("events", args.events),
-                        ("nodes", args.nodes),
-                        ("shards", args.shards),
-                        ("queue_limit", args.queue_limit),
-                        ("p999_budget_s", args.p999_budget),
-                        ("compact_every", args.compact_every)):
-        if value is not None:
-            overrides[attr] = value
-    tempdir = None
-    registry_dir = args.registry
-    if registry_dir is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="repro-soak-")
-        registry_dir = tempdir.name
-    config = dataclasses.replace(config, registry_dir=registry_dir,
-                                 **overrides)
-    stream = None
-    try:
-        if args.decisions is not None:
-            try:
-                stream = open(args.decisions, "w")
-            except OSError as exc:
-                print("repro soak: cannot open decision log: {}"
-                      .format(exc), file=sys.stderr)
-                return EXIT_IO_ERROR
-        report = SoakScenario(config).run(stream=stream)
-    finally:
-        if stream is not None:
-            stream.close()
-        if tempdir is not None:
-            tempdir.cleanup()
-    if args.report_file is not None:
-        try:
-            with open(args.report_file, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print("repro soak: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
-    print(report.format_report())
-    return EXIT_OK if report.passed() else EXIT_DOMAIN_FAILURE
+def _cmd_smoke(args: argparse.Namespace) -> int:
+    from pathlib import Path
+    from .smoke import SCENARIOS, run_scenario
+    out_dir = Path(args.out_dir)
+    with _io("cannot use output directory"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if any(out_dir.iterdir()):    # a rerun would append to it
+            raise FileExistsError("{} is not empty".format(out_dir))
+    failure = run_scenario(SCENARIOS[args.scenario], out_dir)
+    if failure is not None:
+        raise DomainFailure("{}: {}".format(args.scenario, failure))
+    print("smoke {}: passed ({})".format(args.scenario, out_dir))
+    return EXIT_OK
 
 
 def _cmd_suites(args: argparse.Namespace) -> int:
@@ -1133,7 +924,50 @@ def _cmd_suites(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ranged(cast: type, low: float, high: Optional[float] = None):
+    """argparse type: ``cast`` the text (a ``ValueError`` is argparse's
+    "invalid int value"), then require ``low <= value <= high``."""
+    def parse(text: str):
+        value = cast(text)
+        if not low <= value <= (value if high is None else high):
+            raise argparse.ArgumentTypeError("{} is outside [{}, {}]".format(
+                text, low, "inf" if high is None else high))
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_positive_int = _ranged(int, 1)
+_non_negative_int = _ranged(int, 0)
+_fraction = _ranged(float, 0.0, 1.0)
+
+
+def _names(valid: Sequence[str]):
+    """argparse type: distinct comma-separated names from ``valid``."""
+    def parse(text: str) -> tuple:
+        names = tuple(n.strip() for n in text.split(","))
+        if len(set(names)) != len(names) or not set(names) <= set(valid):
+            raise argparse.ArgumentTypeError(
+                "{!r} is not a list of distinct names from {}".format(
+                    text, ", ".join(valid)))
+        return names
+    return parse
+
+
+def _design(text: str) -> str:
+    """argparse type: a node design name."""
+    from .sim.node import DESIGNS
+    if text not in DESIGNS:
+        raise argparse.ArgumentTypeError(
+            "unknown design {!r}; valid: {}".format(
+                text, ", ".join(DESIGNS)))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .smoke import SCENARIOS
+    from .workloads import suite_names
+    suites = suite_names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of the ISCA'21 memory frequency "
@@ -1152,65 +986,78 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", dest="sub_seed", type=int,
                         default=None,
                         help="RNG seed (overrides the global --seed)")
+    # Options several subcommands share, each defined once.
+    node_opts = argparse.ArgumentParser(add_help=False, parents=[common])
+    node_opts.add_argument("--suite", default="linpack", choices=suites)
+    node_opts.add_argument("--hierarchy", default="Hierarchy1",
+                           choices=("Hierarchy1", "Hierarchy2"))
+    node_opts.add_argument("--utilization", type=_fraction, default=0.2)
+    node_opts.add_argument("--refs", type=_positive_int, default=3000)
+    fidelity_opt = argparse.ArgumentParser(add_help=False)
+    fidelity_opt.add_argument("--fidelity", default=None,
+                              choices=("cycle", "fast"),
+                              help="model tier (default: REPRO_FIDELITY "
+                                   "or cycle)")
+    registry_opt = argparse.ArgumentParser(add_help=False)
+    registry_opt.add_argument("--registry", required=True,
+                              help="existing registry directory")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--out", default=None,
+                          help="write the report JSON here")
+    campaign = argparse.ArgumentParser(add_help=False, parents=[common])
+    campaign.add_argument("--smoke", action="store_true",
+                          help="short CI-sized campaign (~1 simulated "
+                               "hour)")
+    campaign.add_argument("--report-file", default=None,
+                          help="also write the report to this path")
 
     sub.add_parser("characterize", parents=[common],
                    help="run the Section II margin characterization")
 
     mc = sub.add_parser("montecarlo", parents=[common],
                         help="Figure 11 margin Monte Carlo")
-    mc.add_argument("--trials", type=int, default=20000)
+    # The node populations draw trials // 4 samples.
+    mc.add_argument("--trials", type=_ranged(int, 4), default=20000)
 
     sub.add_parser("settings", parents=[common],
                    help="print the Table II settings")
 
-    node = sub.add_parser("node", parents=[common],
+    node = sub.add_parser("node", parents=[node_opts, fidelity_opt],
                           help="simulate one node, four designs")
-    node.add_argument("--suite", default="linpack")
-    node.add_argument("--hierarchy", default="Hierarchy1",
-                      choices=("Hierarchy1", "Hierarchy2"))
-    node.add_argument("--margin", type=int, default=800)
-    node.add_argument("--utilization", type=float, default=0.2)
-    node.add_argument("--refs", type=int, default=3000)
-    node.add_argument("--fidelity", default=None,
-                      choices=("cycle", "fast"),
-                      help="model tier (default: REPRO_FIDELITY or "
-                           "cycle)")
+    node.add_argument("--margin", type=_non_negative_int, default=800)
 
     hpc = sub.add_parser("hpc", parents=[common],
                          help="system-wide Slurm-style simulation")
-    hpc.add_argument("--nodes", type=int, default=256)
-    hpc.add_argument("--jobs", type=int, default=3000)
-    hpc.add_argument("--fidelity", default="cycle",
+    hpc.add_argument("--nodes", type=_positive_int, default=256)
+    hpc.add_argument("--jobs", type=_positive_int, default=3000)
+    hpc.add_argument("--fidelity", default=None,
                      choices=("cycle", "fast"),
                      help="node-speedup model: transcribed Figure 12 "
                           "defaults (cycle) or the calibrated fast "
-                          "tier's predictions (fast)")
-    hpc.add_argument("--read-error-rate", type=float, default=0.0,
+                          "tier's predictions (fast); default: "
+                          "REPRO_FIDELITY or cycle")
+    hpc.add_argument("--read-error-rate", type=_fraction, default=0.0,
                      help="margin-read error rate for a degraded "
                           "fleet; derives the node-speedup model from "
                           "cycle simulations honoring the faults "
                           "(refused under --fidelity fast)")
-    hpc.add_argument("--transition-fault-rate", type=float,
+    hpc.add_argument("--transition-fault-rate", type=_fraction,
                      default=0.0,
                      help="frequency-transition fault rate for a "
                           "degraded fleet (refused under --fidelity "
                           "fast)")
-    hpc.add_argument("--model-refs", type=int, default=300,
+    hpc.add_argument("--model-refs", type=_positive_int, default=300,
                      help="trace references per core for the "
                           "fault-aware model derivation")
 
     sweep = sub.add_parser(
-        "sweep", parents=[common],
+        "sweep", parents=[common, fidelity_opt],
         help="run the Figure 12 grid sweep at either fidelity tier")
-    sweep.add_argument("--refs", type=int, default=3000,
+    sweep.add_argument("--refs", type=_positive_int, default=3000,
                        help="trace references per core and cell")
     sweep.add_argument("--workers", type=int, default=0,
                        help="worker processes for cycle cells "
                             "(<=1 serial; fast cells never fan out)")
-    sweep.add_argument("--fidelity", default=None,
-                       choices=("cycle", "fast"),
-                       help="model tier (default: REPRO_FIDELITY or "
-                            "cycle)")
     sweep.add_argument("--out", default=None,
                        help="write per-cell records (deterministic "
                             "view) to this JSON file")
@@ -1226,10 +1073,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the cycle engine over the fig12 effective-cell grid "
              "and fit the closed-form model (writes the versioned "
              "calibration artifact)")
-    fcal.add_argument("--refs", type=int, default=None,
+    fcal.add_argument("--refs", type=_positive_int, default=None,
                       help="trace references per core (default: the "
                            "committed grid length)")
-    fcal.add_argument("--suites", default=None,
+    fcal.add_argument("--suites", type=_names(suites), default=None,
                       help="comma-separated suite subset (default: "
                            "all suites)")
     fcal.add_argument("--out", default=None,
@@ -1238,27 +1085,22 @@ def build_parser() -> argparse.ArgumentParser:
                            ".json)")
     fcal.add_argument("--verbose", action="store_true",
                       help="print each calibrated cell")
-    fcal.add_argument("--backend", default=None,
-                      choices=("ddr4", "mrdimm"),
+    fcal.add_argument("--backend", default=None, choices=BACKENDS,
                       help="memory-technology backend to calibrate "
                            "(default: REPRO_BACKEND or ddr4)")
     fcheck = fsub.add_parser(
-        "check", parents=[common],
+        "check", parents=[common, json_out],
         help="fig12 cycle-vs-fast cross-check: rankings + weighted "
              "speedups within tolerance (exit 1 on failure); the "
              "report is deterministic, so two runs diff clean")
-    fcheck.add_argument("--suites", default=None,
+    fcheck.add_argument("--suites", type=_names(suites), default=None,
                         help="comma-separated suite subset")
-    fcheck.add_argument("--out", default=None,
-                        help="write the report JSON here")
     fcluster = fsub.add_parser(
-        "cluster", parents=[common],
+        "cluster", parents=[common, json_out],
         help="10k-node system sweep with the calibrated performance "
              "model")
-    fcluster.add_argument("--nodes", type=int, default=10000)
-    fcluster.add_argument("--jobs", type=int, default=2000)
-    fcluster.add_argument("--out", default=None,
-                          help="write the report JSON here")
+    fcluster.add_argument("--nodes", type=_positive_int, default=10000)
+    fcluster.add_argument("--jobs", type=_positive_int, default=2000)
 
     backend = sub.add_parser(
         "backend", help="memory-technology backends: per-backend "
@@ -1267,52 +1109,44 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = backend.add_subparsers(dest="backend_command",
                                   required=True)
     bchar = bsub.add_parser(
-        "characterize", parents=[common],
+        "characterize", parents=[common, json_out],
         help="seeded margin Monte Carlo for one backend, bucketed "
              "into its own scheduler classes")
-    bchar.add_argument("--backend", default=None,
-                       choices=("ddr4", "mrdimm"),
+    bchar.add_argument("--backend", default=None, choices=BACKENDS,
                        help="memory-technology backend (default: "
                             "REPRO_BACKEND or ddr4)")
-    bchar.add_argument("--trials", type=int, default=4000)
-    bchar.add_argument("--out", default=None,
-                       help="write the report JSON here")
+    bchar.add_argument("--trials", type=_positive_int, default=4000)
     bcomp = bsub.add_parser(
         "compare", parents=[common],
         help="cross-technology study: characterization + cycle-"
              "measured node speedups + margin-aware placement per "
              "backend, one deterministic artifact")
-    bcomp.add_argument("--backends", default="ddr4,mrdimm",
+    bcomp.add_argument("--backends", type=_names(BACKENDS),
+                       default="ddr4,mrdimm",
                        help="comma-separated backend list (first is "
                             "the comparison baseline)")
-    bcomp.add_argument("--refs", type=int, default=1500,
+    bcomp.add_argument("--refs", type=_positive_int, default=1500,
                        help="trace references per core for the cycle "
                             "speedup measurements")
-    bcomp.add_argument("--trials", type=int, default=4000,
+    bcomp.add_argument("--trials", type=_positive_int, default=4000,
                        help="Monte Carlo trials per backend")
-    bcomp.add_argument("--nodes", type=int, default=200,
+    bcomp.add_argument("--nodes", type=_positive_int, default=200,
                        help="cluster size for the placement phase")
-    bcomp.add_argument("--jobs", type=int, default=400,
+    bcomp.add_argument("--jobs", type=_positive_int, default=400,
                        help="job-trace length for the placement phase")
     bcomp.add_argument("--out", default=None,
                        help="write the comparison artifact here")
 
-    chaos = sub.add_parser(
-        "chaos", parents=[common],
+    sub.add_parser(
+        "chaos", parents=[campaign],
         help="run the fault-injection chaos campaign and print "
              "the survivability report (exit 1 on FAIL)")
-    chaos.add_argument("--smoke", action="store_true",
-                       help="short CI-sized campaign (~1 simulated hour)")
-    chaos.add_argument("--report-file", default=None,
-                       help="also write the report to this path")
 
     adapt = sub.add_parser(
-        "adapt", parents=[common],
+        "adapt", parents=[campaign],
         help="run the moving-margin campaign: environment drift + "
              "fault injection + crash drills under the adaptive "
              "margin controller (exit 1 on FAIL)")
-    adapt.add_argument("--smoke", action="store_true",
-                       help="short CI-sized campaign (~1 simulated hour)")
     adapt.add_argument("--drift", default="composite",
                        choices=("ramp", "diurnal", "aging", "composite"),
                        help="drift scenario moving the hidden true "
@@ -1325,8 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the same-seed static baseline run "
                             "(halves the campaign time; the "
                             "beats-static check is then not enforced)")
-    adapt.add_argument("--report-file", default=None,
-                       help="also write the report to this path")
 
     fleet = sub.add_parser(
         "fleet", help="fleet margin registry: profile, status, place")
@@ -1334,15 +1166,15 @@ def build_parser() -> argparse.ArgumentParser:
     profile = fsub.add_parser(
         "profile", parents=[common],
         help="profile a fleet into a registry (parallel, seeded)")
-    profile.add_argument("--nodes", type=int, default=64)
+    profile.add_argument("--nodes", type=_positive_int, default=64)
     profile.add_argument("--registry", default=None,
                          help="registry directory (in-memory when "
                               "omitted)")
     profile.add_argument("--workers", type=int, default=0,
                          help="profiling worker processes (<=1 serial)")
-    profile.add_argument("--guard-band", type=int, default=0,
+    profile.add_argument("--guard-band", type=_non_negative_int, default=0,
                          help="guard band de-rating margins, MT/s")
-    profile.add_argument("--flaky-rate", type=float, default=0.0,
+    profile.add_argument("--flaky-rate", type=_fraction, default=0.0,
                          help="fraction of nodes whose rig fails boots "
                               "(exercises bounded retry)")
     profile.add_argument("--report-file", default=None,
@@ -1354,16 +1186,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="recovery drill: SIGKILL this process "
                               "after N nodes, leaving a torn event "
                               "line (never returns)")
-    status = fsub.add_parser(
-        "status", parents=[common],
+    fsub.add_parser(
+        "status", parents=[common, registry_opt],
         help="print per-node registry state and bucket counts")
-    status.add_argument("--registry", required=True,
-                        help="existing registry directory")
     place = fsub.add_parser(
-        "place", parents=[common],
+        "place", parents=[common, registry_opt],
         help="answer a batched placement query from the registry")
-    place.add_argument("--registry", required=True,
-                       help="existing registry directory")
     place.add_argument("--widths", default="8,4,4,2,1",
                        help="comma-separated node counts, one job per "
                             "entry")
@@ -1378,36 +1206,33 @@ def build_parser() -> argparse.ArgumentParser:
     rstatus.add_argument("--store", required=True,
                          help="checkpoint store directory")
     rcheckpoint = rsub.add_parser(
-        "checkpoint", parents=[common],
+        "checkpoint", parents=[common, registry_opt],
         help="write a bootstrap checkpoint pinning a node to the "
              "registry's current sequence number")
     rcheckpoint.add_argument("--store", required=True,
                              help="checkpoint store directory")
-    rcheckpoint.add_argument("--registry", required=True,
-                             help="existing registry directory")
-    rcheckpoint.add_argument("--node", type=int, default=0)
+    rcheckpoint.add_argument("--node", type=_non_negative_int, default=0)
     rrestore = rsub.add_parser(
-        "restore", parents=[common],
+        "restore", parents=[common, registry_opt],
         help="repair a crashed registry (drop any torn event line, "
              "rewrite the snapshot) and, with --store, report the "
              "node state recovery would restore")
-    rrestore.add_argument("--registry", required=True,
-                          help="existing registry directory")
     rrestore.add_argument("--store", default=None,
                           help="checkpoint store directory (optional)")
-    rrestore.add_argument("--node", type=int, default=0)
+    rrestore.add_argument("--node", type=_non_negative_int, default=0)
 
     perf = sub.add_parser(
         "perf", help="performance harness: sweep benchmark with "
                      "regression gate, cProfile of one node")
     psub = perf.add_subparsers(dest="perf_command", required=True)
     bench = psub.add_parser(
-        "bench", parents=[common],
+        "bench", parents=[common, fidelity_opt],
         help="time the Figure 12 sweep (fast path vs serial "
              "reference vs recorded baseline); writes "
              "BENCH_speedup.json; exit 1 when events/sec regresses "
-             "more than 20%% below the baseline")
-    bench.add_argument("--refs", type=int, default=120,
+             "more than 20%% below the baseline (a gate that only "
+             "applies at cycle fidelity)")
+    bench.add_argument("--refs", type=_positive_int, default=120,
                        help="trace references per core and cell")
     bench.add_argument("--workers", type=int, default=8,
                        help="sweep worker processes (<=1 serial)")
@@ -1419,10 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--no-reference", action="store_true",
                        help="skip the serial no-dedup reference pass "
                             "(halves the bench time)")
-    bench.add_argument("--fidelity", default=None,
-                       choices=("cycle", "fast"),
-                       help="tier for the main sweep (the regression "
-                            "gate only applies at cycle fidelity)")
     bench.add_argument("--fastmodel", action="store_true",
                        help="add the cycle-vs-fast side-by-side "
                             "section (one full cycle sweep at the "
@@ -1432,16 +1253,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "pass (cross-check and cluster timing "
                             "still run)")
     pprofile = psub.add_parser(
-        "profile", parents=[common],
+        "profile", parents=[node_opts],
         help="cProfile one node simulation, print the top functions "
              "by cumulative time")
-    pprofile.add_argument("--suite", default="linpack")
-    pprofile.add_argument("--hierarchy", default="Hierarchy1",
-                          choices=("Hierarchy1", "Hierarchy2"))
-    pprofile.add_argument("--design", default="hetero-dmr")
-    pprofile.add_argument("--utilization", type=float, default=0.2)
-    pprofile.add_argument("--refs", type=int, default=3000)
-    pprofile.add_argument("--top", type=int, default=25,
+    pprofile.add_argument("--design", type=_design, default="hetero-dmr")
+    pprofile.add_argument("--top", type=_positive_int, default=25,
                           help="rows of profile output to print")
 
     obs = sub.add_parser(
@@ -1485,18 +1301,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--registry", default=None,
                        help="existing sharded registry directory "
                             "(a seeded in-memory fleet when omitted)")
-    serve.add_argument("--nodes", type=int, default=64,
+    serve.add_argument("--nodes", type=_positive_int, default=64,
                        help="in-memory fleet size when no --registry")
-    serve.add_argument("--shards", type=int, default=None,
+    serve.add_argument("--shards", type=_positive_int, default=None,
                        help="shard count for the in-memory fleet")
-    serve.add_argument("--queue-limit", type=int, default=512,
+    serve.add_argument("--queue-limit", type=_positive_int, default=512,
                        help="placement admission watermark (requests "
                             "beyond it are shed, not queued)")
     serve.add_argument("--requests", default=None,
                        help="JSONL request file (stdin when omitted)")
     serve.add_argument("--out", default=None,
                        help="decision JSONL file (stdout when omitted)")
-    serve.add_argument("--daemons", type=int, default=1,
+    serve.add_argument("--daemons", type=_positive_int, default=1,
                        help="run N placement daemons behind "
                             "shard-group leases with fencing tokens "
                             "(the HA control plane) instead of one "
@@ -1509,18 +1325,20 @@ def build_parser() -> argparse.ArgumentParser:
              "churn; exits 1 unless the SoakReport gate passes")
     soak.add_argument("--smoke", action="store_true",
                       help="CI-sized preset (~20k events, 200 nodes)")
-    soak.add_argument("--events", type=int, default=None,
+    soak.add_argument("--events", type=_positive_int, default=None,
                       help="total submitted events (default 1000000; "
                            "smoke preset 20000)")
-    soak.add_argument("--nodes", type=int, default=None,
+    soak.add_argument("--nodes", type=_positive_int, default=None,
                       help="fleet size (default 1490; smoke 200)")
-    soak.add_argument("--shards", type=int, default=None,
+    soak.add_argument("--shards", type=_positive_int, default=None,
                       help="registry shard count")
-    soak.add_argument("--queue-limit", type=int, default=None,
+    soak.add_argument("--queue-limit", type=_positive_int, default=None,
                       help="placement admission watermark")
-    soak.add_argument("--p999-budget", type=float, default=None,
+    soak.add_argument("--p999-budget", type=_ranged(float, 0.0),
+                      default=None,
                       help="p999 placement-latency budget, seconds")
-    soak.add_argument("--compact-every", type=int, default=None,
+    soak.add_argument("--compact-every", type=_non_negative_int,
+                      default=None,
                       help="auto-compact a shard after this many "
                            "appends (0 disables)")
     soak.add_argument("--registry", default=None,
@@ -1542,12 +1360,23 @@ def build_parser() -> argparse.ArgumentParser:
                            "(--report-file then holds the rendered "
                            "survivability report, byte-reproducible "
                            "per seed)")
-    soak.add_argument("--daemons", type=int, default=None,
+    soak.add_argument("--daemons", type=_positive_int, default=None,
                       help="HA daemon count for --failover "
                            "(default 2)")
     soak.add_argument("--reference-decisions", default=None,
                       help="with --failover: write the single-daemon "
                            "reference decision JSONL here")
+
+    smoke = sub.add_parser(
+        "smoke", help="run one CI smoke scenario: each pass of seeded "
+                      "commands in a fresh interpreter, then compare "
+                      "the outputs that must be byte-identical "
+                      "(exit 1 on a mismatch or unexpected status)")
+    smoke.add_argument("scenario", choices=tuple(SCENARIOS))
+    smoke.add_argument("--out-dir", default="smoke-out",
+                       help="working directory for the passes' "
+                            "outputs; must be new or empty (default "
+                            "smoke-out)")
 
     sub.add_parser("suites", parents=[common],
                    help="list the workload suites")
@@ -1571,17 +1400,34 @@ _HANDLERS = {
     "obs": _cmd_obs,
     "serve": _cmd_serve,
     "soak": _cmd_soak,
+    "smoke": _cmd_smoke,
     "suites": _cmd_suites,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv``, run the subcommand, and turn the exceptions of
+    the exit-code table (module docstring) into their codes."""
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except KnobError as exc:
-        print("repro: {}".format(exc), file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        # Imported only on failure: a successful run never pays for it.
+        from .fastmodel import CalibrationError, FastModelError
+        from .fleet.registry import RegistryError
+        from .sim.fidelity import FidelityError
+        prefix = "repro " + args.command
+        if isinstance(exc, KnobError):
+            code, prefix = EXIT_USAGE, "repro"
+        elif isinstance(exc, (OSError, RegistryError)):
+            code = EXIT_IO_ERROR
+        elif isinstance(exc, (FidelityError, FastModelError,
+                              CalibrationError, DomainFailure)):
+            code = EXIT_DOMAIN_FAILURE
+        else:
+            raise
+        print("{}: {}".format(prefix, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":     # pragma: no cover

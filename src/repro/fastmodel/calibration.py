@@ -351,7 +351,15 @@ class Calibration:
                 "no calibration artifact at {}; run `repro fastmodel "
                 "calibrate` first".format(path))
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
+        try:
+            data = json.loads(text)
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:
+            raise CorruptCalibrationError(
+                "calibration artifact {} is not valid JSON ({}); re-run "
+                "`repro fastmodel calibrate`".format(path, exc)) from None
         return cls.from_dict(data, verify=verify)
 
 

@@ -68,7 +68,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.margin_selection import bucket_node_margin
 from ..obs import get_recorder
@@ -76,6 +76,9 @@ from ..obs import get_recorder
 #: Allowed event kinds, in documentation order.
 EVENT_KINDS = ("profile", "demote", "promote", "retire", "thermal",
                "drift", "adapt")
+
+#: Kinds whose payload carries the ``margin_mts`` replay folds in.
+_MARGIN_KINDS = ("profile", "demote", "promote", "adapt")
 
 #: Snapshot schema version (bumped on incompatible changes).
 SNAPSHOT_FORMAT = 1
@@ -86,6 +89,30 @@ SNAPSHOT_FILE = "snapshot.json"
 
 class RegistryError(Exception):
     """The registry is missing, corrupt, or was used incorrectly."""
+
+
+def coerce_event(kind: str, node: int,
+                 payload: Mapping[str, object]) -> Dict[str, object]:
+    """Check one event the way :meth:`MarginRegistry.record` accepts
+    it and return its payload with the margin fields replay reads
+    coerced to ``int``.
+
+    Raises ``ValueError`` for an unknown kind, a negative node or a
+    non-numeric margin, ``KeyError`` when a margin-carrying kind has
+    no ``margin_mts``, and ``TypeError`` for a payload that is not a
+    mapping of the right shape — so a caller can reject a bad write
+    before it is queued.
+    """
+    if kind not in EVENT_KINDS:
+        raise ValueError("unknown event kind {!r}".format(kind))
+    if node < 0:
+        raise ValueError("node index must be non-negative")
+    out = dict(payload)
+    if kind in _MARGIN_KINDS:
+        out["margin_mts"] = int(out["margin_mts"])
+    if "channel_margins" in out:
+        out["channel_margins"] = [int(m) for m in out["channel_margins"]]
+    return out
 
 
 def canonical_json(obj: object) -> str:
@@ -311,13 +338,10 @@ class MarginRegistry:
                **payload: object) -> RegistryEvent:
         """Append one event, apply it to the replayed state, and
         persist it (when the registry is file-backed)."""
-        if kind not in EVENT_KINDS:
-            raise ValueError("unknown event kind {!r}".format(kind))
-        if node < 0:
-            raise ValueError("node index must be non-negative")
         event = RegistryEvent(seq=self.last_seq + 1,
                               time_s=float(time_s), node=int(node),
-                              kind=kind, payload=dict(payload))
+                              kind=kind,
+                              payload=coerce_event(kind, node, payload))
         self._apply(event)
         self._retained.append(event)
         self.last_seq = event.seq

@@ -9,7 +9,7 @@ chaos injections, crash drills) becomes one canonical-JSON line::
 Determinism contract: ``seq`` is assigned in emission order, ``t_ns``
 is *simulated* time (never wall clock), and serialization is canonical
 (sorted keys, fixed separators) — so a seeded run traced twice produces
-byte-identical files, which the CI obs-smoke job ``cmp``s.
+byte-identical files, which ``repro smoke obs-smoke`` checks.
 """
 
 from __future__ import annotations

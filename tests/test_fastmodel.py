@@ -98,6 +98,19 @@ def test_calibration_checksum_detects_corruption(tiny_calibration,
         Calibration.load(path)
 
 
+@pytest.mark.parametrize("cut", [0.5, 0.0])
+def test_calibration_truncated_artifact_is_corrupt(tiny_calibration,
+                                                   tmp_path, cut):
+    """A truncated (or emptied) artifact is a named corruption, not a
+    JSON decode traceback."""
+    path = tiny_calibration.save(tmp_path / "cal.json")
+    text = path.read_text()
+    path.write_text(text[:int(len(text) * cut)])
+    with pytest.raises(CorruptCalibrationError) as err:
+        Calibration.load(path)
+    assert str(path) in str(err.value)
+
+
 def test_calibration_refuses_stale_grid(tiny_calibration, tmp_path):
     """An artifact whose grid no longer matches what the current code
     would calibrate against must be refused, not silently served."""
