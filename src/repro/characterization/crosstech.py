@@ -136,8 +136,7 @@ def placement_comparison(backend: Optional[str],
                                  MarginAwareAllocationPolicy)
     from ..hpc.simulator import CONVENTIONAL_MODEL, SystemSimulator
     from ..hpc.traces import TraceConfig, generate_trace
-    b = get_backend(backend)
-    buckets = tuple(b.margin_buckets) + (0,)
+    buckets = get_backend(backend).placement_buckets
     trace = generate_trace(TraceConfig(total_nodes=total_nodes,
                                        job_count=job_count, seed=seed))
     conventional = SystemSimulator(

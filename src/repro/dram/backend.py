@@ -95,6 +95,11 @@ class MemoryBackend:
     margin_mean_mts: float = 0.0
     margin_stdev_mts: float = 0.0
 
+    @property
+    def placement_buckets(self) -> Tuple[int, ...]:
+        """The scheduler's node classes: the rungs, then spec (0)."""
+        return tuple(self.margin_buckets) + (0,)
+
     # -- timing ----------------------------------------------------------------
 
     def spec_timing(self) -> TimingParameters:

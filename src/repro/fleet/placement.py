@@ -16,9 +16,8 @@ import time as _time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..core.margin_selection import bucket_node_margin
 from ..hpc.cluster import ClusterNode
-from ..hpc.scheduler import (AllocationPolicy,
+from ..hpc.scheduler import (AllocationPolicy, FreeNodePool,
                              MarginAwareAllocationPolicy)
 from .registry import MarginRegistry
 
@@ -109,11 +108,9 @@ class PlacementService:
 
     def bucket_counts(self, now_s: Optional[float] = None) -> dict:
         """Free-node count per margin bucket in the current view."""
-        counts: dict = {}
-        for node in self.cluster_view(now_s):
-            bucket = bucket_node_margin(node.effective_margin_mts)
-            counts[bucket] = counts.get(bucket, 0) + 1
-        return dict(sorted(counts.items(), reverse=True))
+        pool = FreeNodePool.of(self.cluster_view(now_s),
+                               self.policy.buckets)
+        return {b: n for b, n in pool.counts.items() if n}
 
     def place(self, jobs: Sequence[PlacementRequest],
               now_s: Optional[float] = None
@@ -124,19 +121,19 @@ class PlacementService:
         the batch; a job the policy cannot satisfy yields ``None`` (it
         would wait in queue) without blocking later, smaller jobs.
         """
-        free = self.cluster_view(now_s)
+        free = FreeNodePool.of(self.cluster_view(now_s),
+                               self.policy.buckets)
         out: List[Optional[Assignment]] = []
         for position, job in enumerate(jobs):
             job_id, count = _request_key(job, position)
             if count <= 0:
                 raise ValueError("jobs need at least one node")
-            chosen = self.policy.select(free, count)
-            if chosen is None:
+            keys = self.policy.pick(free, count)
+            if keys is None:
                 out.append(None)
                 continue
-            taken = set(id(n) for n in chosen)
-            free = [n for n in free if id(n) not in taken]
-            bucket = bucket_node_margin(
+            chosen = free.take(keys)
+            bucket = free.bucket(
                 min(n.effective_margin_mts for n in chosen))
             out.append(Assignment(job_id,
                                   tuple(n.index for n in chosen),

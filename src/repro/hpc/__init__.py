@@ -3,9 +3,8 @@ system-wide simulator (Section IV-C)."""
 
 from .cluster import Cluster, ClusterNode, DEFAULT_GROUP_FRACTIONS
 from .job import Job
-from .scheduler import (AllocationPolicy, BackfillDecision,
-                        EasyBackfillScheduler,
-                        MarginAwareAllocationPolicy)
+from .scheduler import (AllocationPolicy, EasyBackfillScheduler,
+                        FreeNodePool, MarginAwareAllocationPolicy)
 from .simulator import (CONVENTIONAL_MODEL, PerformanceModel,
                         SystemResult, SystemSimulator)
 from .traces import (CLOUD_BUCKET_FRACTIONS, GRIZZLY_CORES_PER_NODE, GRIZZLY_JOB_COUNT,
@@ -17,9 +16,9 @@ from .traces import (CLOUD_BUCKET_FRACTIONS, GRIZZLY_CORES_PER_NODE, GRIZZLY_JOB
                      memory_bucket)
 
 __all__ = [
-    "AllocationPolicy", "BackfillDecision", "CLOUD_BUCKET_FRACTIONS", "CONVENTIONAL_MODEL",
+    "AllocationPolicy", "CLOUD_BUCKET_FRACTIONS", "CONVENTIONAL_MODEL",
     "Cluster", "ClusterNode", "DEFAULT_GROUP_FRACTIONS",
-    "EasyBackfillScheduler", "GRIZZLY_CORES_PER_NODE",
+    "EasyBackfillScheduler", "FreeNodePool", "GRIZZLY_CORES_PER_NODE",
     "GRIZZLY_JOB_COUNT", "GRIZZLY_MEMORY_GB_PER_NODE", "GRIZZLY_MONTHS",
     "GRIZZLY_NODES", "GRIZZLY_UTILIZATION", "Job",
     "MEMORY_BUCKET_FRACTIONS", "MarginAwareAllocationPolicy",

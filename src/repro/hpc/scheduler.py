@@ -10,26 +10,114 @@ to the fastest X free nodes overall — exactly the rule in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import heapq
+from bisect import bisect_left, insort
+from itertools import islice
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.margin_selection import (NODE_MARGIN_BUCKETS,
                                      bucket_node_margin)
-from .cluster import Cluster, ClusterNode
+from .cluster import ClusterNode
 from .job import Job
 
 
+class FreeNodePool:
+    """Free nodes per exact margin, each list sorted by an *order key*
+    the caller supplies (the free-list order picks break ties by): the
+    one implementation of the margin-aware rule, kept incrementally
+    for every placement path.  Picks return keys; :meth:`take` removes
+    them and returns their nodes."""
+
+    def __init__(self, buckets: Sequence[int] = NODE_MARGIN_BUCKETS):
+        self.buckets = tuple(buckets)
+        #: Free nodes per bucket, fastest first (0 catches the rest).
+        self.counts = dict.fromkeys(
+            sorted(set(self.buckets) | {0}, reverse=True), 0)
+        self._snap: Dict[int, int] = {}
+        self._lists: Dict[int, List] = {}
+        self._entry: Dict[Hashable, Tuple[object, int]] = {}
+
+    @classmethod
+    def of(cls, nodes: Sequence[ClusterNode],
+           buckets: Sequence[int]) -> "FreeNodePool":
+        """``nodes`` at their effective margins, keyed by position."""
+        pool = cls(buckets)
+        for key, node in enumerate(nodes):
+            pool.add(node, node.effective_margin_mts, key)
+        return pool
+
+    def __len__(self) -> int:
+        return len(self._entry)
+
+    def bucket(self, margin: int) -> int:
+        """The class ``margin`` snaps into."""
+        if margin not in self._snap:
+            self._snap[margin] = bucket_node_margin(margin, self.buckets)
+        return self._snap[margin]
+
+    def add(self, node: object, margin: int, key: Hashable) -> None:
+        """Free ``node`` at ``margin`` under the unique order ``key``."""
+        self._entry[key] = (node, margin)
+        insort(self._lists.setdefault(margin, []), key)
+        self.counts[self.bucket(margin)] += 1
+
+    def take(self, keys: Sequence[Hashable]) -> List[object]:
+        """Remove ``keys`` from the pool; returns their nodes."""
+        nodes = []
+        for key in keys:
+            node, margin = self._entry.pop(key)
+            lst = self._lists[margin]
+            del lst[bisect_left(lst, key)]
+            self.counts[self._snap[margin]] -= 1
+            nodes.append(node)
+        return nodes
+
+    @staticmethod
+    def _first(lists: List[List], count: int) -> List:
+        if len(lists) == 1:
+            return lists[0][:count]
+        return list(islice(heapq.merge(*lists), count))
+
+    def pick_margin_aware(self, count: int) -> Optional[List]:
+        """The paper's rule: the first ``count`` keys of the fastest
+        bucket that alone holds ``count`` free nodes, else the
+        ``count`` fastest free nodes (key order within one margin).
+        None when fewer than ``count`` nodes are free."""
+        if count > len(self._entry):
+            return None
+        for bucket, free in self.counts.items():
+            if free >= count:
+                return self._first(
+                    [lst for margin, lst in self._lists.items()
+                     if self._snap[margin] == bucket], count)
+        out: List = []
+        for margin in sorted(self._lists, reverse=True):
+            out += self._lists[margin][:count - len(out)]
+        return out
+
+    def pick_default(self, count: int) -> Optional[List]:
+        """The first ``count`` keys in key order (None if short)."""
+        if count > len(self._entry):
+            return None
+        return self._first(list(self._lists.values()), count)
+
+
 class AllocationPolicy:
-    """Margin-unaware default: any free nodes, in index order."""
+    """Margin-unaware default: the first free nodes, in free-list
+    order (a node released by a finished job rejoins at the back)."""
 
     name = "default"
+    buckets: Tuple[int, ...] = NODE_MARGIN_BUCKETS
+
+    def pick(self, pool: FreeNodePool, count: int) -> Optional[List]:
+        """Keys of the ``count`` nodes to allocate (None if short)."""
+        return pool.pick_default(count)
 
     def select(self, free_nodes: List[ClusterNode],
                count: int) -> Optional[List[ClusterNode]]:
         """Pick ``count`` nodes from ``free_nodes`` (None if short)."""
-        if len(free_nodes) < count:
-            return None
-        return free_nodes[:count]
+        keys = self.pick(FreeNodePool.of(free_nodes, self.buckets), count)
+        return None if keys is None else [free_nodes[k] for k in keys]
 
 
 class MarginAwareAllocationPolicy(AllocationPolicy):
@@ -54,30 +142,8 @@ class MarginAwareAllocationPolicy(AllocationPolicy):
                  buckets: Sequence[int] = NODE_MARGIN_BUCKETS):
         self.buckets = tuple(buckets)
 
-    def select(self, free_nodes: List[ClusterNode],
-               count: int) -> Optional[List[ClusterNode]]:
-        if len(free_nodes) < count:
-            return None
-        groups: Dict[int, List[ClusterNode]] = {}
-        for node in free_nodes:
-            groups.setdefault(
-                bucket_node_margin(node.effective_margin_mts,
-                                   self.buckets),
-                []).append(node)
-        # Fastest group that alone satisfies the request.
-        for margin in sorted(groups, reverse=True):
-            if len(groups[margin]) >= count:
-                return groups[margin][:count]
-        # Fall back: the fastest ``count`` free nodes overall.
-        ranked = sorted(free_nodes, key=lambda n: -n.effective_margin_mts)
-        return ranked[:count]
-
-
-@dataclass
-class BackfillDecision:
-    """Outcome of a scheduling pass for bookkeeping/tests."""
-    started: List[int] = field(default_factory=list)
-    backfilled: List[int] = field(default_factory=list)
+    def pick(self, pool: FreeNodePool, count: int) -> Optional[List]:
+        return pool.pick_margin_aware(count)
 
 
 class EasyBackfillScheduler:
@@ -93,26 +159,23 @@ class EasyBackfillScheduler:
         self.policy = policy or AllocationPolicy()
 
     def schedule_pass(self, now_s: float, queue: List[Job],
-                      free_nodes: List[ClusterNode],
-                      running: List[Tuple[float, Job]]
+                      free: FreeNodePool, running: List[Tuple[float, Job]]
                       ) -> List[Tuple[Job, List[ClusterNode]]]:
         """Start as many jobs as the discipline allows.
 
+        Each started job's nodes are taken out of ``free``.
         ``running`` holds (finish_s, job) pairs for in-flight jobs.
-        Returns (job, nodes) assignments; the caller updates state.
+        Returns (job, nodes) assignments; the caller updates the rest.
         """
         started: List[Tuple[Job, List[ClusterNode]]] = []
-        free = list(free_nodes)
         # FCFS: start queue-head jobs while they fit.
         while queue:
             head = queue[0]
-            nodes = self.policy.select(free, head.nodes_requested)
-            if nodes is None:
+            keys = self.policy.pick(free, head.nodes_requested)
+            if keys is None:
                 break
             queue.pop(0)
-            taken = {id(n) for n in nodes}
-            free = [n for n in free if id(n) not in taken]
-            started.append((head, nodes))
+            started.append((head, free.take(keys)))
         if not queue:
             return started
         # EASY backfill against the head job's reservation.
@@ -126,15 +189,13 @@ class EasyBackfillScheduler:
             fits_spare = job.nodes_requested <= spare
             if not (finishes_early or fits_spare):
                 continue
-            nodes = self.policy.select(free, job.nodes_requested)
-            if nodes is None:
+            keys = self.policy.pick(free, job.nodes_requested)
+            if keys is None:
                 continue
             queue.remove(job)
-            taken = {id(n) for n in nodes}
-            free = [n for n in free if id(n) not in taken]
             if fits_spare:
                 spare -= job.nodes_requested
-            started.append((job, nodes))
+            started.append((job, free.take(keys)))
         return started
 
     @staticmethod

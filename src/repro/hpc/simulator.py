@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.margin_selection import bucket_node_margin
-from .cluster import Cluster, ClusterNode
+from .cluster import Cluster
 from .job import Job
-from .scheduler import AllocationPolicy, EasyBackfillScheduler
+from .scheduler import EasyBackfillScheduler, FreeNodePool
 from .traces import memory_bucket
 
 
@@ -116,7 +116,10 @@ class SystemSimulator:
         for i, job in enumerate(jobs):
             heapq.heappush(events, (job.submit_s, i, "submit", job))
         queue: List[Job] = []
-        free: List[ClusterNode] = list(self.cluster.nodes)
+        free = FreeNodePool.of(self.cluster.nodes,
+                               self.scheduler.policy.buckets)
+        # Free-list order: a released node rejoins at the back.
+        free_key = len(free)
         running: List[Tuple[float, Job]] = []
         seq = len(jobs)
         while events:
@@ -126,11 +129,11 @@ class SystemSimulator:
             else:
                 job.finish_s = now
                 running = [(f, j) for f, j in running if j is not job]
-                free.extend(job.allocated_nodes)
+                for node in job.allocated_nodes:
+                    free.add(node, node.effective_margin_mts, free_key)
+                    free_key += 1
             for started, nodes in self.scheduler.schedule_pass(
                     now, queue, free, running):
-                node_set = set(id(n) for n in nodes)
-                free = [n for n in free if id(n) not in node_set]
                 started.allocated_nodes = nodes
                 started.start_s = now
                 min_margin = min(n.effective_margin_mts for n in nodes)

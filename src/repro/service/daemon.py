@@ -31,11 +31,10 @@ Placement consults a **per-shard TTL'd cluster-view cache** reusing the
 age < TTL on the monotonic virtual clock).  Writes routed through the
 daemon keep the view coherent incrementally (the common case — no
 rebuild); any out-of-band divergence (seq mismatch, TTL expiry) forces
-a full rebuild of just that shard.  The free pool is bucketed the same
-way :class:`~repro.hpc.scheduler.MarginAwareAllocationPolicy` groups
-nodes — fastest uniform bucket first, then fastest-first fallback —
-and the selection is bit-identical to the policy's (tested), just
-incremental instead of re-derived per query.
+a full rebuild of just that shard.  The free pool is a
+:class:`~repro.hpc.FreeNodePool` keyed by node index, so its picks are
+``MarginAwareAllocationPolicy``'s over an index-ordered free list
+(tested), in the classes of the fleet's backend (``REPRO_BACKEND``).
 
 Shutdown drains: ``stop()`` closes admission, then processes every
 message already queued before the controller exits, so no submitted
@@ -45,15 +44,13 @@ future is left pending (the lifecycle drill in the tests).
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
 
-from ..core.margin_selection import bucket_node_margin
+from ..dram.backend import get_backend
 from ..fleet.registry import EVENT_KINDS, canonical_json
+from ..hpc.scheduler import FreeNodePool
 from ..obs import get_recorder
 from .sharding import ShardedRegistry
 
@@ -181,55 +178,23 @@ class DaemonStats:
         return doc
 
 
-class _BucketPool:
-    """Incremental free-node pool, bucketed like the margin-aware
-    policy.
+class BucketPool(FreeNodePool):
+    """The daemon's free pool: a :class:`~repro.hpc.FreeNodePool` keyed
+    by node index (so its picks are ``MarginAwareAllocationPolicy``'s
+    over an index-ordered free list), plus every node's margin and the
+    lease map.  The HA plane replicates one per daemon."""
 
-    ``_free[bucket][margin]`` is an index-sorted list of free nodes at
-    exactly that effective margin; keeping per-margin sublists (not
-    just per-bucket) is what makes the fastest-first fallback
-    bit-identical to ``MarginAwareAllocationPolicy`` — inside one
-    bucket, a 400 MT/s node must outrank a 200 MT/s one."""
-
-    def __init__(self):
-        self._free: Dict[int, Dict[int, List[int]]] = {}
+    def __init__(self, buckets: Sequence[int]):
+        super().__init__(buckets)
         self._margin: Dict[int, int] = {}
         self._busy: Dict[int, int] = {}
         self._leases: Dict[int, Tuple[int, ...]] = {}
-        self._free_count = 0
-
-    # -- membership ---------------------------------------------------------------
-
-    def _insert_free(self, node: int, margin: int) -> None:
-        bucket = bucket_node_margin(margin)
-        insort(self._free.setdefault(bucket, {}).setdefault(margin, []),
-               node)
-        self._free_count += 1
-
-    def _remove_free(self, node: int, margin: int) -> None:
-        bucket = bucket_node_margin(margin)
-        lst = self._free[bucket][margin]
-        i = bisect_left(lst, node)
-        del lst[i]
-        if not lst:
-            del self._free[bucket][margin]
-            if not self._free[bucket]:
-                del self._free[bucket]
-        self._free_count -= 1
 
     def margin(self, node: int) -> int:
         return self._margin[node]
 
     def has_lease(self, job_id: int) -> bool:
         return job_id in self._leases
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._leases)
-
-    @property
-    def free_count(self) -> int:
-        return self._free_count
 
     def set_margin(self, node: int, margin: int) -> None:
         """Fold one node's current effective margin in.  A busy node
@@ -242,40 +207,14 @@ class _BucketPool:
         if node in self._busy:
             return
         if old is not None:
-            self._remove_free(node, old)
-        self._insert_free(node, margin)
-
-    # -- selection ----------------------------------------------------------------
-
-    def select(self, count: int) -> Optional[List[int]]:
-        """Pick ``count`` free nodes, exactly as
-        ``MarginAwareAllocationPolicy.select`` would order them:
-        fastest uniform *bucket* that alone satisfies the request (in
-        node-index order), else fastest-first overall."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count > self._free_count:
-            return None
-        for bucket in sorted(self._free, reverse=True):
-            margins = self._free[bucket]
-            if sum(len(l) for l in margins.values()) >= count:
-                merged = heapq.merge(*margins.values())
-                return list(itertools.islice(merged, count))
-        out: List[int] = []
-        for bucket in sorted(self._free, reverse=True):
-            for margin in sorted(self._free[bucket], reverse=True):
-                lst = self._free[bucket][margin]
-                take = min(count - len(out), len(lst))
-                out.extend(lst[:take])
-                if len(out) == count:
-                    return out
-        return out if len(out) == count else None
+            self.take((node,))
+        self.add(node, margin, node)
 
     # -- leases -------------------------------------------------------------------
 
     def allocate(self, nodes: Sequence[int], job_id: int) -> None:
+        self.take(nodes)
         for node in nodes:
-            self._remove_free(node, self._margin[node])
             self._busy[node] = job_id
         self._leases[job_id] = tuple(nodes)
 
@@ -285,13 +224,8 @@ class _BucketPool:
             return None
         for node in nodes:
             del self._busy[node]
-            self._insert_free(node, self._margin[node])
+            self.add(node, self._margin[node], node)
         return nodes
-
-
-#: Public name for the incremental free-node pool: the HA control
-#: plane (:mod:`repro.service.ha`) replicates one per daemon.
-BucketPool = _BucketPool
 
 
 class _ShardView:
@@ -324,7 +258,7 @@ class PlacementDaemon:
         self.stats = DaemonStats()
         self.decisions: List[Decision] = []
         self._sink = decision_sink
-        self._pool = _BucketPool()
+        self._pool = BucketPool(get_backend().placement_buckets)
         self._views = [_ShardView()
                        for _ in range(registry.shard_count)]
         self._now_s = 0.0
@@ -495,12 +429,12 @@ class PlacementDaemon:
             decision = self._emit(req.job_id, DUPLICATE)
         else:
             self._refresh_views()
-            chosen = self._pool.select(req.nodes_requested)
+            chosen = self._pool.pick_margin_aware(req.nodes_requested)
             if chosen is None:
                 self.stats.unsatisfiable += 1
                 decision = self._emit(req.job_id, UNSATISFIABLE)
             else:
-                bucket = bucket_node_margin(
+                bucket = self._pool.bucket(
                     min(self._pool.margin(n) for n in chosen))
                 self._pool.allocate(chosen, req.job_id)
                 self.stats.placed += 1

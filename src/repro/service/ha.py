@@ -51,7 +51,7 @@ from typing import (Callable, Deque, Dict, List, Optional, TextIO,
                     Tuple)
 
 from ..core.backoff import BackoffPolicy
-from ..core.margin_selection import bucket_node_margin
+from ..dram.backend import get_backend
 from ..hpc.cluster import Cluster
 from ..obs import Recorder, get_recorder, recording
 from ..recovery import Checkpoint, CheckpointStore, NodeSupervisor
@@ -166,13 +166,13 @@ class HADaemon:
     The *believes* matters: a partitioned daemon keeps stale tokens —
     exactly the dual-owner window the fencing gate exists for."""
 
-    def __init__(self, daemon_id: int):
+    def __init__(self, daemon_id: int, buckets: Tuple[int, ...]):
         self.id = daemon_id
         self.state = "active"            # active | crashed
         self.partitioned = False
         self.clock_skew_s = 0.0
         self.tokens: Dict[int, int] = {}   # group -> fencing token
-        self.pool = BucketPool()
+        self.pool = BucketPool(buckets)
         self.pool_stale = False
 
     @property
@@ -313,6 +313,7 @@ class HAControlPlane:
             raise ValueError("need at least one daemon")
         path = Path(registry_path) if registry_path is not None \
             else None
+        self.buckets = get_backend().placement_buckets
         self.registry = ShardedRegistry(path, shards=cfg.shards,
                                         compact_every=cfg.compact_every)
         for node in Cluster(cfg.nodes, seed=cfg.seed).nodes:
@@ -325,7 +326,7 @@ class HAControlPlane:
         self.arbiter = CrossShardArbiter(cfg.reserve_timeout_s,
                                          cfg.commit_timeout_s)
         self.stats = HAPlaneStats()
-        self.daemons = [HADaemon(i) for i in range(n)]
+        self.daemons = [HADaemon(i, self.buckets) for i in range(n)]
         self._sups = {
             d.id: NodeSupervisor(
                 node=d.id,
@@ -512,7 +513,7 @@ class HAControlPlane:
             self.stats.duplicates += 1
             self._observe_latency(op)
             return True
-        chosen = daemon.pool.select(op.width)
+        chosen = daemon.pool.pick_margin_aware(op.width)
         if chosen is None:
             if self._commit(daemon, home, op.job,
                             UNSATISFIABLE) is None:
@@ -520,7 +521,7 @@ class HAControlPlane:
             self.stats.unsatisfiable += 1
             self._observe_latency(op)
             return True
-        bucket = bucket_node_margin(
+        bucket = daemon.pool.bucket(
             min(daemon.pool.margin(n) for n in chosen))
         touched = sorted({
             self.groups.of_shard(self.registry.shard_id(n))
@@ -746,7 +747,7 @@ class HAControlPlane:
     def _rebuild_pool(self, daemon: HADaemon) -> None:
         """Reconstruct a daemon's full-fleet replica from ground
         truth: registry margins plus the committed placement map."""
-        pool = BucketPool()
+        pool = BucketPool(self.buckets)
         for sid in range(self.registry.shard_count):
             for record in self.registry.shard(sid).nodes():
                 pool.set_margin(record.node,

@@ -46,6 +46,27 @@ def test_place_matches_policy_run_directly():
         assert assignment.nodes == tuple(n.index for n in chosen)
 
 
+def test_place_and_counts_use_the_policys_mrdimm_buckets():
+    """A policy built with MRDIMM classes places and reports in those
+    classes, not DDR4's (where 1000 MT/s and up is all class 800)."""
+    registry = MarginRegistry()
+    margins = [2400, 1600, 2200, 1800, 0, 2200, 1000, 2600, 1600]
+    for i, margin in enumerate(margins):
+        registry.record_profile(i, margin)
+    buckets = (2200, 1600, 0)
+    policy = MarginAwareAllocationPolicy(buckets=buckets)
+    service = PlacementService(registry, policy)
+    widths = [3, 2, 3, 1]
+    assignments = service.place(widths)
+    free = list(Cluster.from_registry(registry).nodes)
+    for width, assignment in zip(widths, assignments):
+        chosen = policy.select(free, width)
+        free = [n for n in free if n not in chosen]
+        assert assignment.nodes == tuple(n.index for n in chosen)
+    assert [a.margin_bucket for a in assignments] == [2200, 1600, 0, 0]
+    assert service.bucket_counts() == {2200: 4, 1600: 3, 0: 2}
+
+
 def test_place_prefers_uniform_fast_group():
     service = PlacementService(_mixed_registry())
     (assignment,) = service.place([3])

@@ -226,6 +226,26 @@ def test_plane_places_and_releases_like_a_single_daemon():
     assert decisions[0].nodes == decisions[1].nodes
 
 
+def test_plane_buckets_an_mrdimm_fleet_by_its_backend(monkeypatch):
+    """Every replica groups nodes into REPRO_BACKEND's classes, and a
+    placement is the MRDIMM policy's choice, in its class."""
+    monkeypatch.setenv("REPRO_BACKEND", "mrdimm")
+    plane = _plane(daemons=2)
+    decisions = []
+    plane._sink = decisions.append
+    plane.tick(1.0)
+    margins = {0: 2400, 3: 2200, 5: 1600, 9: 2200, 11: 1800}
+    for node in range(24):
+        plane.submit_write(RegistryWrite(
+            "profile", node, {"margin_mts": margins.get(node, 1000),
+                              "channel_margins": [], "attempts": 1}))
+    plane.submit_place(1, 3)
+    assert [d.pool.buckets for d in plane.daemons] == [(2200, 1600, 0)] * 2
+    assert decisions[-1].status == "placed"
+    assert decisions[-1].nodes == (0, 3, 9)
+    assert decisions[-1].margin_bucket == 2200
+
+
 def test_failover_reacquires_orphaned_groups_after_kill():
     plane = _plane(daemons=2)
     plane.tick(1.0)

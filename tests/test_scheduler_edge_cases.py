@@ -2,7 +2,7 @@
 inputs and backfill candidates that would collide with the head-job
 reservation."""
 
-from repro.hpc import (Cluster, EasyBackfillScheduler, Job,
+from repro.hpc import (Cluster, EasyBackfillScheduler, FreeNodePool, Job,
                        MarginAwareAllocationPolicy)
 
 
@@ -13,7 +13,8 @@ def _job(job_id, nodes, walltime, submit=0.0):
 
 
 def _free(count, margin=800):
-    return list(Cluster.from_margins([margin] * count).nodes)
+    return FreeNodePool.of(Cluster.from_margins([margin] * count).nodes,
+                           MarginAwareAllocationPolicy().buckets)
 
 
 def test_empty_queue_starts_nothing():
@@ -25,7 +26,7 @@ def test_zero_free_nodes_starts_nothing_and_keeps_queue():
     sched = EasyBackfillScheduler()
     queue = [_job(1, 2, 100.0), _job(2, 1, 50.0)]
     running = [(100.0, _job(9, 4, 100.0))]
-    assert sched.schedule_pass(0.0, queue, [], running) == []
+    assert sched.schedule_pass(0.0, queue, FreeNodePool(), running) == []
     assert [j.job_id for j in queue] == [1, 2]
 
 
@@ -74,7 +75,8 @@ def test_spare_budget_decrements_across_backfills():
 
 def test_head_job_starts_when_it_fits_margin_aware():
     sched = EasyBackfillScheduler(MarginAwareAllocationPolicy())
-    free = list(Cluster.from_margins([800, 600, 800, 600]).nodes)
+    free = FreeNodePool.of(Cluster.from_margins([800, 600, 800, 600]).nodes,
+                           MarginAwareAllocationPolicy().buckets)
     queue = [_job(1, 2, 100.0)]
     started = sched.schedule_pass(0.0, queue, free, [])
     assert len(started) == 1

@@ -7,6 +7,7 @@ import asyncio
 
 import pytest
 
+from repro.core.margin_selection import bucket_node_margin
 from repro.fleet import (FleetIngest, MarginRegistry, PlacementService,
                         RegistryError)
 from repro.hpc import Cluster, MarginAwareAllocationPolicy
@@ -274,6 +275,41 @@ def test_daemon_matches_batch_policy_exactly():
         free = [n for n in free if n not in chosen]
         assert decision.status == "placed"
         assert decision.nodes == tuple(n.index for n in chosen)
+
+
+#: An MRDIMM fleet: the 2200/1600 MT/s rungs plus off-rung margins.
+#: Under DDR4's buckets every node from 1000 up would share class 800.
+MRDIMM_MARGINS = [2400, 1600, 2200, 1800, 0, 2200, 1000, 2600, 1600,
+                  2200, 400, 1700]
+
+
+def test_daemon_buckets_an_mrdimm_fleet_like_backend_compare(
+        monkeypatch):
+    """With REPRO_BACKEND=mrdimm the daemon groups nodes into the
+    backend's classes and decides exactly like the policy `repro
+    backend compare` places an MRDIMM fleet with."""
+    monkeypatch.setenv("REPRO_BACKEND", "mrdimm")
+    widths = [3, 2, 4, 1, 2]
+
+    async def daemon_pass():
+        async with PlacementDaemon(_sharded(MRDIMM_MARGINS)) as daemon:
+            futures = [daemon.submit(PlaceRequest(i, w))
+                       for i, w in enumerate(widths)]
+            return await asyncio.gather(*futures)
+
+    decisions = _run(daemon_pass())
+    buckets = (2200, 1600, 0)
+    policy = MarginAwareAllocationPolicy(buckets=buckets)
+    free = list(Cluster.from_registry(_sharded(MRDIMM_MARGINS)).nodes)
+    for width, decision in zip(widths, decisions):
+        chosen = policy.select(free, width)
+        free = [n for n in free if n not in chosen]
+        assert decision.status == "placed"
+        assert decision.nodes == tuple(n.index for n in chosen)
+        assert decision.margin_bucket == bucket_node_margin(
+            min(n.effective_margin_mts for n in chosen), buckets)
+    assert decisions[0].nodes == (0, 2, 5)
+    assert decisions[0].margin_bucket == 2200
 
 
 def test_daemon_sub_bucket_fallback_prefers_faster_margins():
