@@ -3,7 +3,9 @@
 The model is tag-only (no data payloads) because the performance
 simulator needs hit/miss/writeback behaviour, not contents.  Each set
 is an insertion-ordered dict mapping tag -> dirty flag; moving a key to
-the end on access implements LRU cheaply.
+the end on access implements LRU cheaply.  A set's dict is built on
+its first use (copy-on-touch), from the lines :meth:`Cache.restore`
+was given, or empty.
 
 Two Hetero-DMR-specific hooks extend the plain cache:
 
@@ -15,16 +17,17 @@ Two Hetero-DMR-specific hooks extend the plain cache:
   and then dirtied again — the source of the <1% extra DRAM traffic in
   Figure 14.
 
-:meth:`Cache.snapshot` / :meth:`Cache.restore` copy a fully warmed
-cache's lines out to compact arrays and back, so a warm state can be
-rebuilt without replaying its random draws.
+:meth:`Cache.snapshot` copies a fully warmed cache's lines out to
+compact arrays, and :meth:`Cache.restore` makes them a cache's base in
+O(1), so a warm state is neither redrawn nor rebuilt: a short run
+builds only the sets it touches.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 #: Cache line size in bytes throughout the system.
@@ -50,7 +53,13 @@ class CacheStats:
 
 
 class Cache:
-    """One level of a writeback cache hierarchy."""
+    """One level of a writeback cache hierarchy.
+
+    ``_sets[idx]`` is None until set ``idx`` is first used; then it is
+    built from the base slice ``[idx * assoc, (idx + 1) * assoc)`` of
+    the last :meth:`restore` (empty before any).  Per-line paths build
+    the one set they touch; whole-cache walks build every set first.
+    """
 
     def __init__(self, size_bytes: int, assoc: int,
                  line_bytes: int = LINE_BYTES, name: str = "cache"):
@@ -70,8 +79,12 @@ class Cache:
         self.nsets = nsets
         self._set_mask = nsets - 1
         self._line_shift = line_bytes.bit_length() - 1
-        # set index -> {tag: dirty}
-        self._sets: List[Dict[int, bool]] = [dict() for _ in range(nsets)]
+        self._tag_shift = nsets.bit_length() - 1
+        # set index -> {tag: dirty}, or None while the set is untouched
+        self._sets: List[Optional[Dict[int, bool]]] = [None] * nsets
+        # (set-major LRU-first tags, dirty bytes or None for all-clean)
+        # that untouched sets are built from
+        self._base: Optional[Tuple[array, Optional[bytes]]] = None
         # (set index, tag) of lines that were proactively cleaned and
         # are still resident clean
         self._cleaned: set = set()
@@ -81,7 +94,7 @@ class Cache:
 
     def _index_tag(self, addr: int) -> Tuple[int, int]:
         line = addr >> self._line_shift
-        return line & self._set_mask, line >> (self.nsets.bit_length() - 1)
+        return line & self._set_mask, line >> self._tag_shift
 
     def line_address(self, addr: int) -> int:
         """Align ``addr`` down to its cache-line address."""
@@ -92,8 +105,12 @@ class Cache:
     def access(self, addr: int, is_write: bool) -> bool:
         """Look up ``addr``; returns True on hit.  A write hit marks the
         line dirty; misses do NOT allocate (call :meth:`fill`)."""
-        idx, tag = self._index_tag(addr)
+        line = addr >> self._line_shift        # _index_tag, inlined
+        idx = line & self._set_mask
+        tag = line >> self._tag_shift
         ways = self._sets[idx]
+        if ways is None:
+            ways = self._touch(idx)
         if tag in ways:
             dirty = ways.pop(tag)
             if is_write:
@@ -110,8 +127,12 @@ class Cache:
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Insert the line for ``addr``; returns the address of an
         evicted dirty line needing writeback, else None."""
-        idx, tag = self._index_tag(addr)
+        line = addr >> self._line_shift        # _index_tag, inlined
+        idx = line & self._set_mask
+        tag = line >> self._tag_shift
         ways = self._sets[idx]
+        if ways is None:
+            ways = self._touch(idx)
         victim_addr = None
         if tag in ways:
             # Refill over an existing line just updates dirtiness.
@@ -131,15 +152,24 @@ class Cache:
         """Drop the line for ``addr`` if present (no writeback)."""
         idx, tag = self._index_tag(addr)
         self._cleaned.discard((idx, tag))
-        return self._sets[idx].pop(tag, None) is not None
+        ways = self._sets[idx]
+        if ways is None:
+            ways = self._touch(idx)
+        return ways.pop(tag, None) is not None
 
     def contains(self, addr: int) -> bool:
         idx, tag = self._index_tag(addr)
-        return tag in self._sets[idx]
+        ways = self._sets[idx]
+        if ways is None:
+            ways = self._touch(idx)
+        return tag in ways
 
     def is_dirty(self, addr: int) -> bool:
         idx, tag = self._index_tag(addr)
-        return self._sets[idx].get(tag, False)
+        ways = self._sets[idx]
+        if ways is None:
+            ways = self._touch(idx)
+        return ways.get(tag, False)
 
     def warm(self, rng, dirty_prob: float = 0.0,
              max_line: Optional[int] = None) -> int:
@@ -157,7 +187,7 @@ class Cache:
         """
         limit = 1 << 24
         if max_line is not None:
-            limit = max(1, max_line >> (self.nsets.bit_length() - 1))
+            limit = max(1, max_line >> self._tag_shift)
         if limit < self.assoc:
             raise ValueError("{} distinct tags cannot fill {} ways".format(
                 limit, self.assoc))
@@ -166,7 +196,7 @@ class Cache:
         rand = rng.random
         assoc = self.assoc
         inserted = 0
-        for ways in self._sets:
+        for ways in self.sets():
             missing = assoc - len(ways)
             inserted += missing
             while missing > 0:
@@ -182,41 +212,59 @@ class Cache:
     def snapshot(self) -> Tuple[array, bytes]:
         """Copy a full cache's lines out as set-major, LRU-first tags
         (``array('q')``) and one dirty byte per line."""
-        tags = array("q", chain.from_iterable(self._sets))
+        sets = self.sets()
+        tags = array("q", chain.from_iterable(sets))
         # No set holds more than ``assoc`` lines, so the total decides.
         if len(tags) != self.nsets * self.assoc:
             raise ValueError("only a full cache can be snapshotted")
-        return tags, bytes(chain.from_iterable(map(dict.values,
-                                                   self._sets)))
+        return tags, bytes(chain.from_iterable(map(dict.values, sets)))
 
     def restore(self, tags: array, dirty: Optional[bytes] = None) -> None:
         """Replace every set with the lines of a :meth:`snapshot` of a
         cache of the same geometry; ``dirty=None`` restores them all
-        clean."""
+        clean.
+
+        O(1): the arrays become the base each set is built from on its
+        first use, so they must not be mutated afterwards (a snapshot's
+        bytes never are, and its tags are only read).
+        """
         if len(tags) != self.nsets * self.assoc:
             raise ValueError("snapshot does not match this cache's "
                              "geometry")
-        assoc = self.assoc
-        lines = zip(tags, repeat(False) if dirty is None
-                    else map(bool, dirty))
-        for ways in self._sets:
-            ways.clear()
-            ways.update(islice(lines, assoc))
+        self._base = (tags, dirty)
+        self._sets = [None] * self.nsets
         self._cleaned.clear()
+
+    def sets(self) -> List[Dict[int, bool]]:
+        """Every set's ``{tag: dirty}`` dict in LRU -> MRU order,
+        building the untouched ones first.  The dicts are the live
+        sets."""
+        sets = self._sets
+        if self._base is None:          # nothing restored: fresh sets
+            for idx, ways in enumerate(sets):
+                if ways is None:
+                    sets[idx] = {}
+        else:
+            touch = self._touch
+            for idx, ways in enumerate(sets):
+                if ways is None:
+                    touch(idx)
+        return sets
 
     # -- Hetero-DMR cleaning hooks ------------------------------------------------
 
     def dirty_line_count(self) -> int:
         return sum(sum(1 for d in ways.values() if d)
-                   for ways in self._sets)
+                   for ways in self.sets())
 
     def dirty_lru_blocks(self, limit: int) -> List[int]:
         """Addresses of up to ``limit`` dirty lines, least-recently-used
         first (round-robining across sets in LRU order)."""
         out: List[int] = []
+        sets = self.sets()
         # Per set, dict order is LRU -> MRU; walk depth-first by recency.
         for depth in range(self.assoc):
-            for idx, ways in enumerate(self._sets):
+            for idx, ways in enumerate(sets):
                 items = list(ways.items())
                 if depth < len(items) and items[depth][1]:
                     out.append(self._rebuild(idx, items[depth][0]))
@@ -231,6 +279,8 @@ class Cache:
         for addr in addrs:
             idx, tag = self._index_tag(addr)
             ways = self._sets[idx]
+            if ways is None:
+                ways = self._touch(idx)
             if ways.get(tag):
                 ways[tag] = False
                 self._cleaned.add((idx, tag))
@@ -240,6 +290,22 @@ class Cache:
 
     # -- internals -----------------------------------------------------------------
 
+    def _touch(self, idx: int) -> Dict[int, bool]:
+        """Build untouched set ``idx`` from its base slice."""
+        base = self._base
+        if base is None:
+            ways: Dict[int, bool] = {}
+        else:
+            tags, dirty = base
+            lo = idx * self.assoc
+            hi = lo + self.assoc
+            if dirty is None:
+                ways = dict.fromkeys(tags[lo:hi], False)
+            else:
+                ways = dict(zip(tags[lo:hi], map(bool, dirty[lo:hi])))
+        self._sets[idx] = ways
+        return ways
+
     def _rebuild(self, idx: int, tag: int) -> int:
-        line = (tag << (self.nsets.bit_length() - 1)) | idx
+        line = (tag << self._tag_shift) | idx
         return line << self._line_shift

@@ -14,7 +14,8 @@ hierarchy's job is L2 -> L3 -> memory filtering plus writeback traffic.
 :meth:`CacheHierarchy.warm` fills every cache to steady-state occupancy
 and keeps the last warm state built in the process as one compact
 snapshot, so consecutive nodes with the same warm key restore it
-instead of redrawing it.
+instead of redrawing it.  A restore is O(1): each cache builds a set
+from the snapshot only when the run first touches it.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class AccessOutcome:
 
 
 #: The last warm state built in this process: its key and one
-#: :meth:`Cache.snapshot` per cache, L3 first.  A restore is
-#: bit-identical to a fresh warm, so no result depends on which caller
-#: left it.  One entry only: a snapshot is ~6 MB of arrays, where live
-#: dicts would be ~50 MB per cached state.
+#: :meth:`Cache.snapshot` per cache, L3 first.  Restored caches share
+#: these arrays as their copy-on-touch base (read-only), and a restored
+#: cache behaves bit-identically to a fresh warm, so no result depends
+#: on which caller left it.  One entry only: a snapshot is ~6 MB of
+#: arrays, where live dicts would be ~50 MB per cached state.
 _last_warm: Optional[Tuple[tuple, List[Tuple[array, bytes]]]] = None
 
 
@@ -110,7 +112,6 @@ class CacheHierarchy:
         """
         cfg = self.config
         l2 = self.l2s[core]
-        line = self.l3.line_address(addr)
         if l2.access(addr, is_write):
             return AccessOutcome("L2", cfg.l2_latency_cycles, None, [])
         writebacks: List[int] = []
@@ -124,7 +125,8 @@ class CacheHierarchy:
             latency = cfg.l2_latency_cycles + cfg.l3_latency_cycles
             return AccessOutcome("L3", latency, None, writebacks)
         latency = cfg.l2_latency_cycles + cfg.l3_latency_cycles
-        return AccessOutcome("MEM", latency, line, writebacks)
+        return AccessOutcome("MEM", latency, self.l3.line_address(addr),
+                             writebacks)
 
     def fill(self, core: int, addr: int, is_write: bool) -> List[int]:
         """Install a returned memory line into L3 and the core's L2;
@@ -159,7 +161,12 @@ class CacheHierarchy:
         ``clean_llc`` the L3 starts all-clean instead; its lines, and
         every draw, are the same.  The state depends only on the
         geometry and the arguments, so the last one built in the
-        process is restored from its snapshot when the key repeats.
+        process is kept as a snapshot.  When the key repeats, each
+        cache gets its snapshot as the base it builds sets from on
+        first touch (the clean L3 the same tags with ``dirty=None``),
+        so the restore costs nothing per set.  A miss warms live dicts
+        and snapshots them; warming straight into arrays would build
+        every set twice on long runs.
         """
         global _last_warm
         key = (self.config, footprint_lines, seed, write_fraction)

@@ -115,9 +115,14 @@ def coerce_event(kind: str, node: int,
     return out
 
 
+#: One encoder for every :func:`canonical_json` call; ``json.dumps``
+#: with these options would build a new one each time.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def fsync_dir(path: Path) -> None:

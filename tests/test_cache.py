@@ -1,7 +1,9 @@
 """Tests for the set-associative cache, including Hetero-DMR's
-dirty-LRU cleaning hooks and an LRU property check."""
+dirty-LRU cleaning hooks, an LRU property check and copy-on-touch
+restore against an eager oracle."""
 
 import random
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,7 +157,7 @@ def test_warm_fills_every_way():
 def test_warm_respects_max_line():
     c = small_cache(assoc=2, sets=4)
     c.warm(random.Random(0), max_line=1000)
-    for ways in c._sets:
+    for ways in c.sets():
         for tag in ways:
             assert tag <= max(1, 1000 >> (c.nsets.bit_length() - 1))
 
@@ -165,7 +167,7 @@ def _reference_warm(cache, rng, dirty_prob, max_line):
     limit = 1 << 24
     if max_line is not None:
         limit = max(1, max_line >> (cache.nsets.bit_length() - 1))
-    for ways in cache._sets:
+    for ways in cache.sets():
         while len(ways) < cache.assoc:
             tag = rng.randrange(limit)
             if tag in ways:
@@ -184,8 +186,8 @@ def check_warm_matches_randrange(assoc, sets, max_line, dirty_prob,
                          max_line=max_line)
     _reference_warm(ref, ref_rng, dirty_prob, max_line)
     assert inserted == assoc * sets
-    assert [list(w.items()) for w in fast._sets] == \
-        [list(w.items()) for w in ref._sets]
+    assert [list(w.items()) for w in fast.sets()] == \
+        [list(w.items()) for w in ref.sets()]
     assert fast_rng.getstate() == ref_rng.getstate()
 
 
@@ -213,16 +215,120 @@ def test_snapshot_restore_round_trip():
     tags, dirty = c.snapshot()
     copy = small_cache(assoc=4, sets=8)
     copy.restore(tags, dirty)
-    assert [list(w.items()) for w in copy._sets] == \
-        [list(w.items()) for w in c._sets]
+    assert [list(w.items()) for w in copy.sets()] == \
+        [list(w.items()) for w in c.sets()]
     clean = small_cache(assoc=4, sets=8)
     clean.restore(tags)
-    assert [list(w) for w in clean._sets] == [list(w) for w in c._sets]
+    assert [list(w) for w in clean.sets()] == [list(w) for w in c.sets()]
     assert clean.dirty_line_count() == 0
     with pytest.raises(ValueError):
         small_cache(assoc=2, sets=8).restore(tags, dirty)
     with pytest.raises(ValueError):
         small_cache().snapshot()      # empty sets
+
+
+def _eager_restore(cache, tags, dirty=None):
+    """The restore that rebuilt every set, as the copy-on-touch
+    oracle."""
+    if len(tags) != cache.nsets * cache.assoc:
+        raise ValueError("snapshot does not match this cache's "
+                         "geometry")
+    assoc = cache.assoc
+    lines = zip(tags, repeat(False) if dirty is None
+                else map(bool, dirty))
+    for ways in cache.sets():
+        ways.clear()
+        ways.update(islice(lines, assoc))
+    cache._cleaned.clear()
+
+
+def _warm_snapshot(assoc, sets, seed, dirty_prob, max_line):
+    src = small_cache(assoc, sets)
+    src.warm(random.Random(seed), dirty_prob=dirty_prob, max_line=max_line)
+    return src.snapshot()
+
+
+_addr = st.integers(0, 255).map(lambda line: line * LINE_BYTES)
+_ops = st.one_of(
+    st.tuples(st.just("access"), _addr, st.booleans()),
+    st.tuples(st.just("fill"), _addr, st.booleans()),
+    st.tuples(st.just("invalidate"), _addr),
+    st.tuples(st.just("contains"), _addr),
+    st.tuples(st.just("is_dirty"), _addr),
+    st.tuples(st.just("clean_blocks"), st.lists(_addr, max_size=4)),
+    st.tuples(st.just("dirty_lru_blocks"), st.integers(0, 12)),
+    st.tuples(st.just("dirty_line_count")),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.booleans()),
+)
+
+
+def _apply(cache, op, restore):
+    name, args = op[0], op[1:]
+    if name == "restore":
+        restore(cache, args[0])
+        return None
+    if name == "clean_blocks":
+        return cache.clean_blocks(list(args[0]))
+    try:
+        return getattr(cache, name)(*args)
+    except ValueError as exc:        # snapshot of a cache that is not full
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 2, 8]),
+       st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from([None, 16 * 8, 64 * 8]), st.booleans(),
+       st.lists(_ops, max_size=60))
+def test_copy_on_touch_restore_matches_eager_restore(
+        assoc, sets, seed, dirty_prob, max_line, clean, ops):
+    """A lazily restored cache answers every operation, counts every
+    stat and ends with every line exactly as an eagerly restored one,
+    from a dirty base and from an all-clean (``dirty=None``) base."""
+    tags, dirty = _warm_snapshot(assoc, sets, seed, dirty_prob, max_line)
+    base_dirty = None if clean else dirty
+    lazy, eager = small_cache(assoc, sets), small_cache(assoc, sets)
+    lazy.restore(tags, base_dirty)
+    _eager_restore(eager, tags, base_dirty)
+
+    def lazy_restore(cache, all_clean):
+        cache.restore(tags, None if all_clean else dirty)
+
+    def eager_restore(cache, all_clean):
+        _eager_restore(cache, tags, None if all_clean else dirty)
+
+    for op in ops:
+        assert _apply(lazy, op, lazy_restore) == \
+            _apply(eager, op, eager_restore), op
+        assert lazy.stats == eager.stats
+    assert [list(w.items()) for w in lazy.sets()] == \
+        [list(w.items()) for w in eager.sets()]
+    assert lazy._cleaned == eager._cleaned
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["access", "fill", "invalidate",
+                                           "contains", "is_dirty",
+                                           "clean_blocks"]),
+                          _addr), max_size=20),
+       st.booleans())
+def test_restore_builds_only_the_sets_it_touches(ops, clean):
+    """After ``restore()`` and k single-address operations, at most k
+    sets exist as dicts."""
+    tags, dirty = _warm_snapshot(4, 8, 5, 0.5, None)
+    cache = small_cache(4, 8)
+    cache.sets()                              # a fully built cache
+    cache.restore(tags, None if clean else dirty)
+    assert all(ways is None for ways in cache._sets)
+    for k, (name, addr) in enumerate(ops, 1):
+        if name == "clean_blocks":
+            cache.clean_blocks([addr])
+        elif name in ("access", "fill"):
+            getattr(cache, name)(addr, True)
+        else:
+            getattr(cache, name)(addr)
+        assert sum(ways is not None for ways in cache._sets) <= k
 
 
 def test_cleaned_line_evicted_or_invalidated_is_not_a_rewrite():

@@ -5,9 +5,10 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (EVENT_KINDS, MarginRegistry, NodeRecord,
-                        RegistryError, RegistryEvent)
+                        RegistryError, RegistryEvent, canonical_json)
 
 
 def test_event_kinds_cover_the_design():
@@ -305,3 +306,25 @@ def test_events_since_incomplete_past_retention_horizon(tmp_path):
     events, complete = reloaded.events_since(2)
     assert complete
     assert [e.seq for e in events] == [3]
+
+
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() |
+    st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda children: st.lists(children, max_size=4) |
+    st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs)
+def test_canonical_json_equals_sorted_compact_dumps(doc):
+    """The shared encoder writes exactly what ``json.dumps`` with the
+    same options does, for non-ASCII text, floats and NaN too."""
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True,
+                                             separators=(",", ":"))
+
+
+def test_canonical_json_escapes_non_ascii_and_writes_nan():
+    assert canonical_json({"b": float("nan"), "a": "\u00e9"}) == \
+        '{"a":"\\u00e9","b":NaN}'
