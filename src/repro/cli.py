@@ -396,7 +396,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                              guard_band_mts=args.guard_band,
                              flaky_node_rate=args.flaky_rate,
                              workers=args.workers)
-        with _io("registry write failed"):
+        with _io("registry write failed"), contextlib.closing(registry):
             summary = FleetProfiler(config, registry).run(
                 resume=args.resume, crash_after=args.crash_after)
         text = summary.render()
@@ -838,6 +838,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     registry.record_profile(node.index, node.margin_mts)
     requests, bad = _serve_requests(args.requests)
     with contextlib.ExitStack() as stack:
+        if registry is not None:
+            stack.callback(registry.close)
         with _io("cannot open output"):
             stream = sys.stdout if args.out is None else \
                 stack.enter_context(open(args.out, "w"))

@@ -43,13 +43,17 @@ Event kinds (the full schema is documented in DESIGN.md §8):
     cluster folding treat it exactly like a ladder rung change.
 
 Durability contract: events are appended one canonical-JSON line at a
-time; snapshots are written atomically (temp file + ``os.replace``) so
-a crash can at worst lose the tail of the event log, never corrupt a
-snapshot.  A partially-written *final* event line is tolerated and
-dropped at load time; corruption anywhere else raises
-:class:`RegistryError`.  Canonical serialization (sorted keys, fixed
-separators) makes snapshots byte-comparable: the same fleet seed
-produces byte-identical snapshot files, which CI asserts.
+time through one lazily opened append handle, flushed after every line
+and closed before every ``os.replace`` of the log (the next append
+reopens it on the new file); snapshots are written atomically (temp
+file + ``os.replace``) so a crash can at worst lose the tail of the
+event log, never corrupt a snapshot.  A partially-written *final*
+event line (one that is not even JSON) is tolerated and dropped at
+load time; any other line that fails the checks
+:meth:`MarginRegistry.record` applies raises :class:`RegistryError`.
+Canonical serialization (sorted keys, fixed separators) makes
+snapshots byte-comparable: the same fleet seed produces byte-identical
+snapshot files, which CI asserts.
 
 Concurrency contract — **single writer per registry (per shard)**:
 appends are unlocked, so exactly one process may ``record`` into a
@@ -125,6 +129,20 @@ def canonical_json(obj: object) -> str:
     return _CANONICAL.encode(obj)
 
 
+#: JSON's spelling of the floats ``float.__repr__`` writes otherwise.
+_JSON_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity",
+                       "-inf": "-Infinity"}
+
+
+def json_number(value: float) -> str:
+    """One int or float exactly as :func:`canonical_json` writes it —
+    for the direct encoders of the fixed-schema log lines."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOAT_SPECIAL.get(text, text)
+    return int.__repr__(value)
+
+
 def fsync_dir(path: Path) -> None:
     """fsync a directory so a just-completed ``os.replace`` inside it
     survives power loss — fsyncing the file alone persists the *data*,
@@ -153,18 +171,57 @@ class RegistryEvent:
     payload: Dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        """One canonical JSONL line."""
-        return canonical_json({"seq": self.seq, "time_s": self.time_s,
-                               "node": self.node, "kind": self.kind,
-                               "payload": self.payload})
+        """One canonical JSONL line, byte-identical to
+        :func:`canonical_json` of the five fields but written directly.
+        ``kind`` is not escaped: every event passes
+        :func:`coerce_event` (on record and on load), so it is one of
+        :data:`EVENT_KINDS`."""
+        return ('{"kind":"%s","node":%d,"payload":%s,"seq":%d,'
+                '"time_s":%s}' % (self.kind, self.node,
+                                  canonical_json(self.payload), self.seq,
+                                  json_number(self.time_s)))
 
     @classmethod
-    def from_json(cls, line: str) -> "RegistryEvent":
-        """Parse one log line (raises ``ValueError`` on bad JSON)."""
-        raw = json.loads(line)
+    def from_doc(cls, raw: Dict[str, object]) -> "RegistryEvent":
+        """One parsed log line, checked by :func:`coerce_event`
+        (raises ``ValueError``, ``KeyError`` or ``TypeError``)."""
+        node = int(raw["node"])
+        kind = str(raw["kind"])
         return cls(seq=int(raw["seq"]), time_s=float(raw["time_s"]),
-                   node=int(raw["node"]), kind=str(raw["kind"]),
-                   payload=dict(raw.get("payload", {})))
+                   node=node, kind=kind,
+                   payload=coerce_event(kind, node,
+                                        raw.get("payload", {})))
+
+
+def _parse_log(text: str) -> List[Tuple[str, RegistryEvent]]:
+    """Every ``(line, event)`` of an event log's text, blank lines
+    skipped.  A final line that is not JSON is a torn append and is
+    dropped; any other line that does not parse, or fails the checks
+    :meth:`MarginRegistry.record` applies, raises
+    :class:`RegistryError` naming its line number."""
+    lines = text.splitlines()
+    out: List[Tuple[str, RegistryEvent]] = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            if i == len(lines) - 1:
+                # A crash mid-append can truncate the final line;
+                # everything before it is intact.
+                break
+            raise RegistryError(
+                "corrupt event at line {}: {}".format(i + 1, exc))
+        try:
+            out.append((line, RegistryEvent.from_doc(raw)))
+        except KeyError as exc:
+            raise RegistryError("corrupt event at line {}: missing {}"
+                                .format(i + 1, exc))
+        except (ValueError, TypeError) as exc:
+            raise RegistryError(
+                "corrupt event at line {}: {}".format(i + 1, exc))
+    return out
 
 
 @dataclass
@@ -241,6 +298,8 @@ class MarginRegistry:
         #: marks the first seq retained.
         self._retained: List[RegistryEvent] = []
         self.horizon_seq = 0
+        #: Append handle on the event log, opened by the first record.
+        self._fh = None
         if self.path is not None:
             if create:
                 self.path.mkdir(parents=True, exist_ok=True)
@@ -280,19 +339,7 @@ class MarginRegistry:
                              for r in raw["nodes"]}
         if not self.events_path.is_file():
             return
-        lines = self.events_path.read_text().splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                event = RegistryEvent.from_json(line)
-            except (ValueError, KeyError) as exc:
-                if i == len(lines) - 1:
-                    # A crash mid-append can truncate the final line;
-                    # everything before it is intact.
-                    break
-                raise RegistryError(
-                    "corrupt event at line {}: {}".format(i + 1, exc))
+        for _, event in _parse_log(self.events_path.read_text()):
             if event.seq <= self.last_seq:
                 continue          # already folded into the snapshot
             if event.seq != self.last_seq + 1:
@@ -312,22 +359,11 @@ class MarginRegistry:
         if self.path is None or not self.events_path.is_file():
             return 0
         original = self.events_path.read_text()
-        lines = original.splitlines()
-        valid: List[str] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                RegistryEvent.from_json(line)
-            except (ValueError, KeyError):
-                if i == len(lines) - 1:
-                    break
-                raise RegistryError(
-                    "corrupt event at line {}".format(i + 1))
-            valid.append(line)
-        repaired = "".join(line + "\n" for line in valid)
+        repaired = "".join(line + "\n"
+                           for line, _ in _parse_log(original))
         if repaired == original:
             return 0
+        self.close()
         tmp = self.events_path.with_suffix(".jsonl.tmp")
         with open(tmp, "w") as fh:
             fh.write(repaired)
@@ -336,6 +372,13 @@ class MarginRegistry:
         os.replace(tmp, self.events_path)
         fsync_dir(self.path)
         return len(original) - len(repaired)
+
+    def close(self) -> None:
+        """Close the event log's append handle; the next record
+        reopens it.  Idempotent."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     # -- recording ----------------------------------------------------------------
 
@@ -351,9 +394,11 @@ class MarginRegistry:
         self._retained.append(event)
         self.last_seq = event.seq
         if self.path is not None:
-            with open(self.events_path, "a") as fh:
-                fh.write(event.to_json() + "\n")
-                fh.flush()
+            fh = self._fh
+            if fh is None:
+                fh = self._fh = open(self.events_path, "a")
+            fh.write(event.to_json() + "\n")
+            fh.flush()
         rec = get_recorder()
         if rec.enabled:
             rec.counter("registry", "events", kind=kind)
@@ -537,6 +582,7 @@ class MarginRegistry:
             dropped = sum(
                 1 for line in self.events_path.read_text().splitlines()
                 if line.strip())
+            self.close()
             tmp = self.events_path.with_suffix(".jsonl.tmp")
             tmp.write_text("")
             os.replace(tmp, self.events_path)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..dram.backend import get_backend
-from ..fleet.registry import EVENT_KINDS, canonical_json
+from ..fleet.registry import EVENT_KINDS
 from ..hpc.scheduler import FreeNodePool
 from ..obs import get_recorder
 from .sharding import ShardedRegistry
@@ -114,10 +114,14 @@ class Decision:
     margin_bucket: int = 0
 
     def to_json(self) -> str:
-        return canonical_json({"seq": self.seq, "job": self.job_id,
-                               "status": self.status,
-                               "nodes": list(self.nodes),
-                               "bucket": self.margin_bucket})
+        """One canonical JSONL line, byte-identical to
+        :func:`~repro.fleet.registry.canonical_json` of the five fields
+        but written directly (``status`` is one of :data:`STATUSES`,
+        so needs no escaping)."""
+        return ('{"bucket":%d,"job":%d,"nodes":[%s],"seq":%d,'
+                '"status":"%s"}' % (self.margin_bucket, self.job_id,
+                                    ",".join(map(str, self.nodes)),
+                                    self.seq, self.status))
 
 
 @dataclass
@@ -291,14 +295,16 @@ class PlacementDaemon:
                       shards=self.registry.shard_count)
 
     async def stop(self) -> None:
-        """Close admission, drain every queued message, then stop.
-        Every future handed out before the call resolves."""
+        """Close admission, drain every queued message, then stop and
+        close the registry's append handles.  Every future handed out
+        before the call resolves."""
         if self._task is None:
             return
         self._closed = True
         await self._queue.put(_SENTINEL)
         await self._task
         self._task = None
+        self.registry.close()
         rec = get_recorder()
         if rec.enabled:
             for result, count in (("hit", self.stats.cache_hits),

@@ -716,8 +716,9 @@ class HAControlPlane:
     def stop(self) -> int:
         """Drain what can make progress, answer the rest ``closed``,
         abort outstanding arbitration reserves (reserved capacity
-        returns to the pool), and release every held lease cleanly.
-        Returns the number of operations closed unserved."""
+        returns to the pool), release every held lease cleanly, and
+        close the two WALs' append handles.  Returns the number of
+        operations closed unserved."""
         self.pump()
         closed = 0
         while self._ops:
@@ -740,6 +741,7 @@ class HAControlPlane:
                                    daemon.tokens.pop(group),
                                    self.now_s)
         self.table.log.close()
+        self.registry.close()
         return closed
 
     # -- helpers -------------------------------------------------------------------

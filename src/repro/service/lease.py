@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..fleet.registry import canonical_json, fsync_dir
+from ..fleet.registry import canonical_json, fsync_dir, json_number
 from ..obs import get_recorder
 
 __all__ = ["CONTROL_LOG_FILE", "ControlEvent", "ControlLog",
@@ -79,11 +79,15 @@ class ControlEvent:
     payload: Dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return canonical_json({
-            "seq": self.seq, "kind": self.kind, "group": self.group,
-            "owner": self.owner, "token": self.token,
-            "time_s": self.time_s, "expires_s": self.expires_s,
-            "payload": dict(self.payload)})
+        """One canonical JSONL line, byte-identical to
+        :func:`canonical_json` of the eight fields but written directly
+        (``kind`` is one of :data:`CONTROL_KINDS`, so needs no
+        escaping)."""
+        return ('{"expires_s":%s,"group":%d,"kind":"%s","owner":%d,'
+                '"payload":%s,"seq":%d,"time_s":%s,"token":%d}' % (
+                    json_number(self.expires_s), self.group, self.kind,
+                    self.owner, canonical_json(self.payload), self.seq,
+                    json_number(self.time_s), self.token))
 
     @classmethod
     def from_doc(cls, doc: Dict[str, object]) -> "ControlEvent":
@@ -102,9 +106,11 @@ class ControlLog:
     """Append-only control WAL (in-memory when ``path`` is None).
 
     Inherits the margin registry's durability posture: one canonical
-    JSON line per event, flushed on append, **torn-tail tolerant** on
-    load (an interrupted final line is dropped and reported, every
-    complete prefix line must parse and the seqs must be contiguous).
+    JSON line per event through one lazily opened append handle,
+    flushed on append and closed before the file is rewritten;
+    **torn-tail tolerant** on load (an interrupted final line is
+    dropped and reported, every complete prefix line must parse and
+    the seqs must be contiguous).
     ``tear_tail()`` is the chaos seam: it deletes the most recent
     event — exactly what a crash mid-append leaves behind."""
 
@@ -112,10 +118,10 @@ class ControlLog:
         self.path = Path(path) if path is not None else None
         self.events: List[ControlEvent] = []
         self.torn_bytes_dropped = 0
+        #: Append handle, opened by the first append.
         self._fh = None
         if self.path is not None:
             self._load()
-            self._fh = open(self.path, "a")
 
     # -- persistence --------------------------------------------------------------
 
@@ -162,9 +168,12 @@ class ControlLog:
                              time_s=time_s, expires_s=expires_s,
                              payload=dict(payload or {}))
         self.events.append(event)
-        if self._fh is not None:
-            self._fh.write(event.to_json() + "\n")
-            self._fh.flush()
+        if self.path is not None:
+            fh = self._fh
+            if fh is None:
+                fh = self._fh = open(self.path, "a")
+            fh.write(event.to_json() + "\n")
+            fh.flush()
         return event
 
     @property
@@ -183,12 +192,11 @@ class ControlLog:
             return None
         victim = self.events.pop()
         if self.path is not None:
-            self._fh.close()
+            self.close()
             raw = self.path.read_bytes().splitlines(keepends=True)
             self.path.write_bytes(b"".join(raw[:-1]))
             if self.path.parent.is_dir():
                 fsync_dir(self.path.parent)
-            self._fh = open(self.path, "a")
         return victim
 
     def close(self) -> None:

@@ -119,6 +119,8 @@ class ShardedRegistry:
         self.kill_hook: Optional[Callable[[int], None]] = None
         self.shard_count = self._resolve_shard_count(shards, create)
         self._pending = [0] * self.shard_count
+        #: node -> shard id, filled by :meth:`shard_id`.
+        self._routes: Dict[int, int] = {}
         self._shards: List[MarginRegistry] = []
         for sid in range(self.shard_count):
             sub = (self.path / self.shard_dir(sid)
@@ -217,8 +219,13 @@ class ShardedRegistry:
     # -- routing ------------------------------------------------------------------
 
     def shard_id(self, node: int) -> int:
-        """The partition owning ``node`` (pure function of the id)."""
-        return shard_for_node(node, self.shard_count)
+        """The partition owning ``node`` (pure function of the id:
+        :func:`shard_for_node`, hashed once per node and registry)."""
+        sid = self._routes.get(node)
+        if sid is None:
+            sid = self._routes[node] = shard_for_node(node,
+                                                      self.shard_count)
+        return sid
 
     def shard(self, sid: int) -> MarginRegistry:
         """One partition by shard id."""
@@ -371,6 +378,12 @@ class ShardedRegistry:
             rec.counter("service", "shard_compactions",
                         shard="{:03d}".format(sid))
         return dropped
+
+    def close(self) -> None:
+        """Close every shard's append handle (see
+        :meth:`MarginRegistry.close`)."""
+        for shard in self._shards:
+            shard.close()
 
     def compact_all(self) -> int:
         """Compact every shard; returns total log lines dropped."""

@@ -409,10 +409,13 @@ class SoakScenario:
                 return await self._drive(daemon, events_target, rng)
 
         started = time.perf_counter()
-        with recording(Recorder()) as rec:
-            events = asyncio.run(main())
-            latency = rec.histogram_stats("service",
-                                          "place_latency_s")
+        try:
+            with recording(Recorder()) as rec:
+                events = asyncio.run(main())
+                latency = rec.histogram_stats("service",
+                                              "place_latency_s")
+        finally:
+            registry.close()
         wall_s = time.perf_counter() - started
         fingerprint = (registry.fingerprint()
                        if registry.path is not None else None)

@@ -1,5 +1,7 @@
 """Shared fixtures: small geometries so unit/integration tests run fast."""
 
+import gc
+
 import pytest
 
 from repro.cache.hierarchy import HierarchyConfig
@@ -29,6 +31,15 @@ def two_module_channel():
     ch.modules = [Module(ModuleSpec(), "M0", true_margin_mts=600),
                   Module(ModuleSpec(), "M1", true_margin_mts=800)]
     return ch
+
+
+@pytest.fixture
+def collect_cycles():
+    """Collect reference cycles when the test ends, so a file handle an
+    object cycle kept open warns in the test that leaked it rather than
+    in whichever later test the collector happens to run."""
+    yield
+    gc.collect()
 
 
 def pytest_configure(config):

@@ -4,6 +4,13 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: An unclosed file (a leaked WAL append handle) fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("collect_cycles")]
+
 
 def test_parser_requires_command():
     with pytest.raises(SystemExit):

@@ -184,6 +184,27 @@ def test_corrupt_input_names_its_cause(template, env, expected, paths,
     assert len(lines) == 1, lines
 
 
+@pytest.mark.parametrize("line", [
+    '{"kind":"bogus","node":0,"payload":{},"seq":3,"time_s":0.0}',
+    '{"kind":"thermal","node":-1,"payload":{},"seq":3,"time_s":0.0}',
+    '{"kind":"demote","node":0,"payload":{},"seq":3,"time_s":0.0}',
+    '{"kind":"adapt","node":0,"payload":{"margin_mts":[1]},"seq":3,'
+    '"time_s":0.0}',
+])
+@pytest.mark.parametrize("command", ["fleet status", "fleet place",
+                                     "recover restore"])
+def test_schema_invalid_registry_line_is_io_error(command, line, paths,
+                                                  capsys):
+    """A whole registry line ``record`` would have refused is
+    corruption, not a torn append: exit 2 naming the line."""
+    with open(pathlib.Path(paths["reg"]) / "events.jsonl", "a") as fh:
+        fh.write(line + "\n")
+    code, lines = _run(command + " --registry {reg}", paths, capsys)
+    assert code == 2
+    assert len(lines) == 1 and "corrupt event at line 3" in lines[0], \
+        lines
+
+
 @pytest.mark.parametrize("template,env_var", BAD_ENV)
 def test_bad_knob_env_var_is_usage_error(template, env_var, paths,
                                          capsys, monkeypatch):

@@ -22,6 +22,13 @@ from repro.service import (BucketPool, ControlLog, CrossShardArbiter,
                            verify_control_log)
 from repro.service.lease import CONTROL_LOG_FILE
 
+#: An unclosed file (a leaked WAL append handle) fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("collect_cycles")]
+
 
 # ---------------------------------------------------------------- leases
 
@@ -72,6 +79,22 @@ def test_commit_fenced_for_deposed_owner():
     # An expired (but not deposed) owner is fenced too.
     assert table.commit(0, 1, new.token, 20.0, payload) is None
     assert table.stats.fenced_writes == 2
+
+
+def test_control_log_opens_lazily_and_appends_after_tear_tail(
+        tmp_path):
+    path = tmp_path / CONTROL_LOG_FILE
+    log = ControlLog(path)
+    assert not path.exists()             # no append yet, no handle
+    log.append("acquire", 0, 0, 1, 0.0, expires_s=10.0)
+    log.append("renew", 0, 0, 1, 5.0, expires_s=15.0)
+    assert log.tear_tail().kind == "renew"
+    event = log.append("renew", 0, 0, 1, 6.0, expires_s=16.0)
+    assert path.read_text().splitlines()[-1] == event.to_json()
+    log.close()
+    reloaded = ControlLog(path)
+    assert reloaded.events == log.events
+    assert reloaded.events[-1] == event
 
 
 def test_control_log_drops_torn_tail_on_load(tmp_path):
@@ -324,6 +347,7 @@ def test_torn_lease_record_shortens_never_stretches(tmp_path):
     decisions = []
     plane._sink = decisions.append
     plane.submit_place(3, 2)
+    plane.stop()
     assert decisions[0].status == "placed"
 
 
@@ -356,6 +380,7 @@ def test_sigterm_between_renewal_and_compaction_is_restorable(
     with pytest.raises(Sigterm):
         plane.registry.compact_shard(0)
     plane.registry.kill_hook = None
+    plane.registry.close()
     plane.table.log.close()
 
     # Cold restart: every store reloads from disk.

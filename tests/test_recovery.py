@@ -19,6 +19,13 @@ from repro.recovery import (CHECKPOINT_FORMAT, Checkpoint,
 from repro.resilience import DegradationController, build_ladder
 from repro.resilience.degradation import rung_index_for_margin
 
+#: An unclosed file (a leaked WAL append handle) fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("collect_cycles")]
+
 H = NS_PER_HOUR
 
 

@@ -17,6 +17,13 @@ from repro.service import (DaemonConfig, PlaceRequest, PlacementDaemon,
                            RegistryWrite, ReleaseRequest,
                            ShardedRegistry, shard_for_node)
 
+#: An unclosed file (a leaked WAL append handle) fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("collect_cycles")]
+
 #: Margins with sub-bucket spread (400/200 both bucket to 0) so the
 #: fastest-first fallback ordering is actually exercised.
 MARGINS = [800, 800, 600, 600, 400, 200, 800, 600, 0, 800,
@@ -24,9 +31,12 @@ MARGINS = [800, 800, 600, 600, 400, 200, 800, 600, 0, 800,
 
 
 def _sharded(margins=MARGINS, path=None, shards=4, **kwargs):
+    """A seeded registry with its append handles closed (the next
+    record reopens one)."""
     registry = ShardedRegistry(path, shards=shards, **kwargs)
     for i, margin in enumerate(margins):
         registry.record_profile(i, margin)
+    registry.close()
     return registry
 
 
@@ -54,6 +64,17 @@ def test_shard_hash_rejects_bad_input():
         shard_for_node(-1, 16)
     with pytest.raises(ValueError):
         shard_for_node(0, 0)
+
+
+@pytest.mark.parametrize("count", [1, 7, 16])
+def test_routing_table_matches_the_hash(count):
+    registry = ShardedRegistry(shards=count)
+    for _ in range(2):                 # first fills the table, then hits
+        assert all(registry.shard_id(n) == shard_for_node(n, count)
+                   for n in range(20_001))
+    for _ in range(2):                 # a bad id is never memoised
+        with pytest.raises(ValueError):
+            registry.shard_id(-1)
 
 
 def test_shard_hash_spreads_a_fleet():
@@ -149,6 +170,7 @@ def test_fingerprint_stable_across_reload(tmp_path):
     assert ShardedRegistry(tmp_path / "fleet").fingerprint() == \
         fingerprint
     registry.record_promotion(3, 600)
+    registry.close()
     assert registry.fingerprint() != fingerprint
 
 
@@ -158,6 +180,7 @@ def test_auto_compaction_truncates_shard_logs(tmp_path):
     for _ in range(3):
         for i in range(len(MARGINS)):
             registry.record_demotion(i, 400)
+    registry.close()
     assert registry.compactions > 0
     # Logs stay bounded and a reload agrees with the live registry.
     for sid in range(registry.shard_count):
@@ -173,6 +196,7 @@ def test_kill_between_snapshot_and_truncate_is_restorable(tmp_path):
     snapshot written, log not yet truncated."""
     registry = _sharded(path=tmp_path / "fleet")
     registry.record_demotion(5, 0)
+    registry.close()
 
     class Killed(RuntimeError):
         pass
@@ -196,6 +220,46 @@ def test_kill_between_snapshot_and_truncate_is_restorable(tmp_path):
     reloaded = ShardedRegistry(tmp_path / "fleet").node(5)
     assert reloaded.demoted_margin_mts is None
     assert reloaded.effective_margin_mts == 200
+
+
+def test_append_after_compact_shard_lands_in_live_file(tmp_path):
+    registry = _sharded(path=tmp_path / "fleet")
+    for sid in range(registry.shard_count):
+        registry.compact_shard(sid)
+    for node in range(len(MARGINS)):
+        shard = registry.shard_for(node)
+        event = registry.record_demotion(node, 0)
+        assert shard.events_path.read_text().endswith(
+            event.to_json() + "\n")
+    registry.close()
+    reloaded = ShardedRegistry(tmp_path / "fleet")
+    assert reloaded.last_seqs() == registry.last_seqs()
+    assert reloaded.fingerprint() == registry.fingerprint()
+
+
+def test_appends_after_a_killed_compaction_reload_identically(tmp_path):
+    """A crash between the snapshot and the truncate leaves the append
+    handle on the still-live log; writes that follow it land there, and
+    a fresh load reaches the live registry's fingerprint."""
+    registry = _sharded(path=tmp_path / "fleet")
+    registry.record_demotion(5, 0)
+
+    class Killed(RuntimeError):
+        pass
+
+    def kill(sid):
+        raise Killed(sid)
+
+    registry.kill_hook = kill
+    sid = registry.shard_id(5)
+    with pytest.raises(Killed):
+        registry.compact_shard(sid)
+    registry.kill_hook = None
+    registry.record_promotion(5, 400)
+    registry.record_demotion(5, 200)
+    registry.close()
+    assert ShardedRegistry(tmp_path / "fleet").fingerprint() == \
+        registry.fingerprint()
 
 
 # -- integrations --------------------------------------------------------------
@@ -238,6 +302,7 @@ def test_recovery_manager_uses_owning_shard(tmp_path):
     manager.checkpoint_state(
         {"node_record": registry.node(node).to_dict()}, now_ns=0.0)
     registry.record_demotion(node, 0, time_s=1.0)
+    registry.close()
     recovered = RecoveryManager(CheckpointStore(tmp_path / "ckpt"),
                                 shard, node=node).recover()
     assert recovered.checkpoint is not None
@@ -513,6 +578,7 @@ def test_sigterm_mid_compaction_leaves_every_shard_restorable(tmp_path):
             await daemon._task
 
     _run(main())
+    registry.close()
     survivor = ShardedRegistry(tmp_path / "fleet")
     assert survivor.fingerprint() == registry.fingerprint()
     assert survivor.effective_margins() == registry.effective_margins()

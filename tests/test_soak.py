@@ -11,6 +11,13 @@ import pytest
 from repro.cli import main
 from repro.service import SoakConfig, SoakReport, SoakScenario
 
+#: An unclosed file (a leaked WAL append handle) fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("collect_cycles")]
+
 
 def _tiny(**overrides):
     """A seconds-scale config still hitting storms, floods, expiry."""
@@ -174,6 +181,7 @@ def test_cli_serve_loads_sharded_registry(tmp_path, capsys):
     registry = ShardedRegistry(tmp_path / "fleet", shards=2)
     for i in range(6):
         registry.record_profile(i, 800)
+    registry.close()
     requests = tmp_path / "requests.jsonl"
     requests.write_text('{"op": "place", "job": 1, "nodes": 3}\n')
     out_file = tmp_path / "decisions.jsonl"
