@@ -12,7 +12,6 @@
     python -m repro adapt --smoke           # moving-margin adaptation
     python -m repro fleet profile           # profile a fleet registry
     python -m repro recover restore         # crash recovery
-    python -m repro perf bench              # sweep benchmark + gate
     python -m repro obs trace               # deterministic trace run
     python -m repro serve                   # placement daemon (JSONL)
     python -m repro soak --smoke            # seeded soak + gate
@@ -228,7 +227,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     pairs = [
         ["cells", len(result.cells)],
         ["unique simulations", result.unique_simulations],
-        ["fidelity", args.fidelity or "default"],
+        ["fidelity", result.fidelity],
+        ["backend", result.backend],
         ["workers used", "{}{}".format(
             result.workers_used,
             " ({})".format(result.cap_reason)
@@ -241,7 +241,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         _write(args.out, {"sweep": "fig12_grid",
                           "refs_per_core": args.refs,
-                          "fidelity": args.fidelity or "default",
+                          "fidelity": result.fidelity,
+                          "backend": result.backend,
                           "cells": result.deterministic_view()},
                "records")
         pairs.append(["records", args.out])
@@ -525,78 +526,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             registry.has_node(args.node)
     print(format_kv("recover restore", pairs))
     return EXIT_OK if restorable else EXIT_DOMAIN_FAILURE
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "bench":
-        from .perf import load_baseline, run_perf_bench
-        # Fail on a corrupt baseline before the sweep, not after it.
-        with _io("cannot load baseline", ValueError):
-            load_baseline(args.baseline)
-        # Unlike the other subcommands the bench defaults to the grid
-        # seed the baseline was recorded with, not DEFAULT_SEED, so an
-        # argument-less run stays comparable to the committed baseline.
-        seed = getattr(args, "sub_seed", None)
-        if seed is None:
-            seed = args.seed
-        report = run_perf_bench(
-            refs_per_core=args.refs, workers=args.workers,
-            fidelity=args.fidelity, baseline_path=args.baseline,
-            seed=seed, include_reference=not args.no_reference,
-            include_fastmodel=args.fastmodel,
-            fastmodel_cycle=not args.fastmodel_no_cycle)
-        with _io("cannot write report"):
-            path = report.write(args.out)
-        pairs = [
-            ["cells", report.n_cells],
-            ["unique simulations", report.unique_simulations],
-            ["workers (requested/used)", "{}/{}{}".format(
-                report.workers_requested, report.workers_used,
-                " ({})".format(report.cap_reason)
-                if report.cap_reason else "")],
-            ["cpu capacity", report.cpu_capacity],
-            ["fast wall s", "{:.2f}".format(report.fast_wall_s)],
-            ["events/s", "{:.0f}".format(report.events_per_second)],
-        ]
-        if report.speedup_vs_reference is not None:
-            pairs.append(["speedup vs serial reference", "{:.2f}x"
-                          .format(report.speedup_vs_reference)])
-        if report.speedup_vs_baseline is not None:
-            pairs.append(["speedup vs recorded baseline", "{:.2f}x"
-                          .format(report.speedup_vs_baseline)])
-        if report.fastmodel:
-            fm = report.fastmodel
-            pairs.append(["fastmodel crosscheck",
-                          "pass" if fm["crosscheck_passed"]
-                          else "FAIL"])
-            if "fast_speedup_vs_cycle" in fm:
-                pairs.append(["fastmodel speedup vs cycle", "{:.0f}x"
-                              .format(fm["fast_speedup_vs_cycle"])])
-            pairs.append(["fastmodel 10k-node wall s", "{:.2f}"
-                          .format(fm["cluster_wall_s"])])
-        pairs.append(["report", str(path)])
-        pairs.append(["regressed", report.regressed])
-        print(format_kv("perf bench (fig12 sweep)", pairs))
-        return EXIT_DOMAIN_FAILURE if report.regressed else EXIT_OK
-
-    # profile
-    import cProfile
-    import pstats
-    from .cache.hierarchy import HIERARCHIES
-    from .sim import NodeConfig, simulate_node
-    config = NodeConfig(
-        suite=args.suite, hierarchy=HIERARCHIES[args.hierarchy](),
-        design=args.design, refs_per_core=args.refs,
-        memory_utilization=args.utilization, seed=_resolve_seed(args))
-    # The block disables the profiler even when the run raises.
-    with cProfile.Profile() as profiler:
-        simulate_node(config)
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    try:
-        stats.sort_stats("cumulative").print_stats(args.top)
-    except BrokenPipeError:    # e.g. piped into head
-        pass
-    return EXIT_OK
 
 
 def _obs_run_scenario(name: str, seed: int, recorder) -> bool:
@@ -956,16 +885,6 @@ def _names(valid: Sequence[str]):
     return parse
 
 
-def _design(text: str) -> str:
-    """argparse type: a node design name."""
-    from .sim.node import DESIGNS
-    if text not in DESIGNS:
-        raise argparse.ArgumentTypeError(
-            "unknown design {!r}; valid: {}".format(
-                text, ", ".join(DESIGNS)))
-    return text
-
-
 def build_parser() -> argparse.ArgumentParser:
     from .smoke import SCENARIOS
     from .workloads import suite_names
@@ -1223,45 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="checkpoint store directory (optional)")
     rrestore.add_argument("--node", type=_non_negative_int, default=0)
 
-    perf = sub.add_parser(
-        "perf", help="performance harness: sweep benchmark with "
-                     "regression gate, cProfile of one node")
-    psub = perf.add_subparsers(dest="perf_command", required=True)
-    bench = psub.add_parser(
-        "bench", parents=[common, fidelity_opt],
-        help="time the Figure 12 sweep (fast path vs serial "
-             "reference vs recorded baseline); writes "
-             "BENCH_speedup.json; exit 1 when events/sec regresses "
-             "more than 20%% below the baseline (a gate that only "
-             "applies at cycle fidelity)")
-    bench.add_argument("--refs", type=_positive_int, default=120,
-                       help="trace references per core and cell")
-    bench.add_argument("--workers", type=int, default=8,
-                       help="sweep worker processes (<=1 serial)")
-    bench.add_argument("--out", default=None,
-                       help="report path (default BENCH_speedup.json)")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline file (default "
-                            "benchmarks/perf/baseline.json)")
-    bench.add_argument("--no-reference", action="store_true",
-                       help="skip the serial no-dedup reference pass "
-                            "(halves the bench time)")
-    bench.add_argument("--fastmodel", action="store_true",
-                       help="add the cycle-vs-fast side-by-side "
-                            "section (one full cycle sweep at the "
-                            "calibration trace length — minutes)")
-    bench.add_argument("--fastmodel-no-cycle", action="store_true",
-                       help="with --fastmodel, skip the cycle timing "
-                            "pass (cross-check and cluster timing "
-                            "still run)")
-    pprofile = psub.add_parser(
-        "profile", parents=[node_opts],
-        help="cProfile one node simulation, print the top functions "
-             "by cumulative time")
-    pprofile.add_argument("--design", type=_design, default="hetero-dmr")
-    pprofile.add_argument("--top", type=_positive_int, default=25,
-                          help="rows of profile output to print")
-
     obs = sub.add_parser(
         "obs", help="observability: deterministic lifecycle traces, "
                     "metrics exporters, trace summaries")
@@ -1398,7 +1278,6 @@ _HANDLERS = {
     "adapt": _cmd_adapt,
     "fleet": _cmd_fleet,
     "recover": _cmd_recover,
-    "perf": _cmd_perf,
     "obs": _cmd_obs,
     "serve": _cmd_serve,
     "soak": _cmd_soak,

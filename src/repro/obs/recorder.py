@@ -7,8 +7,8 @@ ordering is deterministic.
 
 The default recorder is :class:`NullRecorder` — every method is a
 no-op and ``enabled`` is ``False``, so instrumented hot paths pay one
-attribute check and nothing else (the ``repro perf bench`` >20%
-events/sec regression gate holds with instrumentation compiled in).
+attribute check and nothing else (the CI ledger gate, a 10% bound on
+the ``fig12-short`` wall time, holds with instrumentation compiled in).
 Install a live :class:`Recorder` with :func:`set_recorder` or the
 :func:`recording` context manager; the recorder also fans span-style
 events out to a :class:`~repro.obs.trace.JsonlTraceSink` when one is

@@ -39,10 +39,9 @@ def available_cpus() -> int:
     """CPUs this process may actually run on.
 
     ``os.cpu_count()`` reports the host's cores, which overcounts under
-    CPU affinity masks and container cpusets — exactly the situation
-    where a recorded bench claimed ``workers: {requested: 8, used: 1}``
-    with no explanation.  Prefer the scheduler affinity mask where the
-    platform exposes it.
+    CPU affinity masks and container cpusets, where a sweep would then
+    oversubscribe the cores it may actually use.  Prefer the scheduler
+    affinity mask where the platform exposes it.
 
     On platforms without ``sched_getaffinity`` (macOS, Windows) — or
     when the call fails, or reports an empty mask — fall back to
@@ -99,12 +98,6 @@ class SweepConfig:
     #: (chaos-style campaigns over the grid); cycle fidelity only.
     read_error_rate: float = 0.0
     transition_fault_rate: float = 0.0
-    #: Cap ``workers`` at the host's CPU count before fanning out.
-    #: Results are identical at any worker count, so the cap is purely
-    #: a performance decision — oversubscribing cores only adds pool
-    #: overhead.  Tests disable it to exercise the pool path on small
-    #: hosts.
-    cap_to_cpus: bool = True
 
     def __post_init__(self) -> None:
         if not self.suites:
@@ -202,14 +195,17 @@ class SweepResult:
     ``pool-unavailable`` (the platform refused to spawn workers),
     ``pool-broken`` (workers died mid-sweep; rerun serially), or
     ``fast-fidelity`` (closed-form cells evaluate as one batch; no
-    pool by design).
+    pool by design).  ``fidelity`` and ``backend`` are the tier and
+    memory backend the cells ran on, resolved from the config and the
+    ``REPRO_*`` environment.
     """
     cells: List[dict]
     unique_simulations: int
     wall_s: float
     workers_used: int
     events_processed: int
-    cpu_capacity: int = 1
+    fidelity: str
+    backend: str
     cap_reason: str = ""
 
     @property
@@ -270,11 +266,12 @@ class SweepRunner:
         """Run tasks, in order, serially or over a process pool.
         ``pool.map`` yields in task order, so ingestion order (and
         therefore every downstream artifact) is identical at any
-        worker count.  Sets ``workers_used``, ``cpu_capacity``, and
-        ``cap_reason`` so a serial run is always explained, never
-        silent."""
+        worker count.  Sets ``workers_used`` and ``cap_reason`` so a
+        serial run is always explained, never silent.  Workers are
+        capped at the CPUs this process may run on: results are
+        identical at any worker count, so oversubscribing cores only
+        adds pool overhead."""
         self.workers_used = 1
-        self.cpu_capacity = available_cpus()
         self.cap_reason = ""
         if self._fidelity == "fast":
             # Closed-form cells: one batched evaluation beats any
@@ -282,8 +279,9 @@ class SweepRunner:
             self.cap_reason = "fast-fidelity"
             return self._map_fast(tasks)
         workers = self.config.workers
-        if self.config.cap_to_cpus and workers > self.cpu_capacity:
-            workers = self.cpu_capacity
+        capacity = available_cpus()
+        if workers > capacity:
+            workers = capacity
             self.cap_reason = "cpu-capacity"
         if workers > 1 and len(tasks) <= 1:
             self.cap_reason = "single-task"
@@ -342,5 +340,6 @@ class SweepRunner:
                            wall_s=wall,
                            workers_used=self.workers_used,
                            events_processed=events,
-                           cpu_capacity=self.cpu_capacity,
+                           fidelity=self._fidelity,
+                           backend=self._backend,
                            cap_reason=self.cap_reason)

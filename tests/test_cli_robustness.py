@@ -37,8 +37,6 @@ def paths(tmp_path, monkeypatch):
     not_events.write_text("[1, 2]\n")
     keyless = tmp_path / "keyless.jsonl"
     keyless.write_text('{"seq": 0}\n')
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text('{"refs_per_core": 1')
     calibration = tmp_path / "calibration.json"
     text = default_artifact_path().read_text()
     calibration.write_text(text[:len(text) // 2])
@@ -49,7 +47,6 @@ def paths(tmp_path, monkeypatch):
     return {"out": str(afile / "out"), "corrupt_reg": str(corrupt_reg),
             "reg": str(tmp_path / "reg"), "trace": str(trace),
             "not_events": str(not_events), "keyless": str(keyless),
-            "baseline": str(baseline),
             "calibration": str(calibration), "requests": str(requests),
             "missing": str(tmp_path / "missing" / "file")}
 
@@ -65,8 +62,6 @@ UNWRITABLE_OUTPUT = [
     "fleet profile --nodes 2 --report-file {out}",
     "fleet profile --nodes 2 --registry {out}",
     "recover checkpoint --registry {reg} --store {out}",
-    "perf bench --refs 1 --workers 1 --no-reference --fidelity fast "
-    "--out {out}",
     "obs trace --out {out}",
     "obs export --scenario chaos-smoke --out {out}",
     "serve --nodes 4 --requests {requests} --out {out}",
@@ -92,7 +87,7 @@ CORRUPT_INPUT = [
     ("obs summary --trace-file {missing}", {}, 2),
     ("serve --registry {corrupt_reg}", {}, 2),
     ("serve --nodes 4 --requests {missing}", {}, 2),
-    ("perf bench --refs 1 --baseline {baseline}", {}, 2),
+    ("obs summary --trace-file {corrupt_reg}", {}, 2),   # a directory
     ("hpc --nodes 8 --jobs 10 --fidelity fast",
      {ARTIFACT_ENV_VAR: "{calibration}"}, 1),
     ("fastmodel cluster --nodes 20 --jobs 10",
@@ -111,8 +106,6 @@ BAD_ENV = [
     ("node --refs 20", "REPRO_FIDELITY"),
     ("sweep --refs 20", "REPRO_FIDELITY"),
     ("hpc --nodes 8 --jobs 10", "REPRO_FIDELITY"),
-    ("perf profile --refs 20 --top 1", "REPRO_FIDELITY"),
-    ("perf bench --refs 1 --workers 1 --no-reference", "REPRO_FIDELITY"),
     ("node --refs 20", "REPRO_BACKEND"),
     ("sweep --refs 20", "REPRO_BACKEND"),
     ("backend characterize --trials 50", "REPRO_BACKEND"),
@@ -127,8 +120,6 @@ OUT_OF_RANGE = [
     "fastmodel check --suites nosuch",
     "sweep --refs 0", "node --refs 0", "node --suite nosuch",
     "node --utilization 5", "node --margin -1",
-    "perf profile --refs 0", "perf profile --design nosuch",
-    "perf profile --suite nosuch", "perf bench --refs 0",
     "fleet profile --nodes 0", "fleet profile --flaky-rate 2",
     "montecarlo --trials 0", "montecarlo --trials x",
     "backend characterize --trials 0",
@@ -263,6 +254,22 @@ def test_hpc_bogus_env_fidelity_is_usage_error(paths, capsys,
     assert lines[0].startswith("repro: unknown fidelity 'bogus'")
 
 
+# -- repro sweep reports the tier and backend that ran ----------------------------
+
+
+def test_sweep_records_the_tier_that_ran(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    monkeypatch.delenv(ARTIFACT_ENV_VAR, raising=False)
+    monkeypatch.setenv("REPRO_FIDELITY", "fast")
+    out = tmp_path / "f.json"
+    assert main(["sweep", "--refs", "3000", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"^fidelity\s.*\bfast$", printed, re.MULTILINE)
+    assert re.search(r"^backend\s.*\bddr4$", printed, re.MULTILINE)
+    record = json.loads(out.read_text())
+    assert (record["fidelity"], record["backend"]) == ("fast", "ddr4")
+
+
 # -- repro serve: a malformed write is a bad request line -------------------------
 
 
@@ -334,3 +341,10 @@ def test_ci_smoke_matrix_matches_the_table():
     (matrix,) = re.findall(r"^\s+smoke: \[(.*)\]\s*$", ci, re.MULTILINE)
     assert [s.strip() for s in matrix.split(",")] == list(SCENARIOS)
     assert "repro smoke ${{ matrix.smoke }}" in ci
+
+
+def test_ci_gates_on_the_ledger_ab():
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert "benchmarks/ledger/compare.py" in ci
+    assert "python3 .github/scripts/ledger_gate.py" in ci
+    assert "repro perf" not in ci

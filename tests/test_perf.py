@@ -1,11 +1,11 @@
-"""Tests for the performance harness (repro.perf)."""
+"""Tests for the parallel sweep runner (repro.perf)."""
 
 import json
 
 import pytest
 
-from repro.perf import (BenchReport, SweepConfig, SweepRunner, cell_key,
-                        load_baseline)
+from repro.perf import SweepConfig, SweepRunner, cell_key
+from repro.perf import sweep as sweep_mod
 
 #: A small grid that still exercises every dedup case: a spec-only
 #: design (fmr), margin-sensitive designs, and the >=50% bucket where
@@ -14,20 +14,24 @@ _SMALL = dict(suites=("linpack",), hierarchies=("Hierarchy1",),
               refs_per_core=60)
 
 
-def _run(workers, cap_to_cpus=True):
-    return SweepRunner(SweepConfig(workers=workers,
-                                   cap_to_cpus=cap_to_cpus,
-                                   **_SMALL)).run()
+def _run(workers):
+    return SweepRunner(SweepConfig(workers=workers, **_SMALL)).run()
 
 
-def test_sweep_worker_count_invariance():
+def _sixteen_cpus(monkeypatch):
+    """Report more CPUs than any worker count below asks for, so the
+    sweep takes the pool path even on single-core hosts."""
+    monkeypatch.setattr(sweep_mod, "available_cpus", lambda: 16)
+
+
+def test_sweep_worker_count_invariance(monkeypatch):
     """1, 2, and 8 workers produce byte-identical cell results
-    (wall-time fields aside).  cap_to_cpus=False forces the pool path
-    even on single-core hosts."""
+    (wall-time fields aside)."""
     serial = _run(1)
+    _sixteen_cpus(monkeypatch)
     views = [json.dumps(serial.deterministic_view(), sort_keys=True)]
     for workers in (2, 8):
-        r = _run(workers, cap_to_cpus=False)
+        r = _run(workers)
         views.append(json.dumps(r.deterministic_view(), sort_keys=True))
         assert r.unique_simulations == serial.unique_simulations
     assert views[0] == views[1] == views[2]
@@ -74,45 +78,13 @@ def test_sweep_config_validation():
         SweepConfig(buckets=("0-99",))
 
 
-def test_reference_pass_simulates_every_cell():
-    from repro.perf.bench import _reference_pass
-    config = SweepConfig(designs=("baseline", "fmr"), **_SMALL)
-    wall_s, n_cells = _reference_pass(config)
-    assert n_cells == len(config.cells()) == 7
-    assert wall_s > 0
-
-
-def test_load_baseline_missing_file(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") is None
-
-
-def test_bench_report_roundtrip(tmp_path):
-    report = BenchReport(
-        refs_per_core=60, n_cells=19, unique_simulations=7,
-        workers_requested=8, workers_used=1, cpu_capacity=1,
-        cap_reason="cpu-capacity",
-        fast_wall_s=1.5, events_processed=1000,
-        events_per_second=666.0)
-    path = report.write(tmp_path / "BENCH_speedup.json")
-    data = json.loads(path.read_text())
-    assert data["bench"] == "fig12_sweep"
-    assert data["unique_simulations"] == 7
-    # A requested/used gap must always carry its explanation.
-    assert data["workers"] == {"requested": 8, "used": 1,
-                               "cpu_capacity": 1,
-                               "cap_reason": "cpu-capacity"}
-    assert data["regressed"] is False
-
-
 def test_sweep_explains_worker_cap():
     """A sweep that cannot fan out must say why: on any host,
     requesting more workers than the affinity mask allows either caps
     to capacity or runs at full request — never a silent serial run."""
-    from repro.perf.sweep import available_cpus
-    capacity = available_cpus()
+    capacity = sweep_mod.available_cpus()
     assert capacity >= 1
     result = _run(workers=capacity + 7)
-    assert result.cpu_capacity == capacity
     if result.workers_used < capacity + 7:
         assert result.cap_reason in ("cpu-capacity", "single-task",
                                      "pool-unavailable", "pool-broken")
@@ -124,10 +96,9 @@ def test_sweep_explains_worker_cap():
 
 def test_sweep_survives_broken_pool(monkeypatch):
     """Workers dying mid-sweep must degrade to a serial rerun with
-    identical results, not crash the bench."""
+    identical results, not crash the sweep."""
     from concurrent.futures.process import BrokenProcessPool
     import concurrent.futures as cf
-    from repro.perf import sweep as sweep_mod
 
     class _BrokenPool:
         def __init__(self, max_workers=None):
@@ -143,18 +114,10 @@ def test_sweep_survives_broken_pool(monkeypatch):
             raise BrokenProcessPool("worker died")
 
     monkeypatch.setattr(cf, "ProcessPoolExecutor", _BrokenPool)
-    result = SweepRunner(SweepConfig(workers=4, cap_to_cpus=False,
-                                     **_SMALL)).run()
+    _sixteen_cpus(monkeypatch)
+    result = _run(4)
     assert result.workers_used == 1
     assert result.cap_reason == "pool-broken"
     clean = _run(1)
     assert json.dumps(result.deterministic_view(), sort_keys=True) == \
         json.dumps(clean.deterministic_view(), sort_keys=True)
-
-
-def test_committed_baseline_is_loadable():
-    baseline = load_baseline()
-    assert baseline is not None
-    assert baseline["refs_per_core"] > 0
-    assert baseline["seed_serial_wall_s"] > 0
-    assert baseline["events_per_second"] > 0
