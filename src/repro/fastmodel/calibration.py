@@ -27,8 +27,7 @@ against, so a silently drifted constant cannot keep serving old
 numbers.
 
 Everything here is pure Python floats, so the artifact is
-bit-identical across hosts with and without numpy — CI runs without
-numpy.
+bit-identical across hosts.
 """
 
 from __future__ import annotations

@@ -141,8 +141,7 @@ def features(hierarchy: HierarchyConfig, design: str,
 
 def evaluate(intercept: float, slope: float,
              feats: Dict[str, float]) -> float:
-    """Predicted ``t_norm`` for one cell.  The association order here
-    is the contract the vectorized sweep path reproduces bit-for-bit."""
+    """Predicted ``t_norm`` for one cell."""
     return (intercept + slope * feats["x_total"]) + feats["offset"]
 
 
@@ -194,24 +193,17 @@ def _validate_fast_config(config: "NodeConfig") -> None:
 def simulate_nodes_fast(configs: "List[NodeConfig]",
                         calibration: Optional["Calibration"] = None
                         ) -> list:
-    """Batch fast-tier evaluation: many cells in one shot.
-
-    The closed form is evaluated for the whole batch through
-    :func:`repro.fastmodel.vector.batch_t_norms` (numpy element-wise
-    when available, bit-identical scalar fallback otherwise) — this is
-    what lets the sweep runner skip the process pool entirely for fast
-    cells.
+    """Batch fast-tier evaluation: many cells in one call, each through
+    :func:`predict_cell` — this is what lets the sweep runner skip the
+    process pool entirely for fast cells.
     """
     from ..sim.node import NodeResult, effective_design
     from .calibration import StaleCalibrationError
-    from .vector import batch_t_norms
     if calibration is None:
         from .calibration import load_default_calibration
         calibration = load_default_calibration()
-    from ..dram.backend import get_backend
     cal_backend = calibration.backend
-    backend = get_backend(cal_backend)
-    rows, cells, effs = [], [], []
+    results = []
     for config in configs:
         _validate_fast_config(config)
         config_backend = resolve_backend(config.backend)
@@ -223,29 +215,9 @@ def simulate_nodes_fast(configs: "List[NodeConfig]",
                 "at the result".format(cal_backend, config_backend,
                                        config_backend))
         eff = effective_design(config.design, config.memory_utilization)
-        cell = calibration.lookup_cell(config.suite,
-                                       config.hierarchy.name, eff,
-                                       config.margin_mts)
-        rows.append({
-            "intercept": calibration.intercept_for(
-                config.suite, config.hierarchy.name, eff),
-            "slope": calibration.slope_for(config.suite,
-                                           config.hierarchy.name),
-            "hierarchy": config.hierarchy, "design": eff,
-            "backend": backend,
-            "read_t": read_timing(eff, config.margin_mts,
-                                  config.use_latency_margin,
-                                  config.timing, backend),
-            "write_t": write_timing(eff, config.timing, backend),
-            "reads_n": cell["reads_n"], "writes_n": cell["writes_n"],
-            "row_hit_rate": cell["row_hit_rate"],
-            "entries_n": cell["entries_n"],
-        })
-        cells.append(cell)
-        effs.append(eff)
-    t_norms = batch_t_norms(rows)
-    results = []
-    for config, cell, eff, t_norm in zip(configs, cells, effs, t_norms):
+        cell = predict_cell(calibration, config.suite, config.hierarchy,
+                            eff, config.margin_mts,
+                            config.use_latency_margin, config.timing)
         n = config.refs_per_core
 
         def count(name: str) -> int:
@@ -253,7 +225,7 @@ def simulate_nodes_fast(configs: "List[NodeConfig]",
 
         results.append(NodeResult(
             config=config,
-            time_ns=t_norm * n,
+            time_ns=cell["t_norm"] * n,
             instructions=cell["instructions_n"] * n,
             dram_reads=count("reads_n"),
             dram_writes=count("writes_n"),

@@ -13,7 +13,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from itertools import islice
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..core.margin_selection import (NODE_MARGIN_BUCKETS,
                                      bucket_node_margin)
@@ -42,8 +43,8 @@ class FreeNodePool:
            buckets: Sequence[int]) -> "FreeNodePool":
         """``nodes`` at their effective margins, keyed by position."""
         pool = cls(buckets)
-        for key, node in enumerate(nodes):
-            pool.add(node, node.effective_margin_mts, key)
+        pool.add_all((node, node.effective_margin_mts, key)
+                     for key, node in enumerate(nodes))
         return pool
 
     def __len__(self) -> int:
@@ -57,19 +58,51 @@ class FreeNodePool:
 
     def add(self, node: object, margin: int, key: Hashable) -> None:
         """Free ``node`` at ``margin`` under the unique order ``key``."""
-        self._entry[key] = (node, margin)
-        insort(self._lists.setdefault(margin, []), key)
-        self.counts[self.bucket(margin)] += 1
+        self.add_all(((node, margin, key),))
+
+    def add_all(self, entries: Iterable[Tuple[object, int, Hashable]]
+                ) -> None:
+        """Free each ``(node, margin, key)``.  A key that sorts after
+        its margin's last key is appended (always, for increasing
+        free-list keys); any other is inserted in order."""
+        entry, lists, counts, snap = (self._entry, self._lists,
+                                      self.counts, self._snap)
+        for node, margin, key in entries:
+            entry[key] = (node, margin)
+            lst = lists.get(margin)
+            if lst is None:
+                lists[margin] = [key]
+                self.bucket(margin)             # fills snap[margin]
+            elif not lst or lst[-1] < key:
+                lst.append(key)
+            else:
+                insort(lst, key)
+            counts[snap[margin]] += 1
 
     def take(self, keys: Sequence[Hashable]) -> List[object]:
-        """Remove ``keys`` from the pool; returns their nodes."""
+        """Remove ``keys`` from the pool; returns their nodes.
+
+        Every pick takes a prefix of each margin's list, so a margin
+        whose keys are that prefix loses them in one slice delete; any
+        other key is found by bisection."""
         nodes = []
+        per_margin: Dict[int, List] = {}
         for key in keys:
             node, margin = self._entry.pop(key)
-            lst = self._lists[margin]
-            del lst[bisect_left(lst, key)]
-            self.counts[self._snap[margin]] -= 1
             nodes.append(node)
+            group = per_margin.get(margin)
+            if group is None:
+                per_margin[margin] = [key]
+            else:
+                group.append(key)
+        for margin, group in per_margin.items():
+            lst = self._lists[margin]
+            if lst[:len(group)] == group:
+                del lst[:len(group)]
+            else:
+                for key in group:
+                    del lst[bisect_left(lst, key)]
+            self.counts[self._snap[margin]] -= len(group)
         return nodes
 
     @staticmethod
@@ -159,7 +192,8 @@ class EasyBackfillScheduler:
         self.policy = policy or AllocationPolicy()
 
     def schedule_pass(self, now_s: float, queue: List[Job],
-                      free: FreeNodePool, running: List[Tuple[float, Job]]
+                      free: FreeNodePool,
+                      running: Iterable[Tuple[float, Job]]
                       ) -> List[Tuple[Job, List[ClusterNode]]]:
         """Start as many jobs as the discipline allows.
 
@@ -200,7 +234,7 @@ class EasyBackfillScheduler:
 
     @staticmethod
     def _reservation(now_s: float, head: Job, free_count: int,
-                     running: List[Tuple[float, Job]]
+                     running: Iterable[Tuple[float, Job]]
                      ) -> Tuple[float, int]:
         """(shadow time, spare nodes at it) for the head job."""
         available = free_count

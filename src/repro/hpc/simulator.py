@@ -120,20 +120,23 @@ class SystemSimulator:
                                self.scheduler.policy.buckets)
         # Free-list order: a released node rejoins at the back.
         free_key = len(free)
-        running: List[Tuple[float, Job]] = []
+        #: In-flight (finish_s, job) pairs, keyed by finish-event seq.
+        running: Dict[int, Tuple[float, Job]] = {}
         seq = len(jobs)
         while events:
-            now, _, kind, job = heapq.heappop(events)
+            now, event_seq, kind, job = heapq.heappop(events)
             if kind == "submit":
                 queue.append(job)
             else:
                 job.finish_s = now
-                running = [(f, j) for f, j in running if j is not job]
-                for node in job.allocated_nodes:
-                    free.add(node, node.effective_margin_mts, free_key)
-                    free_key += 1
+                del running[event_seq]
+                nodes = job.allocated_nodes
+                free.add_all(
+                    (node, node.effective_margin_mts, free_key + i)
+                    for i, node in enumerate(nodes))
+                free_key += len(nodes)
             for started, nodes in self.scheduler.schedule_pass(
-                    now, queue, free, running):
+                    now, queue, free, running.values()):
                 started.allocated_nodes = nodes
                 started.start_s = now
                 min_margin = min(n.effective_margin_mts for n in nodes)
@@ -141,7 +144,7 @@ class SystemSimulator:
                     min_margin, started.memory_utilization)
                 started.runtime_s = started.base_runtime_s / factor
                 finish = now + started.runtime_s
-                running.append((finish, started))
+                running[seq] = (finish, started)
                 heapq.heappush(events, (finish, seq, "finish", started))
                 seq += 1
         unfinished = [j for j in jobs if j.finish_s is None]

@@ -88,8 +88,8 @@ class SweepConfig:
     workers: int = 0
     #: Fidelity tier for every cell ("cycle", "fast", or None for the
     #: ``REPRO_FIDELITY`` default).  Fast cells are closed-form: the
-    #: runner skips the process pool and evaluates the whole grid as
-    #: one numpy batch.
+    #: runner skips the process pool and evaluates the whole grid in
+    #: one in-process batch.
     fidelity: Optional[str] = None
     #: Memory-technology backend for every cell ("ddr4", "mrdimm", or
     #: None for the ``REPRO_BACKEND`` default).
@@ -306,9 +306,7 @@ class SweepRunner:
         return [_run_cell(task) for task in tasks]
 
     def _map_fast(self, tasks: List[Tuple]) -> List[dict]:
-        """Evaluate every unique cell in one closed-form batch
-        (numpy-vectorized when available; bit-identical scalar
-        fallback otherwise)."""
+        """Evaluate every unique cell in one closed-form batch."""
         from ..fastmodel import simulate_nodes_fast
         t0 = time.perf_counter()
         results = simulate_nodes_fast([_task_config(task)

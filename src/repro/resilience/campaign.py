@@ -794,17 +794,3 @@ def run_chaos_campaign(config: Optional[ChaosConfig] = None
                        ) -> SurvivabilityReport:
     """Build, run, and report one chaos campaign."""
     return ChaosCampaign(config).run()
-
-
-def run_ha_failover_campaign(config=None):
-    """The daemon-fault class of the chaos campaign: run the HA
-    failover drill (SIGKILL mid-lease, clock-skewed renewal, torn
-    lease record, dual-owner partition) and return its
-    :class:`~repro.service.ha.HADrillResult` — ``result.report`` is
-    the gated :class:`SurvivabilityReport`.
-
-    ``config`` is an :class:`~repro.service.ha.HAConfig` (default:
-    the full-size drill).  The import is lazy because
-    :mod:`repro.service.ha` builds reports from this package."""
-    from ..service.ha import HAFailoverDrill
-    return HAFailoverDrill(config).run()

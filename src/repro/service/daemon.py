@@ -228,7 +228,7 @@ class BucketPool(FreeNodePool):
             return None
         for node in nodes:
             del self._busy[node]
-            self.add(node, self._margin[node], node)
+        self.add_all((node, self._margin[node], node) for node in nodes)
         return nodes
 
 

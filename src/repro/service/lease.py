@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..fleet.registry import canonical_json, fsync_dir, json_number
 from ..obs import get_recorder
+from .daemon import STATUSES
 
 __all__ = ["CONTROL_LOG_FILE", "ControlEvent", "ControlLog",
            "LeaseError", "LeaseRecord", "LeaseTable",
@@ -45,6 +46,27 @@ CONTROL_LOG_FILE = "control.jsonl"
 
 #: Event kinds the control log records.
 CONTROL_KINDS = ("acquire", "renew", "release", "commit")
+
+#: Keys of the one payload shape a placement commit carries.
+_COMMIT_KEYS = frozenset(("bucket", "job", "nodes", "status"))
+_COMMIT_STATUSES = frozenset(STATUSES)
+
+
+def _payload_json(payload: Dict[str, object]) -> str:
+    """:func:`canonical_json` of ``payload``, written directly when it
+    is a commit payload of int ``bucket``/``job``, a list of int
+    ``nodes`` and a decision status (which needs no escaping); any
+    other payload goes through :func:`canonical_json`."""
+    if payload.keys() == _COMMIT_KEYS:
+        bucket, job = payload["bucket"], payload["job"]
+        nodes, status = payload["nodes"], payload["status"]
+        if type(bucket) is int and type(job) is int and \
+                type(status) is str and status in _COMMIT_STATUSES and \
+                type(nodes) is list and \
+                all(type(node) is int for node in nodes):
+            return '{"bucket":%d,"job":%d,"nodes":[%s],"status":"%s"}' % (
+                bucket, job, ",".join(map(str, nodes)), status)
+    return canonical_json(payload)
 
 
 class LeaseError(RuntimeError):
@@ -86,7 +108,7 @@ class ControlEvent:
         return ('{"expires_s":%s,"group":%d,"kind":"%s","owner":%d,'
                 '"payload":%s,"seq":%d,"time_s":%s,"token":%d}' % (
                     json_number(self.expires_s), self.group, self.kind,
-                    self.owner, canonical_json(self.payload), self.seq,
+                    self.owner, _payload_json(self.payload), self.seq,
                     json_number(self.time_s), self.token))
 
     @classmethod

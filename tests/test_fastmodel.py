@@ -231,7 +231,7 @@ def test_fast_matches_cycle_within_tolerance():
 
 def test_batch_matches_single_evaluation():
     """simulate_nodes_fast (the sweep's batched path) must reproduce
-    per-config simulate_node_fast bit for bit, numpy or not."""
+    per-config simulate_node_fast bit for bit."""
     configs = [_config(suite=s, design=d, margin_mts=m)
                for s in ("linpack", "hpcg", "graph500")
                for d in ("baseline", "hetero-dmr")
@@ -241,35 +241,27 @@ def test_batch_matches_single_evaluation():
         assert result.time_ns == simulate_node_fast(config).time_ns
 
 
-def test_vectorized_batch_bit_identical_to_scalar():
-    numpy = pytest.importorskip("numpy")
-    del numpy
-    from repro.fastmodel import vector
-    calibration = load_default_calibration()
-    rows = []
-    for suite in calibration.grid["suites"]:
-        for hier_name in ("Hierarchy1", "Hierarchy2"):
-            hier = HIERARCHIES[hier_name]()
-            for design, margin in (("baseline", 800),
-                                   ("hetero-dmr", 600)):
-                from repro.fastmodel.model import (read_timing,
-                                                   write_timing)
-                cell = calibration.lookup_cell(suite, hier_name,
-                                               design, margin)
-                rows.append({
-                    "intercept": calibration.intercept_for(
-                        suite, hier_name, design),
-                    "slope": calibration.slope_for(suite, hier_name),
-                    "hierarchy": hier, "design": design,
-                    "read_t": read_timing(design, margin, True, None),
-                    "write_t": write_timing(design, None),
-                    "reads_n": cell["reads_n"],
-                    "writes_n": cell["writes_n"],
-                    "row_hit_rate": cell["row_hit_rate"],
-                    "entries_n": cell["entries_n"]})
-    vectorized = vector._vectorized(rows)
-    scalar = [vector._scalar(row) for row in rows]
-    assert vectorized == scalar            # bitwise, not approx
+def test_fast_tier_never_imports_numpy():
+    """The cross-check and a fast sweep run on the standard library
+    alone: numpy is not imported, in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("import sys\n"
+            "from repro.fastmodel import run_crosscheck\n"
+            "from repro.perf.sweep import SweepConfig, SweepRunner\n"
+            "assert run_crosscheck()['passed']\n"
+            "SweepRunner(SweepConfig(refs_per_core=3000,"
+            " fidelity='fast')).run()\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # -- cross-check gate -------------------------------------------------------------------

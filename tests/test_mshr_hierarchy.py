@@ -1,42 +1,8 @@
-"""Tests for the MSHR file and the two-level cache hierarchy."""
+"""Tests for the two-level cache hierarchy."""
 
 import pytest
 
 from repro.cache.hierarchy import (CacheHierarchy, hierarchy1, hierarchy2)
-from repro.cache.mshr import MshrFile
-
-
-def test_mshr_primary_and_merge():
-    m = MshrFile(entries=2)
-    assert m.allocate(0x40, "a") is True
-    assert m.allocate(0x40, "b") is False
-    assert m.stats.merges == 1
-    assert m.complete(0x40) == ["a", "b"]
-
-
-def test_mshr_full_raises():
-    m = MshrFile(entries=1)
-    m.allocate(0x40)
-    with pytest.raises(RuntimeError):
-        m.allocate(0x80)
-    assert m.stats.full_stalls == 1
-
-
-def test_mshr_complete_unknown_raises():
-    with pytest.raises(KeyError):
-        MshrFile().complete(0x40)
-
-
-def test_mshr_lookup():
-    m = MshrFile()
-    m.allocate(0x40)
-    assert m.lookup(0x40)
-    assert not m.lookup(0x80)
-
-
-def test_mshr_validates_entries():
-    with pytest.raises(ValueError):
-        MshrFile(0)
 
 
 def test_hierarchy1_matches_table3():

@@ -21,11 +21,14 @@ from repro.core.margin_selection import bucket_node_margin
 from repro.hpc import (AllocationPolicy, Cluster, EasyBackfillScheduler,
                        FreeNodePool, Job, MarginAwareAllocationPolicy,
                        PerformanceModel, SystemSimulator)
+from repro.service.daemon import BucketPool
 
 DDR4 = (800, 600, 0)
 MRDIMM = (2200, 1600, 0)
 #: On-bucket and off-bucket margins of both technologies.
 MARGINS = (0, 200, 400, 600, 800, 1000, 1200, 1600, 1800, 2200, 2400)
+#: Few enough that several free nodes share one margin's list.
+FEW_MARGINS = (0, 600, 1000, 1600)
 
 
 # -- oracle: the list-based rules ---------------------------------------------
@@ -308,3 +311,76 @@ def test_seeded_trace_matches_oracle_on_both_technologies():
         expected = oracle_run(cluster, oracle_select(policy), model,
                               trace)
         assert _stream(got.jobs) == _stream(expected)
+
+
+# -- pool invariants under every mutation ---------------------------------------
+
+
+def _check_pool(pool, free, margin_of):
+    """Each per-margin list is the sorted free keys at that margin, and
+    the bucket counts equal a recount."""
+    expected = {}
+    for node in free:
+        expected.setdefault(margin_of[node], []).append(node)
+    assert {m: lst for m, lst in pool._lists.items() if lst} == \
+        {m: sorted(keys) for m, keys in expected.items()}
+    recount = dict.fromkeys(pool.counts, 0)
+    for node in free:
+        recount[bucket_node_margin(margin_of[node], pool.buckets)] += 1
+    assert pool.counts == recount
+    assert len(pool) == len(free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([DDR4, MRDIMM]),
+       st.randoms(use_true_random=False))
+def test_pool_lists_and_counts_hold_under_interleaved_mutation(
+        data, buckets, rng):
+    """Through the daemon's pool: a fleet added in key order, then
+    adds out of key order (new nodes below the largest key, releases
+    in allocation order), takes of a pick and of an arbitrary key
+    subset in any order, and margin changes of free and busy nodes."""
+    pool = BucketPool(buckets)
+    margin_of, free, held = {}, set(), {}
+    for node, margin in enumerate(data.draw(st.lists(
+            st.sampled_from(FEW_MARGINS), max_size=24))):
+        pool.set_margin(node, margin)
+        margin_of[node] = margin
+        free.add(node)
+    job = 0
+    steps = data.draw(st.lists(st.sampled_from(
+        ("new", "release", "pick", "subset", "margin")),
+        min_size=1, max_size=40))
+    for step in steps:
+        if step == "new":
+            node = data.draw(st.integers(0, 48))
+            if node in margin_of:
+                continue
+            margin = data.draw(st.sampled_from(FEW_MARGINS))
+            pool.set_margin(node, margin)
+            margin_of[node] = margin
+            free.add(node)
+        elif step == "release" and held:
+            job_id = rng.choice(sorted(held))
+            nodes = held.pop(job_id)
+            assert pool.release(job_id) == nodes
+            free.update(nodes)
+        elif step in ("pick", "subset") and free:
+            if step == "pick":
+                width = data.draw(st.integers(1, len(free)))
+                keys = (pool.pick_margin_aware(width)
+                        if data.draw(st.booleans())
+                        else pool.pick_default(width))
+            else:
+                keys = data.draw(st.lists(st.sampled_from(sorted(free)),
+                                          min_size=1, unique=True))
+            pool.allocate(keys, job)
+            held[job] = tuple(keys)
+            job += 1
+            free.difference_update(keys)
+        elif step == "margin" and margin_of:
+            node = rng.choice(sorted(margin_of))
+            margin = data.draw(st.sampled_from(FEW_MARGINS))
+            pool.set_margin(node, margin)
+            margin_of[node] = margin
+        _check_pool(pool, free, margin_of)

@@ -1,7 +1,9 @@
 """Byte identity of the direct encoders for the three fixed-schema log
-lines — ``RegistryEvent``, ``ControlEvent`` and the daemon's
-``Decision`` — against ``canonical_json`` of the same fields, the
-encoder they replace on the append path."""
+lines — ``RegistryEvent``, ``ControlEvent`` (with its commit payload)
+and the daemon's ``Decision`` — against ``canonical_json`` of the same
+fields, the encoder they replace on the append path."""
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,3 +84,50 @@ def test_decision_encoder_is_canonical(status, seq, job, nodes, bucket):
     assert decision.to_json() == canonical_json(
         {"seq": seq, "job": job, "status": status, "nodes": nodes,
          "bucket": bucket})
+
+
+def _commit_line(payload, seq=7):
+    event = ControlEvent(seq=seq, kind="commit", group=3, owner=1,
+                         token=9, time_s=12.5, expires_s=30.0,
+                         payload=payload)
+    expected = canonical_json(
+        {"seq": seq, "kind": "commit", "group": 3, "owner": 1,
+         "token": 9, "time_s": 12.5, "expires_s": 30.0,
+         "payload": payload})
+    return event, expected
+
+
+@pytest.mark.parametrize("status", STATUSES + ("buffered-write",))
+@settings(max_examples=60, deadline=None)
+@given(job=st.integers(), bucket=st.integers(),
+       nodes=st.lists(_ids, max_size=8))
+def test_commit_payload_encoder_is_canonical(status, job, bucket, nodes):
+    """The commit shape the HA plane writes, every status, and the same
+    line again after a replay through ``from_doc`` (JSON key order,
+    not insertion order)."""
+    event, expected = _commit_line({"job": job, "status": status,
+                                    "nodes": nodes, "bucket": bucket})
+    assert event.to_json() == expected
+    replayed = ControlEvent.from_doc(json.loads(expected))
+    assert replayed.to_json() == expected
+
+
+@pytest.mark.parametrize("payload", [
+    {"bucket": True, "job": 1, "nodes": [2], "status": "placed"},
+    {"bucket": 800, "job": 1.0, "nodes": [2], "status": "placed"},
+    {"bucket": 800, "job": 1, "nodes": (2, 3), "status": "placed"},
+    {"bucket": 800, "job": 1, "nodes": [2, False], "status": "placed"},
+    {"bucket": 800, "job": 1, "nodes": [2.5], "status": "placed"},
+    {"bucket": 800, "job": 1, "nodes": [2], "status": 'pl"aced\n'},
+    {"bucket": 800, "job": 1, "nodes": [2], "status": "pläced"},
+    {"bucket": 800, "job": 1, "nodes": [2], "status": None},
+    {"bucket": 800, "job": 1, "nodes": [2], "status": ["placed"]},
+    {"bucket": 800, "job": 1, "nodes": [2]},
+    {"bucket": 800, "job": 1, "nodes": [2], "status": "placed",
+     "extra": 0},
+    {"reason": "ha-drill"},
+    {},
+])
+def test_non_commit_payload_falls_back_to_canonical(payload):
+    event, expected = _commit_line(payload)
+    assert event.to_json() == expected
