@@ -17,10 +17,11 @@ Two Hetero-DMR-specific hooks extend the plain cache:
   and then dirtied again — the source of the <1% extra DRAM traffic in
   Figure 14.
 
-:meth:`Cache.snapshot` copies a fully warmed cache's lines out to
-compact arrays, and :meth:`Cache.restore` makes them a cache's base in
-O(1), so a warm state is neither redrawn nor rebuilt: a short run
-builds only the sets it touches.
+:meth:`Cache.warm` lays the lines it draws out as compact set-major
+arrays (:attr:`Cache.base`), and :meth:`Cache.restore` makes such
+arrays a cache's base in O(1), so a warm state is neither redrawn nor
+rebuilt.  A run too short to reach every set keeps only the arrays
+from its own warm as well, so it builds just the sets it touches.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from typing import Dict, List, Optional, Tuple
 
 #: Cache line size in bytes throughout the system.
 LINE_BYTES = 64
+
+#: Sets :meth:`Cache.warm` draws before copying their lines out.
+_WARM_BLOCK_SETS = 256
 
 
 @dataclass
@@ -57,8 +61,9 @@ class Cache:
 
     ``_sets[idx]`` is None until set ``idx`` is first used; then it is
     built from the base slice ``[idx * assoc, (idx + 1) * assoc)`` of
-    the last :meth:`restore` (empty before any).  Per-line paths build
-    the one set they touch; whole-cache walks build every set first.
+    the last :meth:`warm` or :meth:`restore` (empty before either).
+    Per-line paths build the one set they touch; whole-cache walks
+    build every set first.
     """
 
     def __init__(self, size_bytes: int, assoc: int,
@@ -172,7 +177,8 @@ class Cache:
         return ways.get(tag, False)
 
     def warm(self, rng, dirty_prob: float = 0.0,
-             max_line: Optional[int] = None) -> int:
+             max_line: Optional[int] = None,
+             refs: Optional[int] = None) -> int:
         """Fill every way of every set with random resident lines.
 
         Used to start simulations at steady-state occupancy (the paper
@@ -184,6 +190,15 @@ class Cache:
         length, redrawn while out of range), then one ``rng.random()``
         for its dirty bit, so the lines and the generator's final
         state match a ``randrange``/``random`` loop draw for draw.
+
+        The lines are copied out to the set-major arrays that become
+        :attr:`base` a block of sets at a time.  ``refs`` is how many
+        references the coming run can make to this cache (None: no
+        bound).  When it is below the set count the run cannot touch
+        every set, so the drawn dicts are dropped once copied and a set
+        is built again from the base on first use, as after
+        :meth:`restore`; otherwise the dicts stay live.  Both leave the
+        same lines.
         """
         limit = 1 << 24
         if max_line is not None:
@@ -195,41 +210,57 @@ class Cache:
         getrandbits = rng.getrandbits
         rand = rng.random
         assoc = self.assoc
+        live = refs is None or refs >= self.nsets
+        fresh = self._base is None
+        sets = self._sets
+        # Sized up front: growing the arrays would copy them and raise
+        # the peak.
+        tags = array("q", [0]) * (self.nsets * assoc)
+        dirty = bytearray(self.nsets * assoc)
         inserted = 0
-        for ways in self.sets():
-            missing = assoc - len(ways)
-            inserted += missing
-            while missing > 0:
-                tag = getrandbits(bits)
-                while tag >= limit:
+        # Copying per block, not per set, keeps the per-set work in C;
+        # a short run's warm holds at most one block of dicts.
+        for lo in range(0, self.nsets, _WARM_BLOCK_SETS):
+            block = sets[lo:lo + _WARM_BLOCK_SETS]
+            for i, ways in enumerate(block):
+                if ways is None:
+                    ways = block[i] = {} if fresh else self._touch(lo + i)
+                missing = assoc - len(ways)
+                inserted += missing
+                while missing > 0:
                     tag = getrandbits(bits)
-                if tag in ways:
-                    continue
-                ways[tag] = rand() < dirty_prob
-                missing -= 1
+                    while tag >= limit:
+                        tag = getrandbits(bits)
+                    if tag in ways:
+                        continue
+                    ways[tag] = rand() < dirty_prob
+                    missing -= 1
+            lines = slice(lo * assoc, (lo + len(block)) * assoc)
+            tags[lines] = array("q", chain.from_iterable(block))
+            dirty[lines] = chain.from_iterable(map(dict.values, block))
+            sets[lo:lo + len(block)] = block if live else [None] * len(block)
+        self._base = (tags, bytes(dirty))
         return inserted
 
-    def snapshot(self) -> Tuple[array, bytes]:
-        """Copy a full cache's lines out as set-major, LRU-first tags
-        (``array('q')``) and one dirty byte per line."""
-        sets = self.sets()
-        tags = array("q", chain.from_iterable(sets))
-        # No set holds more than ``assoc`` lines, so the total decides.
-        if len(tags) != self.nsets * self.assoc:
-            raise ValueError("only a full cache can be snapshotted")
-        return tags, bytes(chain.from_iterable(map(dict.values, sets)))
+    @property
+    def base(self) -> Optional[Tuple[array, Optional[bytes]]]:
+        """The set-major, LRU-first tags (``array('q')``) and dirty
+        bytes (None: all clean) that untouched sets are built from:
+        the lines of the last :meth:`warm` or :meth:`restore`.  Read
+        only."""
+        return self._base
 
     def restore(self, tags: array, dirty: Optional[bytes] = None) -> None:
-        """Replace every set with the lines of a :meth:`snapshot` of a
-        cache of the same geometry; ``dirty=None`` restores them all
-        clean.
+        """Replace every set with the lines of the :attr:`base` of a
+        warmed cache of the same geometry; ``dirty=None`` restores them
+        all clean.
 
         O(1): the arrays become the base each set is built from on its
-        first use, so they must not be mutated afterwards (a snapshot's
+        first use, so they must not be mutated afterwards (a base's
         bytes never are, and its tags are only read).
         """
         if len(tags) != self.nsets * self.assoc:
-            raise ValueError("snapshot does not match this cache's "
+            raise ValueError("base does not match this cache's "
                              "geometry")
         self._base = (tags, dirty)
         self._sets = [None] * self.nsets

@@ -12,10 +12,12 @@ budget.  The workload traces are generated at L2-reference granularity
 hierarchy's job is L2 -> L3 -> memory filtering plus writeback traffic.
 
 :meth:`CacheHierarchy.warm` fills every cache to steady-state occupancy
-and keeps the last warm state built in the process as one compact
-snapshot, so consecutive nodes with the same warm key restore it
-instead of redrawing it.  A restore is O(1): each cache builds a set
-from the snapshot only when the run first touches it.
+and keeps the arrays that warm laid its lines out in, so consecutive
+nodes with the same warm key restore them instead of redrawing them.
+A restore is O(1): each cache builds a set from the arrays only when
+the run first touches it.  A warm for a run that can make fewer
+references to a cache than it has sets leaves that cache the same
+way, with no live set.
 """
 
 from __future__ import annotations
@@ -85,12 +87,12 @@ class AccessOutcome:
     writebacks: List[int]          # dirty evictions headed to DRAM
 
 
-#: The last warm state built in this process: its key and one
-#: :meth:`Cache.snapshot` per cache, L3 first.  Restored caches share
-#: these arrays as their copy-on-touch base (read-only), and a restored
-#: cache behaves bit-identically to a fresh warm, so no result depends
-#: on which caller left it.  One entry only: a snapshot is ~6 MB of
-#: arrays, where live dicts would be ~50 MB per cached state.
+#: The last warm state built in this process: its key and each
+#: cache's :attr:`Cache.base` after the warm, L3 first.  Restored
+#: caches share these arrays as their copy-on-touch base (read-only),
+#: and a restored cache behaves bit-identically to a fresh warm, so no
+#: result depends on which caller left it.  One entry (~6 MB of arrays
+#: on Hierarchy2): a sweep visits each warm key in one run of cells.
 _last_warm: Optional[Tuple[tuple, List[Tuple[array, bytes]]]] = None
 
 
@@ -153,37 +155,43 @@ class CacheHierarchy:
         return self.l3.clean_blocks(self.l3.dirty_lru_blocks(limit))
 
     def warm(self, seed: int, footprint_lines: int, write_fraction: float,
-             clean_llc: bool = False) -> None:
+             clean_llc: bool = False,
+             refs_per_core: Optional[int] = None) -> None:
         """Fill a fresh hierarchy's caches with footprint-resident lines.
 
         One ``random.Random(seed)`` stream warms the L3, then each L2,
         marking lines dirty with probability ``write_fraction``.  With
         ``clean_llc`` the L3 starts all-clean instead; its lines, and
         every draw, are the same.  The state depends only on the
-        geometry and the arguments, so the last one built in the
-        process is kept as a snapshot.  When the key repeats, each
-        cache gets its snapshot as the base it builds sets from on
-        first touch (the clean L3 the same tags with ``dirty=None``),
-        so the restore costs nothing per set.  A miss warms live dicts
-        and snapshots them; warming straight into arrays would build
-        every set twice on long runs.
+        geometry and the arguments, so the arrays the last warm in the
+        process laid its lines out in are kept.  When the key repeats,
+        each cache gets them as the base it builds sets from on first
+        touch (the clean L3 the same tags with ``dirty=None``), so the
+        restore costs nothing per set.
+
+        ``refs_per_core`` is the run length: an L2 can see that many
+        references and the L3 ``cores`` times as many.  A cache that
+        cannot be referenced once per set keeps no live set after a
+        cold warm either (see :meth:`Cache.warm`); None keeps every
+        warmed set live.  It selects speed and memory only, never the
+        lines, so it is not part of the key.
         """
         global _last_warm
         key = (self.config, footprint_lines, seed, write_fraction)
         caches = [self.l3] + self.l2s
         last = _last_warm
         if last is not None and last[0] == key:
-            snapshots = last[1]
-            for cache, (tags, dirty) in zip(caches, snapshots):
+            for cache, (tags, dirty) in zip(caches, last[1]):
                 cache.restore(tags, None if clean_llc and cache is self.l3
                               else dirty)
             return
         _last_warm = None
         rng = random.Random(seed)
-        for cache in caches:
-            cache.warm(rng, dirty_prob=write_fraction,
-                       max_line=footprint_lines)
-        snapshots = [cache.snapshot() for cache in caches]
-        _last_warm = (key, snapshots)
+        self.l3.warm(rng, write_fraction, footprint_lines,
+                     None if refs_per_core is None
+                     else refs_per_core * self.config.cores)
+        for l2 in self.l2s:
+            l2.warm(rng, write_fraction, footprint_lines, refs_per_core)
+        _last_warm = (key, [cache.base for cache in caches])
         if clean_llc:
-            self.l3.restore(snapshots[0][0])
+            self.l3.restore(self.l3.base[0])

@@ -55,9 +55,6 @@ class Core:
         self.blocked_on_dependency = False
         self.stats = CoreStats()
 
-    def cycles_to_ns(self, cycles: float) -> float:
-        return cycles / self.cpu_ghz
-
     def next_record(self) -> Optional[TraceRecord]:
         """Fetch the next trace record (the pending one if execution
         previously blocked); None when the trace is exhausted."""

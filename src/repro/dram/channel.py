@@ -97,17 +97,12 @@ class Channel:
     _last_bus_rank: Optional[Rank] = None
 
     def all_ranks(self) -> List[Tuple[Module, Rank]]:
-        """Flattened (module, rank) pairs across all slots.  Cached —
-        call :meth:`invalidate_rank_cache` after repopulating slots."""
+        """Flattened (module, rank) pairs across all slots, cached."""
         if self._rank_cache is None:
             self._rank_cache = [(m, r) for m in self.modules
                                 for r in m.ranks]
             self._nranks = len(self._rank_cache)
         return self._rank_cache
-
-    def invalidate_rank_cache(self) -> None:
-        self._rank_cache = None
-        self._nranks = None
 
     def rank_count(self) -> int:
         if self._nranks is None:

@@ -123,9 +123,6 @@ class Rank:
             bank.activate_ready_ns = max(bank.activate_ready_ns, end)
         return end
 
-    def open_row_of(self, bank: int) -> "int | None":
-        return self.banks[bank].open_row
-
 
 # A fixed timing used only to close banks on self-refresh entry; the
 # precharge period is data-rate independent at this granularity.

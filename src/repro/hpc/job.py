@@ -57,9 +57,3 @@ class Job:
         if self.finish_s is None:
             raise ValueError("job has not finished")
         return self.finish_s - self.submit_s
-
-    @property
-    def node_seconds(self) -> float:
-        runtime = self.runtime_s if self.runtime_s is not None \
-            else self.base_runtime_s
-        return runtime * self.nodes_requested

@@ -6,14 +6,14 @@ from .address_map import AddressMapping, MemLocation
 from .controller import ChannelController, ControllerStats, MemoryController
 from .page_policy import PagePolicy
 from .policy import AccessPolicy, CONVENTIONAL_TURNAROUND_NS
-from .queues import (BoundedQueue, READ_QUEUE_ENTRIES, ReadRequest,
-                     WRITE_QUEUE_ENTRIES, WriteRequest)
+from .queues import (READ_QUEUE_ENTRIES, ReadRequest, WRITE_QUEUE_ENTRIES,
+                     WriteRequest)
 from .scheduler import FrFcfsScheduler, SchedulerStats
 from .writeback_cache import (WRITEBACK_CACHE_ASSOC, WRITEBACK_CACHE_BYTES,
                               WritebackCache, WritebackCacheStats)
 
 __all__ = [
-    "AccessPolicy", "AddressMapping", "BoundedQueue",
+    "AccessPolicy", "AddressMapping",
     "CONVENTIONAL_TURNAROUND_NS", "ChannelController", "ControllerStats",
     "FrFcfsScheduler", "MemLocation", "MemoryController", "PagePolicy",
     "READ_QUEUE_ENTRIES", "ReadRequest", "SchedulerStats",

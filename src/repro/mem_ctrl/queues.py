@@ -3,8 +3,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from .address_map import MemLocation
 
@@ -30,39 +30,6 @@ class WriteRequest:
     location: MemLocation
     arrival_ns: float
     from_cleaning: bool = False
-
-
-class BoundedQueue:
-    """A simple bounded FIFO with occupancy stats."""
-
-    def __init__(self, capacity: int, name: str):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.name = name
-        self.entries: List[object] = []
-        self.peak_occupancy = 0
-        self.total_enqueued = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    def push(self, item: object) -> None:
-        if self.full:
-            raise RuntimeError("{} queue overflow".format(self.name))
-        self.entries.append(item)
-        self.total_enqueued += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
-
-    def pop_index(self, index: int) -> object:
-        return self.entries.pop(index)
-
-    def pop_front(self) -> object:
-        return self.entries.pop(0)
 
 
 #: Table IV queue capacities.

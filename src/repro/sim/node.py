@@ -250,7 +250,8 @@ class NodeSimulation:
             self.config.seed ^ 0x5EED, prof.footprint_bytes // 64,
             prof.write_fraction,
             clean_llc=self.effective_design in ("hetero-dmr",
-                                                "hetero-dmr+fmr"))
+                                                "hetero-dmr+fmr"),
+            refs_per_core=self.config.refs_per_core)
 
     # -- construction ----------------------------------------------------------------
 

@@ -7,7 +7,7 @@ passes (``across``: a seeded run reproduces itself) or within each
 pass (``within``: e.g. the HA decision stream against its
 never-crashed reference).  Every step runs as ``python -m repro`` in a
 fresh interpreter with the caller's environment, so a pass never
-reuses another pass's process-global state (the warm cache snapshot,
+reuses another pass's process-global state (the kept warm-cache arrays,
 the loaded calibration) and each pass gets its own hash seed.
 """
 

@@ -192,9 +192,10 @@ def check_warm_matches_randrange(assoc, sets, max_line, dirty_prob,
 
 
 #: (assoc, sets, max_line): tag limit 1 << 24, 1, 64 (a power of
-#: two), 65 (2^n + 1) and 3 — each set of 8 needs max_line >> 3.
+#: two), 65 (2^n + 1) and 3 — each set of 8 needs max_line >> 3 — and
+#: more sets than one warm block.
 WARM_CASES = [(4, 8, None), (1, 8, 8), (4, 8, 64 * 8), (4, 8, 65 * 8),
-              (2, 8, 3 * 8)]
+              (2, 8, 3 * 8), (2, 512, None)]
 
 
 @pytest.mark.parametrize("dirty_prob", [0.0, 0.3])
@@ -202,6 +203,42 @@ WARM_CASES = [(4, 8, None), (1, 8, 8), (4, 8, 64 * 8), (4, 8, 65 * 8),
 def test_warm_matches_randrange_reference(assoc, sets, max_line,
                                           dirty_prob):
     check_warm_matches_randrange(assoc, sets, max_line, dirty_prob)
+
+
+@pytest.mark.parametrize("dirty_prob", [0.0, 0.3])
+@pytest.mark.parametrize("assoc,sets,max_line", WARM_CASES)
+def test_short_run_warm_drops_sets_but_not_lines(assoc, sets, max_line,
+                                                 dirty_prob):
+    """A warm for fewer references than sets makes the same draws and
+    lines as one with no bound, but leaves every set unbuilt."""
+    live, lazy = small_cache(assoc, sets), small_cache(assoc, sets)
+    live_rng, lazy_rng = random.Random(7), random.Random(7)
+    assert live.warm(live_rng, dirty_prob, max_line, refs=sets) == \
+        lazy.warm(lazy_rng, dirty_prob, max_line, refs=sets - 1)
+    assert all(ways is not None for ways in live._sets)
+    assert all(ways is None for ways in lazy._sets)
+    assert live.base == lazy.base
+    assert [list(w.items()) for w in lazy.sets()] == \
+        [list(w.items()) for w in live.sets()]
+    assert lazy_rng.getstate() == live_rng.getstate()
+
+
+@pytest.mark.parametrize("refs", [None, 1])
+def test_warm_tops_up_a_restored_cache_like_the_reference(refs):
+    """Warming a restored cache with some lines invalidated refills just
+    the missing ways, in the reference loop's order."""
+    tags, dirty = _warm_snapshot(4, 8, 3, 0.5, None)
+    fast, ref = small_cache(), small_cache()
+    for cache in (fast, ref):
+        cache.restore(tags, dirty)
+        for idx in (0, 5):
+            cache.invalidate(cache._rebuild(idx, tags[idx * 4 + 1]))
+    fast_rng, ref_rng = random.Random(9), random.Random(9)
+    assert fast.warm(fast_rng, 0.3, refs=refs) == 2
+    _reference_warm(ref, ref_rng, 0.3, None)
+    assert [list(w.items()) for w in fast.sets()] == \
+        [list(w.items()) for w in ref.sets()]
+    assert fast_rng.getstate() == ref_rng.getstate()
 
 
 def test_warm_rejects_limit_below_associativity():
@@ -212,7 +249,7 @@ def test_warm_rejects_limit_below_associativity():
 def test_snapshot_restore_round_trip():
     c = small_cache(assoc=4, sets=8)
     c.warm(random.Random(3), dirty_prob=0.5, max_line=4096)
-    tags, dirty = c.snapshot()
+    tags, dirty = c.base
     copy = small_cache(assoc=4, sets=8)
     copy.restore(tags, dirty)
     assert [list(w.items()) for w in copy.sets()] == \
@@ -223,8 +260,6 @@ def test_snapshot_restore_round_trip():
     assert clean.dirty_line_count() == 0
     with pytest.raises(ValueError):
         small_cache(assoc=2, sets=8).restore(tags, dirty)
-    with pytest.raises(ValueError):
-        small_cache().snapshot()      # empty sets
 
 
 def _eager_restore(cache, tags, dirty=None):
@@ -245,7 +280,7 @@ def _eager_restore(cache, tags, dirty=None):
 def _warm_snapshot(assoc, sets, seed, dirty_prob, max_line):
     src = small_cache(assoc, sets)
     src.warm(random.Random(seed), dirty_prob=dirty_prob, max_line=max_line)
-    return src.snapshot()
+    return src.base
 
 
 _addr = st.integers(0, 255).map(lambda line: line * LINE_BYTES)
@@ -258,7 +293,6 @@ _ops = st.one_of(
     st.tuples(st.just("clean_blocks"), st.lists(_addr, max_size=4)),
     st.tuples(st.just("dirty_lru_blocks"), st.integers(0, 12)),
     st.tuples(st.just("dirty_line_count")),
-    st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore"), st.booleans()),
 )
 
@@ -270,10 +304,7 @@ def _apply(cache, op, restore):
         return None
     if name == "clean_blocks":
         return cache.clean_blocks(list(args[0]))
-    try:
-        return getattr(cache, name)(*args)
-    except ValueError as exc:        # snapshot of a cache that is not full
-        return ("ValueError", str(exc))
+    return getattr(cache, name)(*args)
 
 
 @settings(max_examples=150, deadline=None)

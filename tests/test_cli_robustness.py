@@ -7,7 +7,9 @@ runner and its sync with the CI workflow."""
 import json
 import pathlib
 import re
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -343,8 +345,28 @@ def test_ci_smoke_matrix_matches_the_table():
     assert "repro smoke ${{ matrix.smoke }}" in ci
 
 
-def test_ci_gates_on_the_ledger_ab():
+def test_ci_gates_on_the_ledger_ab(tmp_path):
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "benchmarks/ledger/compare.py" in ci
     assert "python3 .github/scripts/ledger_gate.py" in ci
     assert "repro perf" not in ci
+    # The step's parent choice, run in a two-commit repository with the
+    # event's commit as $1: an all-zero or unknown commit means HEAD^.
+    pick = textwrap.dedent(ci[ci.index('          SHA="${{'):
+                              ci.index("          git worktree add")])
+    pick = re.sub(r"\$\{\{[^}]*\}\}", "$1", pick, count=1)
+
+    def run(*argv):
+        return subprocess.run(argv, cwd=tmp_path, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    git = ("git", "-c", "user.name=ci", "-c", "user.email=ci@example.com")
+    run(*git, "init", "-q")
+    run(*git, "commit", "-q", "--allow-empty", "-m", "first")
+    run(*git, "commit", "-q", "--allow-empty", "-m", "second")
+    first, second = run("git", "rev-parse", "HEAD^", "HEAD").split()
+    for unusable in ("0" * 40, "1" * 40):
+        assert run("bash", "-c", pick, "pick", unusable).startswith(
+            "A/B parent: HEAD^ ({})".format(first))
+    assert run("bash", "-c", pick, "pick", second) == \
+        "A/B parent: " + second

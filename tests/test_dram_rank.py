@@ -83,4 +83,4 @@ def test_refresh_closes_open_rows():
     r = Rank(0)
     r.access(0, 7, 0.0, T, False)
     r.refresh(1000.0, T)
-    assert r.open_row_of(0) is None
+    assert r.banks[0].open_row is None

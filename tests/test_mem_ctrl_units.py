@@ -9,28 +9,11 @@ from repro.dram.timing import manufacturer_spec_3200
 from repro.mem_ctrl.address_map import AddressMapping, MemLocation
 from repro.mem_ctrl.page_policy import PagePolicy
 from repro.mem_ctrl.policy import AccessPolicy
-from repro.mem_ctrl.queues import BoundedQueue, ReadRequest
+from repro.mem_ctrl.queues import ReadRequest
 from repro.mem_ctrl.scheduler import FrFcfsScheduler
 from repro.mem_ctrl.writeback_cache import WritebackCache
 
 T = manufacturer_spec_3200()
-
-
-def test_bounded_queue_overflow():
-    q = BoundedQueue(2, "test")
-    q.push(1)
-    q.push(2)
-    assert q.full
-    with pytest.raises(RuntimeError):
-        q.push(3)
-
-
-def test_bounded_queue_stats():
-    q = BoundedQueue(4, "test")
-    q.push(1); q.push(2)
-    q.pop_front()
-    assert q.peak_occupancy == 2
-    assert q.total_enqueued == 2
 
 
 def test_page_policy_validation():

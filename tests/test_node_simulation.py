@@ -1,12 +1,14 @@
 """Integration tests for the single-node performance simulator."""
 
 import gc
+import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cache import hierarchy as hierarchy_module
-from repro.cache.hierarchy import hierarchy1, hierarchy2
+from repro.cache.hierarchy import CacheHierarchy, hierarchy1, hierarchy2
 from repro.sim import NodeConfig, simulate_node
 from repro.sim.node import NodeSimulation
 from repro.dram.timing import exploit_freq_lat_margins
@@ -140,7 +142,11 @@ WARM_SEQUENCE = [
 ]
 
 
-def test_reused_warm_state_matches_cold_builds():
+def _caches(h):
+    return [h.l3] + h.l2s
+
+
+def test_reused_warm_state_matches_cold_builds(monkeypatch):
     cold = []
     for cell in WARM_SEQUENCE:
         hierarchy_module._last_warm = None
@@ -151,6 +157,60 @@ def test_reused_warm_state_matches_cold_builds():
         assert NodeSimulation(_paper_cfg(*cell)).run() == cold[i]
         if i in (1, 5):      # same warm key as the build before
             assert hierarchy_module._last_warm is before
+
+    # A short cell warmed with no live set, warmed with every set live
+    # and restored from either runs the same.
+    cfg = _paper_cfg(*WARM_SEQUENCE[0])
+    hierarchy_module._last_warm = None
+    lazy = NodeSimulation(cfg)
+    assert all(ways is None
+               for c in _caches(lazy.hierarchy) for ways in c._sets)
+    results = [lazy.run(), NodeSimulation(cfg).run()]
+    warm = CacheHierarchy.warm
+    monkeypatch.setattr(
+        CacheHierarchy, "warm",
+        lambda self, *args, refs_per_core, **kw: warm(self, *args, **kw))
+    hierarchy_module._last_warm = None
+    live = NodeSimulation(cfg)
+    assert all(ways is not None
+               for c in _caches(live.hierarchy) for ways in c._sets)
+    results += [live.run(), NodeSimulation(cfg).run()]
+    assert results == [cold[0]] * 4
+    hierarchy_module._last_warm = None
+
+
+def _cold_warm(monkeypatch, refs_per_core):
+    """A cold Hierarchy2 warm for ``refs_per_core`` references per
+    core, and the generator it drew from."""
+    rngs = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(hierarchy_module, "random",
+                        SimpleNamespace(Random=Recorded))
+    hierarchy_module._last_warm = None
+    h = CacheHierarchy(hierarchy2())
+    h.warm(12345 ^ 0x5EED, 1 << 20, 0.3, refs_per_core=refs_per_core)
+    hierarchy_module._last_warm = None
+    [rng] = rngs
+    return h, rng
+
+
+def test_short_run_warm_builds_no_set_and_draws_like_a_long_one(
+        monkeypatch):
+    """120 refs/core reaches fewer than the 1024 L2 and 32768 L3 sets
+    of Hierarchy2; 3000 reaches at least as many."""
+    short, short_rng = _cold_warm(monkeypatch, 120)
+    long_, long_rng = _cold_warm(monkeypatch, 3000)
+    assert all(ways is None for c in _caches(short) for ways in c._sets)
+    assert all(ways is not None for c in _caches(long_) for ways in c._sets)
+    assert short_rng.getstate() == long_rng.getstate()
+    for a, b in zip(_caches(short), _caches(long_)):
+        assert [list(w.items()) for w in a.sets()] == \
+            [list(w.items()) for w in b.sets()]
 
 
 def test_hetero_llc_starts_clean_without_disturbing_the_snapshot():
