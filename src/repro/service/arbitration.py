@@ -27,7 +27,7 @@ order is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import get_recorder
@@ -145,15 +145,6 @@ class CrossShardArbiter:
         self.stats.commits += 1
         return True
 
-    def abort(self, arb_id: int) -> bool:
-        """Release a reservation without committing (caller gave up,
-        was preempted, or is shutting down)."""
-        arb = self._reservations.get(arb_id)
-        if arb is None or arb.state != "reserved":
-            return False
-        self._teardown(arb, "abort")
-        return True
-
     def _teardown(self, arb: Reservation, why: str) -> None:
         arb.state = "aborted"
         self._reservations.pop(arb.arb_id, None)
@@ -176,6 +167,3 @@ class CrossShardArbiter:
         for arb in victims:
             self._teardown(arb, "shutdown")
         return len(victims)
-
-    def reserved_nodes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._node_owner))

@@ -278,10 +278,6 @@ class PlacementDaemon:
         """The virtual clock (advanced only by :class:`ClockTick`)."""
         return self._now_s
 
-    @property
-    def running(self) -> bool:
-        return self._task is not None
-
     async def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("daemon already running")

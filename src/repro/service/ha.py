@@ -32,8 +32,13 @@ explicit is what lets :class:`HAFailoverDrill` prove the headline
 claim — after SIGKILLs, clock skew, torn lease records, and a
 dual-owner partition, the committed decision stream is **byte-equal to
 a never-crashed single-daemon run**, with zero double commits and zero
-decisions under an expired lease (independently audited by
-:func:`~repro.service.lease.verify_control_log`).  Wall-clock time is
+decisions under an expired lease (audited as the control WAL is
+written, from its ownership events alone:
+:meth:`~repro.service.lease.ControlLog.audit`).  The drill's memory
+depends on the fleet size and the checkpoint window, not on how many
+events it runs: the WAL keeps in memory only what a retained
+checkpoint can replay, and the two decision streams are hashed and
+compared as they are produced.  Wall-clock time is
 confined to the ``ha/place_latency_s`` obs histogram and never enters
 the rendered :class:`~repro.resilience.SurvivabilityReport`, so CI can
 run the drill twice and ``cmp`` the reports.
@@ -45,7 +50,7 @@ import hashlib
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Deque, Dict, List, Optional, TextIO,
                     Tuple)
@@ -60,8 +65,7 @@ from .arbitration import CrossShardArbiter
 from .daemon import (BucketPool, Decision, DUPLICATE, PLACED,
                      RELEASED, RegistryWrite, UNKNOWN_JOB,
                      UNSATISFIABLE, CLOSED)
-from .lease import (CONTROL_LOG_FILE, ControlLog, LeaseTable,
-                    verify_control_log)
+from .lease import CONTROL_LOG_FILE, ControlLog, LeaseTable
 from .sharding import DEFAULT_SHARDS, ShardedRegistry
 from .soak import _RUNGS, _WRITE_KINDS
 
@@ -152,10 +156,6 @@ class ShardGroups:
 
     def of_shard(self, shard_id: int) -> int:
         return self._of_shard[shard_id]
-
-    def shards_of(self, group: int) -> Tuple[int, ...]:
-        return tuple(s for s, g in enumerate(self._of_shard)
-                     if g == group)
 
 
 class HADaemon:
@@ -606,12 +606,17 @@ class HAControlPlane:
 
     def checkpoint(self) -> None:
         """Persist the lease table (control-WAL seq included, so a
-        restore replays only the tail)."""
+        restore replays only the tail), then let a file-backed control
+        WAL forget the events no retained checkpoint replays."""
+        log = self.table.log
         self._ckpt.write(Checkpoint(
-            node=0, seq=self.table.log.last_seq,
-            time_ns=self.now_s * 1e9,
+            node=0, seq=log.last_seq, time_ns=self.now_s * 1e9,
             state={"lease_table": self.table.to_state()}))
         self.stats.checkpoints += 1
+        if log.path is not None:
+            log.forget_through(min(
+                ckpt.seq for _, ckpt, _ in self._ckpt.entries()
+                if ckpt is not None))
 
     def reload_control_state(self) -> None:
         """Crash-reload the lease table: newest verifying checkpoint
@@ -685,7 +690,9 @@ class HAControlPlane:
         """Torn lease record: force a renewal append, destroy it (the
         crash-mid-append shape), then crash-reload the control state.
         The lease reverts to its pre-renewal expiry — shorter, never
-        longer, so safety is preserved conservatively."""
+        longer, so safety is preserved conservatively.  A rejected
+        renewal appends nothing, so there is nothing to tear: returns
+        False and leaves the log alone."""
         target = None
         for group in range(self.groups.group_count):
             owner = self.table.owner_of(group, self.now_s)
@@ -696,10 +703,10 @@ class HAControlPlane:
         if target is None:
             return False
         daemon, group = target
-        self.table.renew(group, daemon.id, daemon.tokens[group],
-                         self.now_s)
-        if self.table.log.tear_tail() is None:
+        if not self.table.renew(group, daemon.id, daemon.tokens[group],
+                                self.now_s):
             return False
+        self.table.log.tear_tail()
         self.stats.torn_lease_records += 1
         self.reload_control_state()
         return True
@@ -779,6 +786,52 @@ def _random_write(rng: random.Random, nodes: int) -> RegistryWrite:
     else:
         payload = {"reason": "ha-drill"}
     return RegistryWrite(kind, node, payload)
+
+
+class _DecisionStream:
+    """One drill pass's decision sink.  It writes each decision's JSON
+    line to ``stream`` and hashes the stream as ``"\n".join(lines) +
+    "\n"``, one 64 KiB chunk at a time.  With ``keep`` it keeps the
+    whole stream as one bytes buffer instead; with ``against`` it
+    checks each line against another pass's kept buffer as the line
+    is produced, counting the exact common prefix."""
+
+    _CHUNK = 1 << 16
+
+    def __init__(self, stream: Optional[TextIO] = None,
+                 keep: bool = False,
+                 against: Optional[bytearray] = None):
+        self._stream = stream
+        self._hash = hashlib.sha256()
+        self._keep = keep
+        #: The whole stream with ``keep``, else its unhashed tail.
+        self.buffer = bytearray()
+        self._against = against
+        self._offset = 0
+        self.count = 0
+        self.prefix = 0
+
+    def __call__(self, decision: Decision) -> None:
+        line = decision.to_json() + "\n"
+        if self._stream is not None:
+            self._stream.write(line)
+        data = line.encode("ascii")
+        if self._against is not None and self.prefix == self.count \
+                and self._against.startswith(data, self._offset):
+            self._offset += len(data)
+            self.prefix += 1
+        self.count += 1
+        self.buffer += data
+        if not self._keep and len(self.buffer) >= self._CHUNK:
+            self._hash.update(self.buffer)
+            del self.buffer[:]
+
+    def hexdigest(self) -> str:
+        if not self.count:
+            return hashlib.sha256(b"\n").hexdigest()
+        digest = self._hash.copy()
+        digest.update(self.buffer)
+        return digest.hexdigest()
 
 
 @dataclass
@@ -879,21 +932,12 @@ class HAFailoverDrill:
                 plane.kill_daemon(0)
 
     def _run_plane(self, daemons: int, faults: bool, subdir: str,
-                   stream: Optional[TextIO]
-                   ) -> Tuple[List[str], HAControlPlane,
-                              Optional[dict], float]:
+                   sink: Callable[[Decision], None]
+                   ) -> Tuple[HAControlPlane, Optional[dict], float]:
         cfg = self.config
         path = None
         if cfg.registry_dir is not None:
             path = Path(cfg.registry_dir) / subdir
-        lines: List[str] = []
-
-        def sink(decision: Decision) -> None:
-            line = decision.to_json()
-            lines.append(line)
-            if stream is not None:
-                stream.write(line + "\n")
-
         plane = HAControlPlane(cfg, daemons=daemons,
                                registry_path=path,
                                decision_sink=sink)
@@ -942,29 +986,28 @@ class HAFailoverDrill:
                 guard += 1
             latency = rec.histogram_stats("ha", "place_latency_s")
         wall_s = time.perf_counter() - started
-        return lines, plane, latency, wall_s
+        return plane, latency, wall_s
 
     def run(self, stream: Optional[TextIO] = None,
             reference_stream: Optional[TextIO] = None
             ) -> HADrillResult:
         """Execute the drill; ``stream`` /``reference_stream`` receive
-        the two decision JSONLs (CI compares the files)."""
+        the two decision JSONLs (CI compares the files).  The HA pass
+        runs and stops first; the reference pass then checks each of
+        its lines against the HA stream as it is produced."""
         cfg = self.config
-        ha_lines, plane, latency, wall_s = self._run_plane(
-            cfg.daemons, faults=True, subdir="ha", stream=stream)
-        ref_lines, ref_plane, _, ref_wall = self._run_plane(
-            1, faults=False, subdir="reference",
-            stream=reference_stream)
-        ref_plane.stop()
+        ha = _DecisionStream(stream, keep=True)
+        plane, latency, wall_s = self._run_plane(
+            cfg.daemons, faults=True, subdir="ha", sink=ha)
         leftover = plane.stop()
-        prefix = 0
-        for ours, theirs in zip(ha_lines, ref_lines):
-            if ours != theirs:
-                break
-            prefix += 1
-        consistent = (leftover == 0 and prefix == len(ha_lines)
-                      and prefix == len(ref_lines) and prefix > 0)
-        double, expired = verify_control_log(plane.table.log.events)
+        double, expired = plane.table.log.audit()
+        ref = _DecisionStream(reference_stream, against=ha.buffer)
+        ref_plane, _, ref_wall = self._run_plane(
+            1, faults=False, subdir="reference", sink=ref)
+        ref_plane.stop()
+        prefix = ref.prefix
+        consistent = (leftover == 0 and prefix == ha.count
+                      and prefix == ref.count and prefix > 0)
         table, arb = plane.table.stats, plane.arbiter.stats
         report = SurvivabilityReport(
             seed=cfg.seed,
@@ -972,7 +1015,7 @@ class HAFailoverDrill:
             ha_scenario="failover-drill",
             ha_daemons=cfg.daemons,
             ha_groups=plane.groups.group_count,
-            ha_decisions=len(ha_lines),
+            ha_decisions=ha.count,
             daemon_crashes=plane.stats.daemon_crashes,
             daemon_partitions=plane.stats.daemon_partitions,
             failovers=plane.failover.failovers,
@@ -994,13 +1037,10 @@ class HAFailoverDrill:
             expired_lease_decisions=expired,
             prefix_consistent=consistent,
             decision_prefix_len=prefix)
-        digest = hashlib.sha256(
-            ("\n".join(ha_lines) + "\n").encode("ascii")).hexdigest()
-        ref_digest = hashlib.sha256(
-            ("\n".join(ref_lines) + "\n").encode("ascii")).hexdigest()
         latency = latency or {}
         return HADrillResult(
-            report=report, digest=digest, reference_digest=ref_digest,
+            report=report, digest=ha.hexdigest(),
+            reference_digest=ref.hexdigest(),
             p50_s=latency.get("p50"), p99_s=latency.get("p99"),
             p999_s=latency.get("p999"),
             p999_budget_s=cfg.p999_budget_s,

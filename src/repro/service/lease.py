@@ -21,17 +21,24 @@ event in the :class:`ControlLog`, an append-only canonical-JSONL WAL
 stored alongside the :class:`~repro.service.ShardedRegistry` shards
 (same torn-tail tolerance as the margin registry: a crash mid-append
 costs at most the final, incomplete line).  The log is the source of
-truth: :meth:`LeaseTable.replay` rebuilds the table from it, and
-:func:`verify_control_log` is the *independent* post-hoc checker the
-failover drill uses to prove no placement was double-committed and no
-decision was committed under an expired or stale lease.
+truth: :meth:`LeaseTable.replay` rebuilds the table from it.  A
+file-backed log keeps in memory only the events a retained checkpoint
+can still need (:meth:`ControlLog.forget_through`); the file keeps
+them all.  The log audits itself as it is written, one event behind
+(:meth:`ControlLog.audit`): an auditor that rebuilds lease validity
+from the ownership events alone, never from the live table, proves no
+placement was double-committed and no decision was committed under an
+expired or stale lease.  :func:`verify_control_log` runs the same
+auditor over a list of events (a reloaded log, a test).
 """
 
 from __future__ import annotations
 
+import copy
+import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..fleet.registry import canonical_json, fsync_dir, json_number
 from ..obs import get_recorder
@@ -133,13 +140,25 @@ class ControlLog:
     **torn-tail tolerant** on load (an interrupted final line is
     dropped and reported, every complete prefix line must parse and
     the seqs must be contiguous).
-    ``tear_tail()`` is the chaos seam: it deletes the most recent
-    event — exactly what a crash mid-append leaves behind."""
+
+    ``events`` holds the newest events: all of them for an in-memory
+    log, and for a file-backed one those :meth:`forget_through` has not
+    dropped (the file still has the rest, and :meth:`events_since`
+    reads them back from it).  Every event is fed to the log's auditor once the next
+    one is written; :meth:`audit` judges the newest without feeding
+    it, so a torn tail is never audited.
+    ``tear_tail()`` is the chaos seam: it deletes that newest event —
+    exactly what a crash mid-append leaves behind."""
 
     def __init__(self, path: Optional[object] = None):
         self.path = Path(path) if path is not None else None
         self.events: List[ControlEvent] = []
         self.torn_bytes_dropped = 0
+        #: Events dropped from memory by :meth:`forget_through`.
+        self._forgotten = 0
+        self._auditor = _Auditor()
+        #: The newest event, not yet fed to the auditor.
+        self._pending: Optional[ControlEvent] = None
         #: Append handle, opened by the first append.
         self._fh = None
         if self.path is not None:
@@ -148,7 +167,6 @@ class ControlLog:
     # -- persistence --------------------------------------------------------------
 
     def _load(self) -> None:
-        import json
         if not self.path.exists():
             return
         raw = self.path.read_bytes()
@@ -163,7 +181,7 @@ class ControlLog:
             if not line.strip():
                 continue
             try:
-                event = ControlEvent.from_doc(json.loads(line))
+                event = _parse(line)
             except (ValueError, KeyError, TypeError) as exc:
                 if i == len(complete) - 1:
                     # Torn mid-line with a stray newline flushed after:
@@ -179,17 +197,24 @@ class ControlLog:
                 raise LeaseError(
                     "control log {} seq gap: expected {}, found {}"
                     .format(self.path, len(self.events) + 1, event.seq))
-            self.events.append(event)
+            self._admit(event)
+
+    def _admit(self, event: ControlEvent) -> None:
+        """Retain ``event`` and audit the one before it."""
+        if self._pending is not None:
+            self._auditor.feed(self._pending)
+        self._pending = event
+        self.events.append(event)
 
     def append(self, kind: str, group: int, owner: int, token: int,
                time_s: float, expires_s: float = 0.0,
                payload: Optional[Dict[str, object]] = None
                ) -> ControlEvent:
-        event = ControlEvent(seq=len(self.events) + 1, kind=kind,
+        event = ControlEvent(seq=self.last_seq + 1, kind=kind,
                              group=group, owner=owner, token=token,
                              time_s=time_s, expires_s=expires_s,
                              payload=dict(payload or {}))
-        self.events.append(event)
+        self._admit(event)
         if self.path is not None:
             fh = self._fh
             if fh is None:
@@ -200,23 +225,69 @@ class ControlLog:
 
     @property
     def last_seq(self) -> int:
-        return len(self.events)
+        return self._forgotten + len(self.events)
 
-    def events_since(self, seq: int) -> List[ControlEvent]:
-        """Events with ``seq`` strictly greater than the given one."""
-        return self.events[seq:]
+    def events_since(self, seq: int) -> Iterator[ControlEvent]:
+        """Events with ``seq`` strictly greater than the given one:
+        from memory when they are all retained, else streamed from the
+        file."""
+        if seq >= self._forgotten:
+            return iter(self.events[seq - self._forgotten:])
+        return self._stream(seq)
+
+    def _stream(self, seq: int) -> Iterator[ControlEvent]:
+        # The handle is line-flushed, so the file holds every event.
+        with open(self.path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    event = _parse(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise LeaseError("corrupt control log {} line {}: {}"
+                                     .format(self.path, number, exc))
+                if event.seq > seq:
+                    yield event
+
+    def forget_through(self, seq: int) -> None:
+        """Drop the retained events with seq at or below ``seq`` (the
+        oldest checkpoint a restore can still start from).  A no-op
+        for an in-memory log, which has no file to read them back
+        from."""
+        if self.path is None:
+            return
+        drop = min(seq, self.last_seq) - self._forgotten
+        if drop > 0:
+            del self.events[:drop]
+            self._forgotten += drop
+
+    def audit(self) -> Tuple[int, int]:
+        """:func:`verify_control_log`'s verdict over every event
+        written so far, newest included."""
+        return self._auditor.verdict(self._pending)
 
     def tear_tail(self) -> Optional[ControlEvent]:
         """Chaos seam: destroy the most recent record, exactly as a
         crash mid-append would (the persisted log loses its last line;
-        the in-memory view loses the event).  Returns the casualty."""
-        if not self.events:
-            return None
-        victim = self.events.pop()
+        the in-memory view loses the event).  Returns the casualty, or
+        None when the log is empty.  Raises :class:`LeaseError` when
+        the most recent record was already audited (it was torn
+        before): a crash mid-append can only lose the newest append."""
+        victim = self._pending
+        if victim is None:
+            if self.last_seq == 0:
+                return None
+            raise LeaseError(
+                "control log: record {} was already audited; only the "
+                "newest append can be torn".format(self.last_seq))
+        self._pending = None
+        if self.events:
+            self.events.pop()
+        else:
+            self._forgotten -= 1
         if self.path is not None:
             self.close()
-            raw = self.path.read_bytes().splitlines(keepends=True)
-            self.path.write_bytes(b"".join(raw[:-1]))
+            _drop_last_line(self.path)
             if self.path.parent.is_dir():
                 fsync_dir(self.path.parent)
         return victim
@@ -225,6 +296,26 @@ class ControlLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+
+def _parse(line: bytes) -> ControlEvent:
+    return ControlEvent.from_doc(json.loads(line))
+
+
+def _drop_last_line(path: Path) -> None:
+    """Truncate ``path`` (newline-terminated) before its last line,
+    reading only the file's end."""
+    with open(path, "r+b") as fh:
+        end = fh.seek(0, 2) - 1          # the final newline
+        while end > 0:
+            start = max(0, end - 4096)
+            fh.seek(start)
+            cut = fh.read(end - start).rfind(b"\n")
+            if cut >= 0:
+                fh.truncate(start + cut + 1)
+                return
+            end = start
+        fh.truncate(0)
 
 
 @dataclass
@@ -405,71 +496,106 @@ class LeaseTable:
                 expires_s=float(doc["expires_s"]))
             for doc in state.get("leases", [])}
         self._next_token = int(state.get("next_token", 1))
-        tail = self.log.events_since(int(state.get("control_seq", 0)))
-        for event in tail:
+        replayed = 0
+        for event in self.log.events_since(
+                int(state.get("control_seq", 0))):
             self._apply(event)
-        return len(tail)
+            replayed += 1
+        return replayed
 
     def replay(self) -> None:
         """Rebuild the whole table from the control log alone."""
         self._leases = {}
         self._next_token = 1
-        for event in self.log.events:
+        for event in self.log.events_since(0):
             self._apply(event)
 
     def _apply(self, event: ControlEvent) -> None:
-        if event.kind == "acquire":
-            self._leases[event.group] = LeaseRecord(
-                group=event.group, owner=event.owner,
-                token=event.token, acquired_s=event.time_s,
-                renewed_s=event.time_s, expires_s=event.expires_s)
-        elif event.kind == "renew":
-            lease = self._leases.get(event.group)
-            if lease is not None and lease.token == event.token:
-                self._leases[event.group] = replace(
-                    lease, renewed_s=event.time_s,
-                    expires_s=event.expires_s)
-        elif event.kind == "release":
-            lease = self._leases.get(event.group)
-            if lease is not None and lease.token == event.token:
-                del self._leases[event.group]
+        _apply_ownership(self._leases, event)
         if event.token >= self._next_token:
             self._next_token = event.token + 1
 
 
-def verify_control_log(events: List[ControlEvent]
-                       ) -> Tuple[int, int]:
-    """Independent safety audit of a control log.
+def _apply_ownership(leases: Dict[int, LeaseRecord],
+                     event: ControlEvent) -> None:
+    """The replay rule: fold one acquire / renew / release into
+    ``leases`` (a commit changes no lease)."""
+    if event.kind == "acquire":
+        leases[event.group] = LeaseRecord(
+            group=event.group, owner=event.owner,
+            token=event.token, acquired_s=event.time_s,
+            renewed_s=event.time_s, expires_s=event.expires_s)
+    elif event.kind == "renew":
+        lease = leases.get(event.group)
+        if lease is not None and lease.token == event.token:
+            leases[event.group] = replace(
+                lease, renewed_s=event.time_s,
+                expires_s=event.expires_s)
+    elif event.kind == "release":
+        lease = leases.get(event.group)
+        if lease is not None and lease.token == event.token:
+            del leases[event.group]
 
-    Re-derives lease validity from the ownership events alone and
-    checks every ``commit`` against it.  Returns
-    ``(double_commits, expired_lease_commits)`` — both must be zero:
 
-    * a *double commit* is two ``placed`` commits for the same job id
+class _Auditor:
+    """Incremental safety audit of a control log, fed one event at a
+    time.  It re-derives lease validity from the ownership events alone
+    (never from a live :class:`LeaseTable`) and checks every
+    ``commit`` against it, counting:
+
+    * *double commits*: two ``placed`` commits for the same job id
       with no release in between (the placement was applied twice);
-    * an *expired-lease commit* is a commit whose ``(owner, token)``
-      did not hold a live lease on the commit's group at the commit's
+    * *expired-lease commits*: a commit whose ``(owner, token)`` did
+      not hold a live lease on the commit's group at the commit's
       timestamp (the runtime fencing gate should have rejected it).
     """
-    table = LeaseTable(duration_s=1.0)   # duration comes from events
-    double_commits = 0
-    expired = 0
-    placed_jobs: Dict[object, int] = {}
-    for event in events:
+
+    def __init__(self):
+        self._leases: Dict[int, LeaseRecord] = {}
+        self._placed: set = set()
+        self.double_commits = 0
+        self.expired_lease_commits = 0
+
+    def feed(self, event: ControlEvent) -> None:
         if event.kind != "commit":
-            table._apply(event)
-            continue
-        lease = table._leases.get(event.group)
+            _apply_ownership(self._leases, event)
+            return
+        lease = self._leases.get(event.group)
         if (lease is None or lease.owner != event.owner or
                 lease.token != event.token or
                 event.time_s >= lease.expires_s):
-            expired += 1
+            self.expired_lease_commits += 1
         status = event.payload.get("status")
-        job = event.payload.get("job")
         if status == "placed":
-            if job in placed_jobs:
-                double_commits += 1
-            placed_jobs[job] = event.seq
+            job = event.payload.get("job")
+            if job in self._placed:
+                self.double_commits += 1
+            else:
+                self._placed.add(job)
         elif status == "released":
-            placed_jobs.pop(job, None)
-    return double_commits, expired
+            self._placed.discard(event.payload.get("job"))
+
+    def verdict(self, pending: Optional[ControlEvent] = None
+                ) -> Tuple[int, int]:
+        """``(double_commits, expired_lease_commits)`` over every event
+        fed, and ``pending`` too when given (judged on a copy, so it
+        can still be torn)."""
+        probe = self
+        if pending is not None and pending.kind == "commit":
+            # A commit changes the placed set only (not the leases).
+            probe = copy.copy(self)
+            probe._placed = set(self._placed)
+            probe.feed(pending)
+        return probe.double_commits, probe.expired_lease_commits
+
+
+def verify_control_log(events: Iterable[ControlEvent]
+                       ) -> Tuple[int, int]:
+    """Safety audit of a whole control log: the auditor every
+    :class:`ControlLog` runs as it is written, fed ``events``.
+    Returns ``(double_commits, expired_lease_commits)``; both must be
+    zero (see :class:`_Auditor`)."""
+    auditor = _Auditor()
+    for event in events:
+        auditor.feed(event)
+    return auditor.verdict()

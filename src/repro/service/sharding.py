@@ -338,10 +338,6 @@ class ShardedRegistry:
         write changes it), not a global event ordering."""
         return sum(shard.last_seq for shard in self._shards)
 
-    def last_seqs(self) -> Tuple[int, ...]:
-        """Per-shard sequence vector, shard order."""
-        return tuple(shard.last_seq for shard in self._shards)
-
     def events_since(self, seq: int, node: Optional[int] = None
                      ) -> Tuple[List[RegistryEvent], bool]:
         """Per-node WAL replay, delegated to the owning shard (seqs
@@ -384,11 +380,6 @@ class ShardedRegistry:
         :meth:`MarginRegistry.close`)."""
         for shard in self._shards:
             shard.close()
-
-    def compact_all(self) -> int:
-        """Compact every shard; returns total log lines dropped."""
-        return sum(self.compact_shard(sid)
-                   for sid in range(self.shard_count))
 
     def fingerprint(self) -> str:
         """SHA-256 over every shard's canonical snapshot bytes, shard

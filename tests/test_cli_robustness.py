@@ -9,7 +9,6 @@ import pathlib
 import re
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
@@ -350,23 +349,27 @@ def test_ci_gates_on_the_ledger_ab(tmp_path):
     assert "benchmarks/ledger/compare.py" in ci
     assert "python3 .github/scripts/ledger_gate.py" in ci
     assert "repro perf" not in ci
-    # The step's parent choice, run in a two-commit repository with the
-    # event's commit as $1: an all-zero or unknown commit means HEAD^.
-    pick = textwrap.dedent(ci[ci.index('          SHA="${{'):
-                              ci.index("          git worktree add")])
-    pick = re.sub(r"\$\{\{[^}]*\}\}", "$1", pick, count=1)
+    # Every A/B job picks its parent commit through one script...
+    assert ci.count('compare.py "$PARENT"') == \
+        ci.count("bash .github/scripts/ab_parent.sh") > 0
+    # ...which, run in a two-commit repository with the event's commit
+    # as $1, maps an all-zero or unknown commit to HEAD^.
+    script = ROOT / ".github" / "scripts" / "ab_parent.sh"
 
     def run(*argv):
         return subprocess.run(argv, cwd=tmp_path, capture_output=True,
-                              text=True, check=True).stdout.strip()
+                              text=True, check=True)
 
     git = ("git", "-c", "user.name=ci", "-c", "user.email=ci@example.com")
     run(*git, "init", "-q")
     run(*git, "commit", "-q", "--allow-empty", "-m", "first")
     run(*git, "commit", "-q", "--allow-empty", "-m", "second")
-    first, second = run("git", "rev-parse", "HEAD^", "HEAD").split()
-    for unusable in ("0" * 40, "1" * 40):
-        assert run("bash", "-c", pick, "pick", unusable).startswith(
+    first, second = run("git", "rev-parse", "HEAD^", "HEAD").stdout.split()
+    for unusable in ("0" * 40, "1" * 40, ""):
+        picked = run("bash", str(script), unusable)
+        assert picked.stdout.strip() == first
+        assert picked.stderr.startswith(
             "A/B parent: HEAD^ ({})".format(first))
-    assert run("bash", "-c", pick, "pick", second) == \
-        "A/B parent: " + second
+    picked = run("bash", str(script), second)
+    assert picked.stdout.strip() == second
+    assert picked.stderr.strip() == "A/B parent: " + second

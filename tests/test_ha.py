@@ -11,15 +11,19 @@ seed, byte-identical report, decision stream equal to a never-crashed
 single-daemon run.
 """
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
-from repro.recovery import Checkpoint, CheckpointStore
+from repro.recovery import CheckpointStore
 from repro.resilience import SurvivabilityReport
-from repro.service import (BucketPool, ControlLog, CrossShardArbiter,
+from repro.service import (ControlLog, CrossShardArbiter, Decision,
                            HAConfig, HAControlPlane, HAFailoverDrill,
                            LeaseError, LeaseTable, RegistryWrite,
                            ShardGroups, ShardedRegistry,
                            verify_control_log)
+from repro.service.ha import _DecisionStream
 from repro.service.lease import CONTROL_LOG_FILE
 
 #: An unclosed file (a leaked WAL append handle) fails the test.
@@ -162,10 +166,102 @@ def test_verify_control_log_flags_double_commit_and_expired():
     assert (double, expired) == (1, 1)
 
 
+def test_online_audit_matches_a_post_hoc_pass_over_the_file(tmp_path):
+    path = tmp_path / CONTROL_LOG_FILE
+    table = LeaseTable(duration_s=10.0, log=ControlLog(path))
+    lease = table.acquire(0, owner=0, now_s=0.0)
+    good = {"job": 1, "status": "placed", "nodes": [0], "bucket": 0}
+    table.commit(0, 0, lease.token, 1.0, good)
+    # Forge a double commit, then a commit stamped past expiry.  The
+    # latter is the newest, not yet fed to the auditor: the verdict
+    # still counts it.
+    table.log.append("commit", 0, 0, lease.token, 2.0,
+                     payload=dict(good))
+    table.log.append("commit", 0, 0, lease.token, 99.0,
+                     payload={"job": 2, "status": "placed",
+                              "nodes": [1], "bucket": 0})
+    assert table.log.audit() == (1, 1)
+    table.log.close()
+    reread = ControlLog(path)
+    assert verify_control_log(reread.events) == (1, 1)
+    assert reread.audit() == (1, 1)
+
+
+def test_torn_tail_is_never_audited(tmp_path):
+    path = tmp_path / CONTROL_LOG_FILE
+    table = LeaseTable(duration_s=10.0, log=ControlLog(path))
+    lease = table.acquire(0, owner=0, now_s=0.0)
+    good = {"job": 1, "status": "placed", "nodes": [0], "bucket": 0}
+    table.commit(0, 0, lease.token, 1.0, good)
+    # A forged double commit, lost to a crash mid-append.
+    table.log.append("commit", 0, 0, lease.token, 2.0,
+                     payload=dict(good))
+    assert table.log.tear_tail().payload == good
+    assert table.log.audit() == (0, 0)
+    # The record before the torn one was audited: it cannot be torn.
+    with pytest.raises(LeaseError, match="already audited"):
+        table.log.tear_tail()
+    assert table.log.last_seq == 2
+    table.log.close()
+    assert verify_control_log(ControlLog(path).events) == (0, 0)
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_file_backed_log_forgets_only_what_no_checkpoint_replays(
+        tmp_path):
+    plane = _plane(daemons=2, path=tmp_path)
+    store = plane._ckpt
+    now, job = 1.0, 0
+    for burst in range(40):
+        now += 0.3
+        plane.tick(now)
+        for _ in range(6):
+            job += 1
+            plane.submit_place(job, 1 + job % 3)
+            if job % 2:
+                plane.submit_release(job - 1)
+        if burst % 4 == 3:
+            plane.checkpoint()
+    log = plane.table.log
+    checkpoints = [ckpt for _, ckpt, _ in store.entries()]
+    assert plane.stats.checkpoints == 10 > len(checkpoints) == store.keep
+    oldest = min(ckpt.seq for ckpt in checkpoints)
+    # Exactly the events a retained checkpoint's restore replays.
+    assert 0 < len(log.events) == log.last_seq - oldest
+    assert log.events[0].seq == oldest + 1
+    log.close()
+    replayed = LeaseTable(plane.config.lease_duration_s,
+                          ControlLog(tmp_path / CONTROL_LOG_FILE))
+    replayed.replay()
+    # Restore from every retained checkpoint in turn (newest first,
+    # each newer one made unreadable), then from none at all: the
+    # table equals a full replay of the file each time.
+    for name in [name for name, _, _ in store.entries()][::-1]:
+        plane.reload_control_state()
+        assert plane.table.to_state() == replayed.to_state()
+        (tmp_path / "control-ckpt" / name).write_text("{")
+    restores = plane.stats.restores
+    plane.reload_control_state()
+    assert plane.stats.restores == restores     # full replay
+    assert plane.table.to_state() == replayed.to_state()
+    plane.stop()
+    assert plane.table.log.audit() == verify_control_log(
+        ControlLog(tmp_path / CONTROL_LOG_FILE).events) == (0, 0)
+
+
 # ----------------------------------------------------------- arbitration
 
 def _vouch_all(group):
     return True
+
+
+def _unreserved(arb, nodes):
+    """True iff no reservation still pins any of ``nodes``: the
+    youngest possible token reserves them without a conflict."""
+    conflicts = arb.stats.reserve_conflicts
+    probe = arb.reserve(99, token=10 ** 9, nodes=nodes, groups=(),
+                        now_s=0.0, group_vouched=_vouch_all)
+    return probe is not None and arb.stats.reserve_conflicts == conflicts
 
 
 def test_reserve_conflict_broken_by_fencing_token_priority():
@@ -191,7 +287,7 @@ def test_commit_past_deadline_times_out_and_releases():
                       now_s=0.0, group_vouched=_vouch_all)
     assert not arb.commit(res.arb_id, now_s=2.5)   # past deadline
     assert arb.stats.timeouts == 1
-    assert arb.reserved_nodes() == ()
+    assert arb.outstanding() == []
     retry = arb.reserve(0, token=1, nodes=(4, 5), groups=(0,),
                         now_s=3.0, group_vouched=_vouch_all)
     assert arb.commit(retry.arb_id, now_s=3.5)
@@ -213,7 +309,7 @@ def test_release_all_frees_reserved_capacity():
                 group_vouched=_vouch_all)
     assert arb.release_all() == 2
     assert arb.outstanding() == []
-    assert arb.reserved_nodes() == ()
+    assert _unreserved(arb, (1, 2, 3))
 
 
 # ------------------------------------------------------------- the plane
@@ -233,7 +329,7 @@ def test_shard_groups_partition_is_contiguous_and_total():
     seen = [groups.of_shard(s) for s in range(16)]
     assert seen == sorted(seen)              # contiguous
     assert set(seen) == {0, 1, 2}
-    assert sum(len(groups.shards_of(g)) for g in range(3)) == 16
+    assert groups.group_count == 3
 
 
 def test_plane_places_and_releases_like_a_single_daemon():
@@ -351,6 +447,23 @@ def test_torn_lease_record_shortens_never_stretches(tmp_path):
     assert decisions[0].status == "placed"
 
 
+def test_rejected_renewal_tears_nothing(tmp_path):
+    """A forced renewal the lease table rejects appends nothing, so the
+    torn-record fault must not tear the previous, complete record."""
+    plane = _plane(daemons=2, path=tmp_path)
+    plane.tick(1.0)
+    group = sorted(plane.daemons[0].tokens)[0]
+    plane.daemons[0].tokens[group] += 100     # stale: renew is fenced
+    log = plane.table.log
+    before = (log.last_seq, (tmp_path / CONTROL_LOG_FILE).read_bytes())
+    assert not plane.tear_lease_record()
+    assert plane.stats.torn_lease_records == 0
+    assert plane.table.stats.renewals_rejected_fenced == 1
+    assert (log.last_seq,
+            (tmp_path / CONTROL_LOG_FILE).read_bytes()) == before
+    plane.stop()
+
+
 # -------------------------------------------------------- shutdown races
 
 class Sigterm(BaseException):
@@ -421,7 +534,7 @@ def test_stop_with_outstanding_reserve_releases_capacity():
     assert closed == 2
     assert [d.status for d in decisions[-2:]] == ["closed", "closed"]
     assert plane.arbiter.outstanding() == []
-    assert plane.arbiter.reserved_nodes() == ()
+    assert _unreserved(plane.arbiter, (1, 2, 3))
     assert plane.pending == 0
 
 
@@ -460,3 +573,91 @@ def test_failover_drill_smoke_is_deterministic_and_passes():
     assert first.digest == first.reference_digest
     assert first.report.render() == second.report.render()
     assert first.digest == second.digest
+
+
+def test_failover_drill_online_audit_matches_the_file(tmp_path):
+    config = HAConfig.smoke()
+    config.events = 2500
+    config.registry_dir = tmp_path
+    result = HAFailoverDrill(config).run()
+    report = result.report
+    assert report.torn_lease_records == 1
+    for subdir in ("ha", "reference"):
+        events = ControlLog(tmp_path / subdir / CONTROL_LOG_FILE).events
+        assert verify_control_log(events) == (0, 0)
+    assert (report.double_commits,
+            report.expired_lease_decisions) == (0, 0)
+    in_memory = HAFailoverDrill(replace(config, registry_dir=None)).run()
+    assert result.digest == in_memory.digest
+    assert result.report.render() == in_memory.report.render()
+
+
+def _bent_reference(monkeypatch, bend):
+    """Route the reference pass's decisions through ``bend(sink,
+    decision, index)``; ``bend`` may also emit after the pass."""
+    original = HAFailoverDrill._run_plane
+
+    def run_plane(self, daemons, faults, subdir, sink):
+        if subdir != "reference":
+            return original(self, daemons, faults, subdir, sink)
+        seen = []
+
+        def bent(decision):
+            seen.append(decision)
+            bend(sink, decision, len(seen) - 1)
+
+        out = original(self, daemons, faults, subdir, bent)
+        bend(sink, None, len(seen))
+        return out
+
+    monkeypatch.setattr(HAFailoverDrill, "_run_plane", run_plane)
+    config = HAConfig.smoke()
+    config.events = 1500
+    return HAFailoverDrill(config).run()
+
+
+@pytest.mark.parametrize("insert", [False, True])
+def test_reference_diverging_at_line_k_counts_an_exact_prefix(
+        monkeypatch, insert):
+    """Line k differs (replaced, or an extra line inserted before it):
+    the prefix stops at k, and the lines that match again after the
+    divergence do not count."""
+    k = 37
+
+    def bend(sink, decision, index):
+        if decision is None:
+            return
+        if index == k:
+            sink(replace(decision, job_id=decision.job_id + 1))
+            if not insert:
+                return
+        sink(decision)
+
+    result = _bent_reference(monkeypatch, bend)
+    assert result.report.decision_prefix_len == k
+    assert not result.report.prefix_consistent
+    assert result.digest != result.reference_digest
+
+
+def test_reference_one_line_longer_is_not_consistent(monkeypatch):
+    def bend(sink, decision, index):
+        sink(decision if decision is not None
+             else Decision(index + 1, 1, "closed"))
+
+    result = _bent_reference(monkeypatch, bend)
+    report = result.report
+    assert report.decision_prefix_len == report.ha_decisions > 0
+    assert not report.prefix_consistent
+
+
+def test_decision_stream_digest_matches_joined_lines():
+    lines = [Decision(i, i, "placed", (i,)) for i in range(1, 4)]
+    kept = _DecisionStream(keep=True)
+    for decision in lines:
+        kept(decision)
+    text = "\n".join(d.to_json() for d in lines) + "\n"
+    assert kept.hexdigest() == hashlib.sha256(
+        text.encode("ascii")).hexdigest()
+    assert bytes(kept.buffer) == text.encode("ascii")
+    assert _DecisionStream().hexdigest() == hashlib.sha256(
+        b"\n").hexdigest()

@@ -216,7 +216,8 @@ def test_kill_between_snapshot_and_truncate_is_restorable(tmp_path):
     # And the survivor can keep appending + compacting cleanly
     # (promotion past the profiled margin just clears the cap).
     survivor.record_promotion(5, 400)
-    survivor.compact_all()
+    for sid in range(survivor.shard_count):
+        survivor.compact_shard(sid)
     reloaded = ShardedRegistry(tmp_path / "fleet").node(5)
     assert reloaded.demoted_margin_mts is None
     assert reloaded.effective_margin_mts == 200
@@ -233,7 +234,10 @@ def test_append_after_compact_shard_lands_in_live_file(tmp_path):
             event.to_json() + "\n")
     registry.close()
     reloaded = ShardedRegistry(tmp_path / "fleet")
-    assert reloaded.last_seqs() == registry.last_seqs()
+    assert [reloaded.shard(sid).last_seq
+            for sid in range(reloaded.shard_count)] == \
+        [registry.shard(sid).last_seq
+         for sid in range(registry.shard_count)]
     assert reloaded.fingerprint() == registry.fingerprint()
 
 
@@ -531,7 +535,7 @@ def test_stop_drains_every_pending_future():
     decisions, daemon = _run(main())
     assert all(d.status in ("placed", "unsatisfiable")
                for d in decisions)
-    assert not daemon.running
+    assert daemon._task is None
 
 
 def test_submissions_after_stop_are_rejected():
