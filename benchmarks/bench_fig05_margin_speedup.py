@@ -5,7 +5,7 @@ Paper shape: freq+lat ~1.19x average (1.24x for Linpack); frequency
 margin alone beats latency margin alone.
 """
 
-from conftest import once, publish, runner
+from conftest import once, publish
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import suite_average

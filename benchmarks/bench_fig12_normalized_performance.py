@@ -8,46 +8,33 @@ usage, hierarchies); Hetero-DMR+FMR ~+15% over FMR; every design
 collapses to baseline in the [50~100%] bucket.
 """
 
-from conftest import once, publish, runner
+from conftest import once, publish
 
 from repro.analysis.reporting import format_table
-from repro.cache.hierarchy import hierarchy1, hierarchy2
-from repro.sim.runner import MARGIN_WEIGHTS, USAGE_WEIGHTS
-
-DESIGNS = ("fmr", "hetero-dmr", "hetero-dmr+fmr")
+from repro.sim.runner import FIG12_DESIGNS
 
 
 def test_fig12_normalized_performance(benchmark, runner):
-    def run():
-        out = {}
-        for hier in (hierarchy1(), hierarchy2()):
-            for design in DESIGNS:
-                for margin in MARGIN_WEIGHTS:
-                    for bucket in USAGE_WEIGHTS:
-                        out[(hier.name, design, margin, bucket)] = \
-                            runner.fig12_cell(hier, design, margin,
-                                              bucket)
-                    out[(hier.name, design, margin, "0-100")] = \
-                        runner.fig12_weighted(hier, design, margin)
-        return out
-
-    cells = once(benchmark, run)
+    grid = once(benchmark, runner.fig12_bars)
+    top = grid.margins[0]
     blocks = []
     for hname in ("Hierarchy1", "Hierarchy2"):
+        bars = grid.bars[hname]
         rows = []
-        for design in DESIGNS:
-            for margin in MARGIN_WEIGHTS:
+        for design in FIG12_DESIGNS:
+            for margin in grid.margins:
                 rows.append(
-                    ["{}@0.{}GT/s".format(design, margin // 100)] +
-                    ["{:.3f}".format(cells[(hname, design, margin, b)])
-                     for b in ("0-25", "25-50", "50-100", "0-100")])
+                    ["{}@{:.1f}GT/s".format(design, margin / 1000)] +
+                    ["{:.3f}".format(bars["{}@{}/{}".format(design,
+                                                            margin, b)])
+                     for b in ("0-25", "25-50", "50-100", "all")])
         blocks.append(format_table(
             ["design", "[0~25%)", "[25~50%)", "[50~100%]", "[0~100%]"],
             rows, title="Figure 12 ({}): normalized performance"
             .format(hname)))
-    hdmr = runner.headline_speedup("hetero-dmr")
-    hfmr = runner.headline_speedup("hetero-dmr+fmr")
-    fmr = runner.headline_speedup("fmr")
+    hdmr = grid.headline("hetero-dmr")
+    hfmr = grid.headline("hetero-dmr+fmr")
+    fmr = grid.headline("fmr")
     text = "\n\n".join(blocks)
     text += ("\n\nheadline (margin+usage weighted, hierarchy avg): "
              "Hetero-DMR {:.3f} (paper: 1.18); FMR {:.3f}; "
@@ -55,12 +42,12 @@ def test_fig12_normalized_performance(benchmark, runner):
              "(paper: 1.15)".format(hdmr, fmr, hfmr, hfmr / fmr))
     publish("fig12_normalized_performance", text)
     # Shape assertions: the >=50% bucket collapses to the baseline...
-    for hname in ("Hierarchy1", "Hierarchy2"):
-        for design in DESIGNS:
-            assert cells[(hname, design, 800, "50-100")] == 1.0
+    for bars in grid.bars.values():
+        for design in FIG12_DESIGNS:
+            assert bars["{}@{}/50-100".format(design, top)] == 1.0
     # ...Hetero-DMR improves on the baseline where memory is the
     # bottleneck (Hierarchy1's single busy channel)...
-    assert cells[("Hierarchy1", "hetero-dmr", 800, "0-100")] > 1.02
+    assert grid.bars["Hierarchy1"]["hetero-dmr@{}/all".format(top)] > 1.02
     # ...and Hetero-DMR+FMR tracks Hetero-DMR (the FMR copy-selection
     # benefit rides on top of the same margin machinery).
     assert abs(hfmr - hdmr) < 0.05

@@ -6,7 +6,7 @@ DRAM write energy, because static CPU energy dominates and falls with
 execution time; Hetero-DMR+FMR stays near FMR.
 """
 
-from conftest import once, publish, runner
+from conftest import once, publish
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import mean

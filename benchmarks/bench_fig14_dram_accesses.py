@@ -5,7 +5,7 @@ proactively cleaning LLC lines that get re-dirtied.
 Paper: <1% average overhead.
 """
 
-from conftest import once, publish, runner
+from conftest import once, publish
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import mean

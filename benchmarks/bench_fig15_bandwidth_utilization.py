@@ -2,7 +2,7 @@
 manufacturer-specified setting under Hierarchy1, split into read and
 write shares.  Paper: writes are ~15% of traffic on average."""
 
-from conftest import once, publish, runner
+from conftest import once, publish
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import mean

@@ -6,7 +6,7 @@ Paper: the two differ by ~2-3% on average, with Hetero-DMR slightly
 below the raw freq+lat margin setting.
 """
 
-from conftest import once, publish, runner
+from conftest import once, publish
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import mean

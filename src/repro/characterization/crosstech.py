@@ -34,10 +34,6 @@ from .montecarlo import MarginMonteCarlo
 __all__ = ["backend_performance_model", "characterize_backend",
            "compare_backends", "placement_comparison"]
 
-#: Figure 12 usage bucket -> the system model's job memory bucket.
-_BUCKET_TO_JOB = {"0-25": "under_25", "25-50": "25_to_50",
-                  "50-100": "over_50"}
-
 
 def characterize_backend(backend: Optional[str] = None,
                          trials: int = 4000,
@@ -91,36 +87,23 @@ def backend_performance_model(backend: Optional[str] = None,
     fleet's system model reflects retry/transition overheads instead of
     clean-node speedups.
     """
-    from ..analysis.stats import suite_average
     from ..cache.hierarchy import HIERARCHIES
-    from ..hpc.simulator import PerformanceModel
-    from ..sim.node import effective_design
-    from ..sim.runner import BUCKET_UTILIZATION, ExperimentRunner
+    from ..sim.runner import ExperimentRunner, fig12_grid, grid_margins
     from ..workloads.registry import suite_names
     name = resolve_backend(backend)
-    b = get_backend(name)
-    suites = tuple(suites) if suites else tuple(suite_names())
-    hier = HIERARCHIES[hierarchy]()
     runner = ExperimentRunner(refs_per_core=refs_per_core, seed=seed,
                               fidelity="cycle", backend=name)
-    base = {s: runner.baseline(s, hier).time_ns for s in suites}
-    speedups: Dict[int, Dict[str, float]] = {}
-    for margin in b.margin_buckets:
-        table: Dict[str, float] = {}
-        for bucket, util in BUCKET_UTILIZATION.items():
-            eff = effective_design(design, util)
-            per_suite = {
-                s: base[s] / runner.run(
-                    s, hier, eff, margin_mts=margin,
-                    memory_utilization=util,
-                    read_error_rate=read_error_rate,
-                    transition_fault_rate=transition_fault_rate
-                    ).time_ns
-                for s in suites}
-            table[_BUCKET_TO_JOB[bucket]] = suite_average(per_suite)
-        speedups[margin] = table
-    speedups[0] = {b_: 1.0 for b_ in _BUCKET_TO_JOB.values()}
-    return PerformanceModel(speedups=speedups)
+
+    def time_ns(suite, hier, cell_design, margin_mts, utilization):
+        return runner.run(suite, hier, cell_design, margin_mts=margin_mts,
+                          memory_utilization=utilization,
+                          read_error_rate=read_error_rate,
+                          transition_fault_rate=transition_fault_rate
+                          ).time_ns
+
+    return fig12_grid(time_ns, tuple(suites or suite_names()),
+                      [HIERARCHIES[hierarchy]()], grid_margins(name),
+                      designs=(design,)).performance_model(design)
 
 
 def placement_comparison(backend: Optional[str],
@@ -150,8 +133,8 @@ def placement_comparison(backend: Optional[str],
             MarginAwareAllocationPolicy(buckets=buckets)),
         performance=model).run(trace)
     return {
-        "conventional": _metrics(conventional, total_nodes),
-        "margin_aware": _metrics(margin_aware, total_nodes),
+        "conventional": conventional.summary(total_nodes),
+        "margin_aware": margin_aware.summary(total_nodes),
         "mean_turnaround_improvement": round(
             conventional.mean_turnaround_s()
             / margin_aware.mean_turnaround_s(), 6),
@@ -228,16 +211,3 @@ def compare_backends(backends: Sequence[str] = ("ddr4", "mrdimm"),
     report["comparison"] = comparison
     return report
 
-
-def _metrics(result, total_nodes: int) -> dict:
-    return {
-        "mean_execution_s": round(result.mean_execution_s(), 3),
-        "mean_queue_delay_s": round(result.mean_queue_delay_s(), 3),
-        "mean_turnaround_s": round(result.mean_turnaround_s(), 3),
-        "p95_turnaround_s": round(
-            result.percentile_turnaround_s(0.95), 3),
-        "mean_bounded_slowdown": round(
-            result.mean_bounded_slowdown(), 6),
-        "node_utilization": round(
-            result.node_utilization(total_nodes), 6),
-    }

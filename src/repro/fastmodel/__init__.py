@@ -11,11 +11,10 @@ from .calibration import (ARTIFACT_ENV_VAR, CALIBRATION_VERSION,
                           Calibration, CalibrationError,
                           CalibrationMissingError,
                           CorruptCalibrationError, StaleCalibrationError,
-                          default_artifact_path, grid_designs, grid_hash,
+                          default_artifact_path, grid_hash,
                           grid_spec, load_default_calibration,
                           run_calibration)
-from .cluster import (cluster_sweep, model_margins,
-                      performance_model_from_calibration)
+from .cluster import cluster_sweep, performance_model_from_calibration
 from .crosscheck import (RANK_QUANTUM, SPEEDUP_TOLERANCE, fig12_speedups,
                          run_crosscheck)
 from .model import (MODEL_VERSION, FastModelError, predict_cell,
@@ -26,8 +25,7 @@ __all__ = ["ARTIFACT_ENV_VAR", "CALIBRATION_VERSION", "Calibration",
            "CorruptCalibrationError", "FastModelError", "MODEL_VERSION",
            "RANK_QUANTUM", "SPEEDUP_TOLERANCE", "StaleCalibrationError",
            "cluster_sweep", "default_artifact_path", "fig12_speedups",
-           "grid_designs", "grid_hash", "grid_spec",
-           "load_default_calibration", "model_margins",
+           "grid_hash", "grid_spec", "load_default_calibration",
            "performance_model_from_calibration", "predict_cell",
            "run_calibration", "run_crosscheck", "simulate_node_fast",
            "simulate_nodes_fast"]

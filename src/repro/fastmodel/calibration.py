@@ -39,13 +39,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..cache.hierarchy import HIERARCHIES
+from ..cache.hierarchy import HIERARCHIES, HierarchyConfig
 from ..dram.backend import get_backend, resolve_backend
 from ..dram.frequency import TRANSITION_NS
 from ..dram.rank import BANKS_PER_RANK
+from ..sim.node import SPEC_ONLY_DESIGNS, effective_design
+from ..sim.runner import FIG12_DESIGNS, grid_margins
 from ..workloads.registry import suite_names
 from .model import (MODEL_VERSION, FastModelError, evaluate, features,
-                    read_timing, write_timing)
+                    predict_cell, read_timing, write_timing)
 
 #: Bump when the artifact schema changes.  v4: the grid is keyed by
 #: memory backend (spec timing, margin rungs, and rank topology come
@@ -62,30 +64,6 @@ GRID_REFS_PER_CORE = 3000
 
 #: Grid seed (the figure benches' default).
 GRID_SEED = 12345
-
-#: Effective designs x margins of the DDR4 calibration grid.  None
-#: means the design never leaves spec timing (margin inert).  Other
-#: backends substitute their own margin rungs — see
-#: :func:`grid_designs`.
-GRID_DESIGNS: Tuple[Tuple[str, Tuple[Optional[int], ...]], ...] = (
-    ("baseline", (None,)),
-    ("fmr", (None,)),
-    ("hetero-dmr", (800, 600)),
-    ("hetero-dmr+fmr", (800, 600)),
-)
-
-
-def grid_designs(backend: Optional[str] = None
-                 ) -> Tuple[Tuple[str, Tuple[Optional[int], ...]], ...]:
-    """The calibration grid's designs x margins for ``backend`` (the
-    margin rungs are the backend's node-group buckets)."""
-    buckets = get_backend(backend).margin_buckets
-    return (
-        ("baseline", (None,)),
-        ("fmr", (None,)),
-        ("hetero-dmr", tuple(buckets)),
-        ("hetero-dmr+fmr", tuple(buckets)),
-    )
 
 #: Default artifact location, relative to the repo root.
 DEFAULT_ARTIFACT = Path("benchmarks") / "perf" / "fastmodel_calibration.json"
@@ -150,7 +128,7 @@ def grid_spec(suites: Tuple[str, ...], hierarchies: Tuple[str, ...],
     backend_name = resolve_backend(backend)
     backend_obj = get_backend(backend_name)
     spec = backend_obj.spec_timing()
-    designs = grid_designs(backend_name)
+    margins = grid_margins(backend_name)
     hier_geometry = {}
     for name in hierarchies:
         h = HIERARCHIES[name]()
@@ -161,8 +139,6 @@ def grid_spec(suites: Tuple[str, ...], hierarchies: Tuple[str, ...],
             "l2_bytes_per_core": h.l2_bytes_per_core,
             "l3_bytes_total": h.l3_bytes_total,
         }
-    margins = sorted({m for _, ms in designs
-                      for m in ms if m is not None}, reverse=True)
     margin_timing = {}
     for m in margins:
         t = read_timing("hetero-dmr", m, True, None, backend_obj)
@@ -178,7 +154,9 @@ def grid_spec(suites: Tuple[str, ...], hierarchies: Tuple[str, ...],
         "backend": backend_name,
         "suites": list(suites),
         "hierarchies": hier_geometry,
-        "designs": {d: list(ms) for d, ms in designs},
+        # Spec-only designs have one cell; margin designs one per rung.
+        "designs": {d: [None] if d in SPEC_ONLY_DESIGNS else list(margins)
+                    for d in ("baseline",) + FIG12_DESIGNS},
         "refs_per_core": refs_per_core,
         "seed": seed,
         "spec_timing": {
@@ -257,6 +235,26 @@ class Calibration:
             at_or_below = [m for m in concrete if m <= margin_mts]
             chosen = at_or_below[-1] if at_or_below else concrete[0]
         return self.cells[cell_id(suite, hierarchy, design, chosen)]
+
+    def cycle_time(self, suite: str, hierarchy: HierarchyConfig,
+                   design: str, margin_mts: int,
+                   memory_utilization: float) -> float:
+        """A Figure 12 cell's cycle-engine runtime, as calibrated (a
+        :data:`repro.sim.runner.CellTime`)."""
+        return self.lookup_cell(
+            suite, hierarchy.name,
+            effective_design(design, memory_utilization),
+            margin_mts)["t_norm_cycle"]
+
+    def fast_time(self, suite: str, hierarchy: HierarchyConfig,
+                  design: str, margin_mts: int,
+                  memory_utilization: float) -> float:
+        """A Figure 12 cell's fast-tier runtime (a
+        :data:`repro.sim.runner.CellTime`)."""
+        return predict_cell(
+            self, suite, hierarchy,
+            effective_design(design, memory_utilization),
+            margin_mts)["t_norm"]
 
     def slope_for(self, suite: str, hierarchy: str) -> float:
         key = "{}|{}".format(suite, hierarchy)
@@ -431,7 +429,6 @@ def run_calibration(suites: Optional[Tuple[str, ...]] = None,
     from ..sim.node import NodeConfig, simulate_node
     backend_name = resolve_backend(backend)
     backend_obj = get_backend(backend_name)
-    designs = grid_designs(backend_name)
     suites = tuple(suites) if suites else tuple(suite_names())
     hierarchies = (tuple(hierarchies) if hierarchies
                    else tuple(HIERARCHIES))
@@ -445,7 +442,7 @@ def run_calibration(suites: Optional[Tuple[str, ...]] = None,
         hier = HIERARCHIES[hier_name]()
         for suite in suites:
             pair_cells: List[Tuple[str, Optional[int], dict]] = []
-            for design, margins in designs:
+            for design, margins in spec["designs"].items():
                 for margin in margins:
                     result = simulate_node(NodeConfig(
                         suite=suite, hierarchy=hier, design=design,

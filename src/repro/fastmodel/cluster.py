@@ -12,38 +12,15 @@ scheduler, not the memory model — seconds, not CPU-months.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..analysis.stats import suite_average
 from ..cache.hierarchy import HIERARCHIES
 from ..hpc.cluster import Cluster
 from ..hpc.simulator import (CONVENTIONAL_MODEL, PerformanceModel,
                              SystemSimulator)
 from ..hpc.traces import TraceConfig, generate_trace
-from ..sim.node import effective_design
-from ..sim.runner import BUCKET_UTILIZATION
+from ..sim.runner import fig12_grid, grid_margins
 from .calibration import Calibration, load_default_calibration
-from .model import predict_cell
-
-#: Figure 12 usage bucket -> the system model's job memory bucket.
-_BUCKET_TO_JOB = {"0-25": "under_25", "25-50": "25_to_50",
-                  "50-100": "over_50"}
-
-#: Node margins the scheduler's classes use (plus the no-margin class)
-#: when the calibration grid predates per-design margin lists.
-_MODEL_MARGINS = (800, 600)
-
-
-def model_margins(calibration: Calibration,
-                  design: str = "hetero-dmr") -> Tuple[int, ...]:
-    """Concrete node margins the calibration was fit over for
-    ``design`` — the scheduler classes a derived system model must
-    carry.  Grid-derived so an MRDIMM calibration yields MRDIMM-scale
-    buckets (2200/1600), not the DDR4 constants."""
-    designs = calibration.grid.get("designs") or {}
-    margins = tuple(m for m in designs.get(design, ())
-                    if m is not None)
-    return margins or _MODEL_MARGINS
 
 
 def performance_model_from_calibration(
@@ -54,39 +31,20 @@ def performance_model_from_calibration(
     """Build the system-level performance model from the fast tier.
 
     Each (margin, job bucket) entry is the Figure 12 bar for
-    ``design`` — suite-equal average speedup over the baseline at the
-    bucket's representative utilization, averaged across hierarchies.
+    ``design`` on the calibrated backend's margin rungs, averaged
+    across hierarchies
+    (:meth:`repro.sim.runner.Fig12Bars.performance_model`).
     Utilization resolves the effective design exactly as a node
     simulation would, so the >=50% bucket collapses to 1.0 on its own
     (replication is infeasible there), not by special-casing.
     """
     calibration = calibration or load_default_calibration()
-    suites = tuple(calibration.grid["suites"])
     hierarchies = tuple(hierarchies) if hierarchies else \
         tuple(calibration.grid["hierarchies"])
-    hiers = [HIERARCHIES[name]() for name in hierarchies]
-    margins = model_margins(calibration, design)
-    speedups: Dict[int, Dict[str, float]] = {}
-    for margin in margins:
-        table: Dict[str, float] = {}
-        for bucket, util in BUCKET_UTILIZATION.items():
-            eff = effective_design(design, util)
-            per_hier = []
-            for hier in hiers:
-                per_suite = {}
-                for suite in suites:
-                    base = predict_cell(calibration, suite, hier,
-                                        "baseline",
-                                        margins[0])["t_norm"]
-                    cell = predict_cell(calibration, suite, hier, eff,
-                                        margin)["t_norm"]
-                    per_suite[suite] = base / cell
-                per_hier.append(suite_average(per_suite))
-            table[_BUCKET_TO_JOB[bucket]] = \
-                sum(per_hier) / len(per_hier)
-        speedups[margin] = table
-    speedups[0] = {b: 1.0 for b in _BUCKET_TO_JOB.values()}
-    return PerformanceModel(speedups=speedups)
+    return fig12_grid(calibration.fast_time, calibration.grid["suites"],
+                      [HIERARCHIES[name]() for name in hierarchies],
+                      grid_margins(calibration.backend),
+                      designs=(design,)).performance_model(design)
 
 
 def cluster_sweep(total_nodes: int = 10_000, job_count: int = 2_000,
@@ -118,24 +76,11 @@ def cluster_sweep(total_nodes: int = 10_000, job_count: int = 2_000,
         "model_speedups": {str(m): {k: round(v, 6)
                                     for k, v in sorted(t.items())}
                            for m, t in sorted(model.speedups.items())},
-        "conventional": _metrics(conventional, total_nodes),
-        "hetero_dmr": _metrics(hetero, total_nodes),
+        "conventional": conventional.summary(total_nodes),
+        "hetero_dmr": hetero.summary(total_nodes),
         "mean_turnaround_improvement": round(
             conventional.mean_turnaround_s()
             / hetero.mean_turnaround_s(), 6),
         "wall_s": wall_s,
     }
 
-
-def _metrics(result, total_nodes: int) -> dict:
-    return {
-        "mean_execution_s": round(result.mean_execution_s(), 3),
-        "mean_queue_delay_s": round(result.mean_queue_delay_s(), 3),
-        "mean_turnaround_s": round(result.mean_turnaround_s(), 3),
-        "p95_turnaround_s": round(
-            result.percentile_turnaround_s(0.95), 3),
-        "mean_bounded_slowdown": round(
-            result.mean_bounded_slowdown(), 6),
-        "node_utilization": round(
-            result.node_utilization(total_nodes), 6),
-    }

@@ -30,27 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.stats import suite_average, weighted_mean
 from ..cache.hierarchy import HIERARCHIES
-from ..sim.node import effective_design
-from ..sim.runner import BUCKET_UTILIZATION, MARGIN_WEIGHTS, USAGE_WEIGHTS
+from ..sim.runner import fig12_grid, grid_margins
 from .calibration import Calibration, load_default_calibration
-from .model import predict_cell
-
-#: Figure 12 designs (as configured; utilization resolves them).
-FIG12_DESIGNS = ("fmr", "hetero-dmr", "hetero-dmr+fmr")
-
-#: Figure 12 margin settings, MT/s above specification (the DDR4
-#: defaults; checks against a calibration artifact use the artifact's
-#: own grid margins so MRDIMM artifacts check their 2200/1600 rungs).
-FIG12_MARGINS = (800, 600)
-
-
-def _grid_margins(calibration: Calibration) -> Tuple[int, ...]:
-    designs = calibration.grid.get("designs") or {}
-    margins = tuple(m for m in designs.get("hetero-dmr", ())
-                    if m is not None)
-    return margins or FIG12_MARGINS
 
 #: Maximum absolute disagreement tolerated on any weighted speedup.
 #: The committed calibration fits the cycle grid to well under 0.005;
@@ -98,14 +80,6 @@ def _inversions(cycle: Dict[str, float],
     return out
 
 
-def _t_cycle(calibration: Calibration, suite: str, hier_name: str,
-             design: str, margin: Optional[int]) -> float:
-    if margin is None:
-        margin = _grid_margins(calibration)[0]
-    cell = calibration.lookup_cell(suite, hier_name, design, margin)
-    return cell["t_norm_cycle"]
-
-
 def fig12_speedups(calibration: Optional[Calibration] = None,
                    suites: Optional[Tuple[str, ...]] = None,
                    hierarchies: Optional[Tuple[str, ...]] = None
@@ -113,9 +87,8 @@ def fig12_speedups(calibration: Optional[Calibration] = None,
     """Per-hierarchy Figure 12 bars under both tiers.
 
     Returns ``{hierarchy: {"cycle": bars, "fast": bars}}`` where each
-    bars dict maps ``design@margin/bucket`` (plus ``design@margin/all``
-    for the usage-weighted bar and ``design/headline`` for the
-    margin-weighted aggregate) to a speedup over the baseline.
+    bars dict is :func:`repro.sim.runner.fig12_grid`'s, on the
+    calibrated backend's margin rungs.
     """
     calibration = calibration or load_default_calibration()
     suites = tuple(suites) if suites else \
@@ -127,51 +100,14 @@ def fig12_speedups(calibration: Optional[Calibration] = None,
     if missing:
         raise ValueError("suites not in calibration grid: {}".format(
             ", ".join(missing)))
-    margins = _grid_margins(calibration)
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for hier_name in hierarchies:
-        hier = HIERARCHIES[hier_name]()
-        bars: Dict[str, Dict[str, float]] = {"cycle": {}, "fast": {}}
-        for tier in ("cycle", "fast"):
-            def t_norm(suite: str, design: str, margin: int,
-                       util: float) -> float:
-                eff = effective_design(design, util)
-                if tier == "cycle":
-                    return _t_cycle(calibration, suite, hier_name, eff,
-                                    margin)
-                return predict_cell(calibration, suite, hier, eff,
-                                    margin)["t_norm"]
-
-            base = {s: _t_cycle(calibration, s, hier_name, "baseline",
-                                None) if tier == "cycle"
-                    else predict_cell(calibration, s, hier, "baseline",
-                                      margins[0])["t_norm"]
-                    for s in suites}
-            for design in FIG12_DESIGNS:
-                per_margin = {}
-                for margin in margins:
-                    per_bucket = {}
-                    for bucket, util in BUCKET_UTILIZATION.items():
-                        cell = suite_average({
-                            s: base[s] / t_norm(s, design, margin, util)
-                            for s in suites})
-                        bars[tier]["{}@{}/{}".format(design, margin,
-                                                     bucket)] = cell
-                        per_bucket[bucket] = cell
-                    weighted = weighted_mean(
-                        [per_bucket[b] for b in USAGE_WEIGHTS],
-                        [USAGE_WEIGHTS[b] for b in USAGE_WEIGHTS])
-                    bars[tier]["{}@{}/all".format(design,
-                                                  margin)] = weighted
-                    per_margin[margin] = weighted
-                # Group fractions apply by bucket *rank* (fastest
-                # first), so MRDIMM rungs reuse the 62/36 split.
-                mweights = dict(zip(margins, MARGIN_WEIGHTS.values()))
-                bars[tier]["{}/headline".format(design)] = weighted_mean(
-                    [per_margin[m] for m in mweights],
-                    [mweights[m] for m in mweights])
-        out[hier_name] = bars
-    return out
+    hiers = [HIERARCHIES[name]() for name in hierarchies]
+    margins = grid_margins(calibration.backend)
+    tiers = {"cycle": fig12_grid(calibration.cycle_time, suites, hiers,
+                                 margins).bars,
+             "fast": fig12_grid(calibration.fast_time, suites, hiers,
+                                margins).bars}
+    return {name: {tier: bars[name] for tier, bars in tiers.items()}
+            for name in hierarchies}
 
 
 def run_crosscheck(calibration: Optional[Calibration] = None,

@@ -87,6 +87,20 @@ class SystemResult:
         busy = sum(j.runtime_s * j.nodes_requested for j in self.jobs)
         return busy / (span * total_nodes) if span > 0 else 0.0
 
+    def summary(self, total_nodes: int) -> Dict[str, float]:
+        """The headline metrics, rounded for deterministic reports."""
+        return {
+            "mean_execution_s": round(self.mean_execution_s(), 3),
+            "mean_queue_delay_s": round(self.mean_queue_delay_s(), 3),
+            "mean_turnaround_s": round(self.mean_turnaround_s(), 3),
+            "p95_turnaround_s": round(
+                self.percentile_turnaround_s(0.95), 3),
+            "mean_bounded_slowdown": round(
+                self.mean_bounded_slowdown(), 6),
+            "node_utilization": round(
+                self.node_utilization(total_nodes), 6),
+        }
+
 
 class SystemSimulator:
     """Discrete-event simulation of submit -> queue -> run -> finish."""

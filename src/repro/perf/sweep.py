@@ -27,12 +27,10 @@ from typing import Dict, List, Optional, Tuple
 from ..cache.hierarchy import HIERARCHIES
 from ..dram.backend import resolve_backend
 from ..sim.fidelity import ensure_fidelity_supported
-from ..sim.node import NodeConfig, effective_design, simulate_node
-from ..sim.runner import BUCKET_UTILIZATION
+from ..sim.node import (SPEC_ONLY_DESIGNS, NodeConfig, effective_design,
+                        simulate_node)
+from ..sim.runner import BUCKET_UTILIZATION, grid_margins
 from ..workloads.registry import suite_names
-
-#: Effective designs that never leave spec timing (margin knobs inert).
-_SPEC_ONLY = ("baseline", "baseline-plain", "fmr")
 
 
 def available_cpus() -> int:
@@ -73,7 +71,9 @@ class SweepConfig:
 
     The grid is the cross product of ``suites x hierarchies x designs
     x margins x buckets x seeds`` (baseline cells ignore margins and
-    buckets — they are normalized away).  ``workers <= 1`` runs
+    buckets — they are normalized away, and record the backend's top
+    rung).  ``margins`` defaults to the backend's margin rungs
+    (:func:`repro.sim.runner.grid_margins`).  ``workers <= 1`` runs
     serially; larger values fan out over a process pool with identical
     results.
     """
@@ -81,7 +81,7 @@ class SweepConfig:
     hierarchies: Tuple[str, ...] = ("Hierarchy1", "Hierarchy2")
     designs: Tuple[str, ...] = ("baseline", "fmr", "hetero-dmr",
                                 "hetero-dmr+fmr")
-    margins: Tuple[int, ...] = (800, 600)
+    margins: Tuple[int, ...] = ()
     buckets: Tuple[str, ...] = ("0-25", "25-50", "50-100")
     seeds: Tuple[int, ...] = (12345,)
     refs_per_core: int = 3000
@@ -102,6 +102,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.suites:
             object.__setattr__(self, "suites", tuple(suite_names()))
+        if not self.margins:
+            object.__setattr__(self, "margins",
+                               grid_margins(self.backend))
         if self.refs_per_core <= 0:
             raise ValueError("refs_per_core must be positive")
         for h in self.hierarchies:
@@ -128,6 +131,7 @@ class SweepConfig:
     def cells(self) -> List[dict]:
         """The sweep's cells in deterministic grid order."""
         out = []
+        top_rung = grid_margins(self.backend)[0]
         for hier in self.hierarchies:
             for suite in self.suites:
                 for seed in self.seeds:
@@ -135,7 +139,7 @@ class SweepConfig:
                         if design in ("baseline", "baseline-plain"):
                             out.append(dict(
                                 suite=suite, hierarchy=hier,
-                                design=design, margin_mts=800,
+                                design=design, margin_mts=top_rung,
                                 bucket="0-25", seed=seed))
                             continue
                         for margin in self.margins:
@@ -150,13 +154,10 @@ class SweepConfig:
 def cell_key(cell: dict) -> tuple:
     """Normalized effective-cell key: cells with equal keys provably
     produce identical simulation results."""
-    util = BUCKET_UTILIZATION[cell["bucket"]]
-    eff = effective_design(cell["design"], util)
-    if eff in _SPEC_ONLY:
-        return (cell["suite"], cell["hierarchy"], eff, None,
-                cell["seed"])
-    return (cell["suite"], cell["hierarchy"], eff, cell["margin_mts"],
-            cell["seed"])
+    eff = effective_design(cell["design"],
+                           BUCKET_UTILIZATION[cell["bucket"]])
+    margin = None if eff in SPEC_ONLY_DESIGNS else cell["margin_mts"]
+    return (cell["suite"], cell["hierarchy"], eff, margin, cell["seed"])
 
 
 def _task_config(task: Tuple) -> NodeConfig:

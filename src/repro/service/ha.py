@@ -67,7 +67,7 @@ from .daemon import (BucketPool, Decision, DUPLICATE, PLACED,
                      UNSATISFIABLE, CLOSED)
 from .lease import CONTROL_LOG_FILE, ControlLog, LeaseTable
 from .sharding import DEFAULT_SHARDS, ShardedRegistry
-from .soak import _RUNGS, _WRITE_KINDS
+from .soak import random_registry_write
 
 __all__ = ["FailoverManager", "HAConfig", "HAControlPlane",
            "HADaemon", "HADrillResult", "HAFailoverDrill",
@@ -767,27 +767,6 @@ class HAControlPlane:
         daemon.pool_stale = False
 
 
-def _random_write(rng: random.Random, nodes: int) -> RegistryWrite:
-    """Same registry-write mix as the soak generator."""
-    node = rng.randrange(nodes)
-    kind = _WRITE_KINDS[rng.randrange(len(_WRITE_KINDS))]
-    if kind in ("demote", "promote", "adapt"):
-        payload = {"margin_mts": _RUNGS[rng.randrange(len(_RUNGS))],
-                   "reason": "ha-drill"}
-        if kind == "adapt":
-            payload["direction"] = "down"
-    elif kind == "profile":
-        payload = {"margin_mts": _RUNGS[rng.randrange(3)],
-                   "channel_margins": [], "attempts": 1}
-    elif kind == "drift":
-        payload = {"ambient_c": 20.0 + rng.random() * 15.0,
-                   "dimm_c": 40.0 + rng.random() * 20.0,
-                   "reason": "ha-drill"}
-    else:
-        payload = {"reason": "ha-drill"}
-    return RegistryWrite(kind, node, payload)
-
-
 class _DecisionStream:
     """One drill pass's decision sink.  It writes each decision's JSON
     line to ``stream`` and hashes the stream as ``"\n".join(lines) +
@@ -973,7 +952,8 @@ class HAFailoverDrill:
                             10_000_000 + rng.randrange(1000))
                     else:
                         plane.submit_write(
-                            _random_write(rng, cfg.nodes))
+                            random_registry_write(rng, cfg.nodes,
+                                                  "ha-drill"))
                     events += 1
                 if bursts % cfg.checkpoint_every_bursts == 0:
                     plane.checkpoint()

@@ -169,35 +169,39 @@ class ControlLog:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        complete, tail = lines[:-1], lines[-1]
-        if tail:
-            # No trailing newline: the final append was interrupted.
-            self.torn_bytes_dropped = len(tail)
-            self.path.write_bytes(b"\n".join(complete) + b"\n"
-                                  if complete else b"")
-        for i, line in enumerate(complete):
+        # Streamed: a corrupt line is fatal only once a complete line
+        # follows it; otherwise it is a torn tail, cut off in place.
+        keep: Optional[int] = None       # truncation offset, if torn
+        corrupt: Optional[Tuple[int, Exception]] = None
+        for number, offset, line in _lines(self.path):
+            if corrupt is not None and line.endswith(b"\n"):
+                raise LeaseError("corrupt control log {} line {}: {}"
+                                 .format(self.path, *corrupt))
+            if not line.endswith(b"\n"):
+                # No trailing newline: the final append was interrupted.
+                self.torn_bytes_dropped += len(line)
+                if keep is None:
+                    keep = offset
+                break
             if not line.strip():
                 continue
             try:
                 event = _parse(line)
             except (ValueError, KeyError, TypeError) as exc:
-                if i == len(complete) - 1:
-                    # Torn mid-line with a stray newline flushed after:
-                    # still the tail; drop it.
-                    self.torn_bytes_dropped += len(line)
-                    self.path.write_bytes(
-                        b"\n".join(complete[:-1]) + b"\n"
-                        if complete[:-1] else b"")
-                    break
-                raise LeaseError("corrupt control log {} line {}: {}"
-                                 .format(self.path, i + 1, exc))
+                # Torn mid-line with a stray newline flushed after:
+                # still the tail if nothing complete follows.
+                corrupt = (number, exc)
+                keep = offset
+                self.torn_bytes_dropped += len(line) - 1
+                continue
             if event.seq != len(self.events) + 1:
                 raise LeaseError(
                     "control log {} seq gap: expected {}, found {}"
                     .format(self.path, len(self.events) + 1, event.seq))
             self._admit(event)
+        if keep is not None:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(keep)
 
     def _admit(self, event: ControlEvent) -> None:
         """Retain ``event`` and audit the one before it."""
@@ -237,17 +241,16 @@ class ControlLog:
 
     def _stream(self, seq: int) -> Iterator[ControlEvent]:
         # The handle is line-flushed, so the file holds every event.
-        with open(self.path, "rb") as fh:
-            for number, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    event = _parse(line)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise LeaseError("corrupt control log {} line {}: {}"
-                                     .format(self.path, number, exc))
-                if event.seq > seq:
-                    yield event
+        for number, _, line in _lines(self.path):
+            if not line.strip():
+                continue
+            try:
+                event = _parse(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise LeaseError("corrupt control log {} line {}: {}"
+                                 .format(self.path, number, exc))
+            if event.seq > seq:
+                yield event
 
     def forget_through(self, seq: int) -> None:
         """Drop the retained events with seq at or below ``seq`` (the
@@ -300,6 +303,16 @@ class ControlLog:
 
 def _parse(line: bytes) -> ControlEvent:
     return ControlEvent.from_doc(json.loads(line))
+
+
+def _lines(path: Path) -> Iterator[Tuple[int, int, bytes]]:
+    """``(line number, byte offset, line)`` for each line of ``path``,
+    read one at a time; a torn final line lacks its newline."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            yield number, offset, line
+            offset += len(line)
 
 
 def _drop_last_line(path: Path) -> None:

@@ -57,6 +57,31 @@ _WRITE_KINDS = ("demote", "promote", "adapt", "profile", "drift",
 _RUNGS = (800, 600, 400, 200, 0)
 
 
+def random_registry_write(rng: random.Random, nodes: int,
+                          reason: str) -> RegistryWrite:
+    """One registry write of the generators' mix (the soak's and the
+    HA drill's): a node, a kind, then the kind's payload, drawn from
+    ``rng`` in that order; ``reason`` tags the payloads that carry
+    one."""
+    node = rng.randrange(nodes)
+    kind = _WRITE_KINDS[rng.randrange(len(_WRITE_KINDS))]
+    if kind in ("demote", "promote", "adapt"):
+        payload = {"margin_mts": _RUNGS[rng.randrange(len(_RUNGS))],
+                   "reason": reason}
+        if kind == "adapt":
+            payload["direction"] = "down"
+    elif kind == "profile":
+        payload = {"margin_mts": _RUNGS[rng.randrange(3)],
+                   "channel_margins": [], "attempts": 1}
+    elif kind == "drift":
+        payload = {"ambient_c": 20.0 + rng.random() * 15.0,
+                   "dimm_c": 40.0 + rng.random() * 20.0,
+                   "reason": reason}
+    else:
+        payload = {"reason": reason}
+    return RegistryWrite(kind, node, payload)
+
+
 @dataclass
 class SoakConfig:
     """Knobs for one soak run.
@@ -331,7 +356,7 @@ class SoakScenario:
                 flood = cfg.event_queue_limit + 128
                 for _ in range(flood):
                     await daemon.submit_write(
-                        self._random_write(rng, now_s))
+                        random_registry_write(rng, cfg.nodes, "soak"))
                     events += 1
             else:
                 # Mixed burst: the steady-state traffic shape.
@@ -354,7 +379,7 @@ class SoakScenario:
                             ReleaseRequest(victim)))
                     elif kind < 0.92:
                         await daemon.submit_write(
-                            self._random_write(rng, now_s))
+                            random_registry_write(rng, cfg.nodes, "soak"))
                     else:
                         now_s += rng.uniform(0.001, 0.05)
                         await daemon.submit_tick(now_s)
@@ -371,26 +396,6 @@ class SoakScenario:
                     and bursts % cfg.snapshot_every_bursts == 0):
                 registry.write_snapshots()
         return events
-
-    def _random_write(self, rng, now_s: float) -> RegistryWrite:
-        cfg = self.config
-        node = rng.randrange(cfg.nodes)
-        kind = _WRITE_KINDS[rng.randrange(len(_WRITE_KINDS))]
-        if kind in ("demote", "promote", "adapt"):
-            payload = {"margin_mts": _RUNGS[rng.randrange(len(_RUNGS))],
-                       "reason": "soak"}
-            if kind == "adapt":
-                payload["direction"] = "down"
-        elif kind == "profile":
-            payload = {"margin_mts": _RUNGS[rng.randrange(3)],
-                       "channel_margins": [], "attempts": 1}
-        elif kind == "drift":
-            payload = {"ambient_c": 20.0 + rng.random() * 15.0,
-                       "dimm_c": 40.0 + rng.random() * 20.0,
-                       "reason": "soak"}
-        else:
-            payload = {"reason": "soak"}
-        return RegistryWrite(kind, node, payload)
 
     # -- passes --------------------------------------------------------------------
 

@@ -73,6 +73,13 @@ def effective_design(design: str, memory_utilization: float) -> str:
     return design
 
 
+#: Effective designs that never leave specification timing: the margin
+#: and fault knobs are inert for them, so cells that differ only in
+#: those knobs produce identical results (the runner's cache and the
+#: sweep's dedup share one simulation between them).
+SPEC_ONLY_DESIGNS = frozenset(("baseline", "baseline-plain", "fmr"))
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """One simulation's parameters."""

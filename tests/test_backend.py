@@ -195,12 +195,15 @@ def test_stale_calibration_error_across_backends(ddr4_tiny_calibration):
 
 
 def test_mrdimm_calibration_round_trip():
-    from repro.fastmodel import model_margins, run_calibration
+    from repro.fastmodel import (performance_model_from_calibration,
+                                 run_calibration)
     cal = run_calibration(suites=("linpack",),
                           hierarchies=("Hierarchy1",),
                           refs_per_core=40, backend="mrdimm")
     assert cal.backend == "mrdimm"
-    assert model_margins(cal) == (2200, 1600)
+    assert cal.grid["designs"]["hetero-dmr"] == [2200, 1600]
+    model = performance_model_from_calibration(cal)
+    assert list(model.speedups) == [2200, 1600, 0]
     cell = cal.lookup_cell("linpack", "Hierarchy1", "hetero-dmr", 2200)
     assert cell["t_norm_cycle"] > 0
 

@@ -32,6 +32,17 @@ def test_every_figure_bench_exists():
         assert (ROOT / "benchmarks" / (ref + ".py")).is_file(), ref
 
 
+def test_figure_benches_share_the_session_runner():
+    """benchmarks/conftest.py promises one runner per session.  A bench
+    that imports the fixture gets its own per-module copy, and with it
+    its own cache, so it would re-simulate every cell it shares."""
+    for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        imports = re.findall(r"^from conftest import (.*)$",
+                             bench.read_text(), re.MULTILINE)
+        for names in imports:
+            assert "runner" not in names.split(", "), bench.name
+
+
 def test_examples_listed_in_readme_exist():
     readme = (ROOT / "README.md").read_text()
     for ref in re.findall(r"examples/(\w+)\.py", readme):

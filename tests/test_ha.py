@@ -118,6 +118,36 @@ def test_control_log_drops_torn_tail_on_load(tmp_path):
     assert again.last_seq == 2
 
 
+@pytest.mark.parametrize("torn", [
+    b'{"seq": 4, "kind": "renew", "gro',           # no newline
+    b'{"seq": 4, "kind": "renew", "gro\n',         # stray newline
+    b'{"seq": 4, "kind": "renew", "gro\n{"se',     # both
+])
+def test_control_log_repairs_torn_tail_in_place(tmp_path, monkeypatch,
+                                                torn):
+    """The repair truncates the file at its last complete line; it
+    never rewrites the log, so a crash mid-repair cannot lose the
+    complete prefix."""
+    path = tmp_path / CONTROL_LOG_FILE
+    log = ControlLog(path)
+    for i in range(3):
+        log.append("renew", 0, 0, 1, float(i), expires_s=10.0)
+    log.close()
+    prefix = path.read_bytes()
+    with open(path, "ab") as fh:
+        fh.write(torn)
+
+    def refuse(self, data):
+        raise OSError("the log must not be rewritten")
+
+    monkeypatch.setattr(type(path), "write_bytes", refuse)
+    reloaded = ControlLog(path)
+    assert reloaded.events == log.events
+    assert reloaded.torn_bytes_dropped == len(torn) - torn.count(b"\n")
+    assert path.read_bytes() == prefix
+    assert ControlLog(path).torn_bytes_dropped == 0
+
+
 def test_control_log_rejects_mid_file_corruption(tmp_path):
     path = tmp_path / CONTROL_LOG_FILE
     log = ControlLog(path)

@@ -26,18 +26,24 @@ def test_runner_caches_simulations():
     assert len(runner._cache) == 1
 
 
+def _hdmr_speedup(runner, hier, bucket: str) -> float:
+    """Hetero-DMR @ 800 MT/s over the baseline, linpack, at the
+    bucket's representative utilization."""
+    base = runner.baseline("linpack", hier)
+    cell = runner.run("linpack", hier, "hetero-dmr", margin_mts=800,
+                      memory_utilization=BUCKET_UTILIZATION[bucket])
+    return base.time_ns / cell.time_ns
+
+
 def test_design_speedup_sane():
     runner = ExperimentRunner(refs_per_core=600)
-    hier = tiny_hierarchy()
-    sp = runner.design_speedup("linpack", hier, "hetero-dmr", 800, "0-25")
+    sp = _hdmr_speedup(runner, tiny_hierarchy(), "0-25")
     assert 0.5 < sp < 2.0
 
 
 def test_50_100_bucket_collapses_to_baseline():
     runner = ExperimentRunner(refs_per_core=600)
-    hier = tiny_hierarchy()
-    sp = runner.design_speedup("linpack", hier, "hetero-dmr", 800,
-                               "50-100")
+    sp = _hdmr_speedup(runner, tiny_hierarchy(), "50-100")
     assert sp == pytest.approx(1.0, abs=1e-9)
 
 
@@ -46,8 +52,7 @@ def test_end_to_end_node_to_system_pipeline():
     paper's Section IV-C methodology."""
     runner = ExperimentRunner(refs_per_core=500)
     hier = tiny_hierarchy()
-    sp800 = max(1.0, runner.design_speedup("linpack", hier,
-                                           "hetero-dmr", 800, "0-25"))
+    sp800 = max(1.0, _hdmr_speedup(runner, hier, "0-25"))
     pm = PerformanceModel(speedups={
         800: {"under_25": sp800, "25_to_50": sp800, "over_50": 1.0},
         600: {"under_25": 1.0 + (sp800 - 1.0) * 0.7,
