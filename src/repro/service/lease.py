@@ -23,13 +23,14 @@ stored alongside the :class:`~repro.service.ShardedRegistry` shards
 costs at most the final, incomplete line).  The log is the source of
 truth: :meth:`LeaseTable.replay` rebuilds the table from it.  A
 file-backed log keeps in memory only the events a retained checkpoint
-can still need (:meth:`ControlLog.forget_through`); the file keeps
-them all.  The log audits itself as it is written, one event behind
-(:meth:`ControlLog.audit`): an auditor that rebuilds lease validity
-from the ownership events alone, never from the live table, proves no
-placement was double-committed and no decision was committed under an
-expired or stale lease.  :func:`verify_control_log` runs the same
-auditor over a list of events (a reloaded log, a test).
+can still need (:meth:`ControlLog.forget_through`), and a reopened one
+only its newest event; the file keeps them all.  The log audits itself
+as it is written, one event behind (:meth:`ControlLog.audit`): an
+auditor that rebuilds lease validity from the ownership events alone,
+never from the live table, proves no placement was double-committed
+and no decision was committed under an expired or stale lease.
+:func:`verify_control_log` runs the same auditor over a list of
+events (a reloaded log, a test).
 """
 
 from __future__ import annotations
@@ -142,11 +143,12 @@ class ControlLog:
     the seqs must be contiguous).
 
     ``events`` holds the newest events: all of them for an in-memory
-    log, and for a file-backed one those :meth:`forget_through` has not
-    dropped (the file still has the rest, and :meth:`events_since`
-    reads them back from it).  Every event is fed to the log's auditor once the next
-    one is written; :meth:`audit` judges the newest without feeding
-    it, so a torn tail is never audited.
+    log; for a file-backed one, the newest event read back on open plus
+    those appended since that :meth:`forget_through` has not dropped
+    (the file still has the rest, and :meth:`events_since` reads them
+    back from it).  Every event is fed to the log's auditor once the
+    next one is written or read back; :meth:`audit` judges the newest
+    without feeding it, so a torn tail is never audited.
     ``tear_tail()`` is the chaos seam: it deletes that newest event —
     exactly what a crash mid-append leaves behind."""
 
@@ -154,7 +156,8 @@ class ControlLog:
         self.path = Path(path) if path is not None else None
         self.events: List[ControlEvent] = []
         self.torn_bytes_dropped = 0
-        #: Events dropped from memory by :meth:`forget_through`.
+        #: Events not in memory: left in the file on open, or dropped
+        #: by :meth:`forget_through`.
         self._forgotten = 0
         self._auditor = _Auditor()
         #: The newest event, not yet fed to the auditor.
@@ -167,12 +170,16 @@ class ControlLog:
     # -- persistence --------------------------------------------------------------
 
     def _load(self) -> None:
+        """Read the file back: every event is seq-checked and fed to
+        the auditor, but only the newest, unaudited one is retained
+        (:meth:`events_since` streams the rest from the file)."""
         if not self.path.exists():
             return
         # Streamed: a corrupt line is fatal only once a complete line
         # follows it; otherwise it is a torn tail, cut off in place.
         keep: Optional[int] = None       # truncation offset, if torn
         corrupt: Optional[Tuple[int, Exception]] = None
+        last_seq = 0
         for number, offset, line in _lines(self.path):
             if corrupt is not None and line.endswith(b"\n"):
                 raise LeaseError("corrupt control log {} line {}: {}"
@@ -194,21 +201,24 @@ class ControlLog:
                 keep = offset
                 self.torn_bytes_dropped += len(line) - 1
                 continue
-            if event.seq != len(self.events) + 1:
+            if event.seq != last_seq + 1:
                 raise LeaseError(
                     "control log {} seq gap: expected {}, found {}"
-                    .format(self.path, len(self.events) + 1, event.seq))
+                    .format(self.path, last_seq + 1, event.seq))
+            last_seq = event.seq
             self._admit(event)
+        if self._pending is not None:
+            self.events.append(self._pending)
+        self._forgotten = last_seq - len(self.events)
         if keep is not None:
             with open(self.path, "r+b") as fh:
                 fh.truncate(keep)
 
     def _admit(self, event: ControlEvent) -> None:
-        """Retain ``event`` and audit the one before it."""
+        """Make ``event`` the pending one and audit the one before."""
         if self._pending is not None:
             self._auditor.feed(self._pending)
         self._pending = event
-        self.events.append(event)
 
     def append(self, kind: str, group: int, owner: int, token: int,
                time_s: float, expires_s: float = 0.0,
@@ -219,6 +229,7 @@ class ControlLog:
                              time_s=time_s, expires_s=expires_s,
                              payload=dict(payload or {}))
         self._admit(event)
+        self.events.append(event)
         if self.path is not None:
             fh = self._fh
             if fh is None:

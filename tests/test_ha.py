@@ -11,7 +11,10 @@ seed, byte-identical report, decision stream equal to a never-crashed
 single-daemon run.
 """
 
+import gc
 import hashlib
+import tempfile
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -97,7 +100,7 @@ def test_control_log_opens_lazily_and_appends_after_tear_tail(
     assert path.read_text().splitlines()[-1] == event.to_json()
     log.close()
     reloaded = ControlLog(path)
-    assert reloaded.events == log.events
+    assert list(reloaded.events_since(0)) == log.events
     assert reloaded.events[-1] == event
 
 
@@ -110,7 +113,8 @@ def test_control_log_drops_torn_tail_on_load(tmp_path):
     with open(path, "a") as fh:
         fh.write('{"seq": 3, "kind": "renew", "gro')   # torn append
     reloaded = ControlLog(path)
-    assert [e.kind for e in reloaded.events] == ["acquire", "renew"]
+    assert [e.kind for e in reloaded.events_since(0)] == ["acquire",
+                                                          "renew"]
     assert reloaded.torn_bytes_dropped > 0
     # The healed file round-trips cleanly.
     again = ControlLog(path)
@@ -142,10 +146,41 @@ def test_control_log_repairs_torn_tail_in_place(tmp_path, monkeypatch,
 
     monkeypatch.setattr(type(path), "write_bytes", refuse)
     reloaded = ControlLog(path)
-    assert reloaded.events == log.events
+    assert list(reloaded.events_since(0)) == log.events
     assert reloaded.torn_bytes_dropped == len(torn) - torn.count(b"\n")
     assert path.read_bytes() == prefix
     assert ControlLog(path).torn_bytes_dropped == 0
+
+
+def test_reopened_log_retains_one_event_and_reads_the_rest_back(
+        tmp_path):
+    path = tmp_path / CONTROL_LOG_FILE
+    table = LeaseTable(duration_s=10.0, log=ControlLog(path))
+    lease = table.acquire(0, owner=0, now_s=0.0)
+    for job in range(1, 40):
+        table.renew(0, 0, lease.token, job / 10)
+        table.commit(0, 0, lease.token, job / 10,
+                     {"job": job, "status": "placed", "nodes": [job],
+                      "bucket": 0})
+    table.log.append("commit", 0, 0, lease.token, 5.0,     # forged
+                     payload={"job": 1, "status": "placed",
+                              "nodes": [1], "bucket": 0})
+    written = list(table.log.events)
+    table.log.close()
+    reopened = ControlLog(path)
+    assert reopened.events == written[-1:]
+    assert reopened.last_seq == len(written)
+    assert list(reopened.events_since(0)) == written
+    assert list(reopened.events_since(30)) == written[30:]
+    assert reopened.audit() == verify_control_log(written) == (1, 0)
+    replayed = LeaseTable(10.0, reopened)
+    replayed.replay()
+    assert replayed.to_state() == table.to_state()
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert reopened.tear_tail() == written[-1]
+    assert path.read_bytes() == b"".join(lines[:-1])
+    assert list(reopened.events_since(0)) == written[:-1]
+    assert reopened.audit() == (0, 0)
 
 
 def test_control_log_rejects_mid_file_corruption(tmp_path):
@@ -213,7 +248,7 @@ def test_online_audit_matches_a_post_hoc_pass_over_the_file(tmp_path):
     assert table.log.audit() == (1, 1)
     table.log.close()
     reread = ControlLog(path)
-    assert verify_control_log(reread.events) == (1, 1)
+    assert verify_control_log(reread.events_since(0)) == (1, 1)
     assert reread.audit() == (1, 1)
 
 
@@ -233,7 +268,7 @@ def test_torn_tail_is_never_audited(tmp_path):
         table.log.tear_tail()
     assert table.log.last_seq == 2
     table.log.close()
-    assert verify_control_log(ControlLog(path).events) == (0, 0)
+    assert verify_control_log(ControlLog(path).events_since(0)) == (0, 0)
     assert len(path.read_text().splitlines()) == 2
 
 
@@ -276,7 +311,7 @@ def test_file_backed_log_forgets_only_what_no_checkpoint_replays(
     assert plane.table.to_state() == replayed.to_state()
     plane.stop()
     assert plane.table.log.audit() == verify_control_log(
-        ControlLog(tmp_path / CONTROL_LOG_FILE).events) == (0, 0)
+        ControlLog(tmp_path / CONTROL_LOG_FILE).events_since(0)) == (0, 0)
 
 
 # ----------------------------------------------------------- arbitration
@@ -537,7 +572,7 @@ def test_sigterm_between_renewal_and_compaction_is_restorable(
     lease = table.lease(group)
     assert lease is not None and lease.owner == 0
     assert table.validate(group, 0, lease.token, 2.0)
-    assert verify_control_log(log.events) == (0, 0)
+    assert verify_control_log(log.events_since(0)) == (0, 0)
 
 
 def test_stop_with_outstanding_reserve_releases_capacity():
@@ -613,8 +648,8 @@ def test_failover_drill_online_audit_matches_the_file(tmp_path):
     report = result.report
     assert report.torn_lease_records == 1
     for subdir in ("ha", "reference"):
-        events = ControlLog(tmp_path / subdir / CONTROL_LOG_FILE).events
-        assert verify_control_log(events) == (0, 0)
+        log = ControlLog(tmp_path / subdir / CONTROL_LOG_FILE)
+        assert verify_control_log(log.events_since(0)) == (0, 0)
     assert (report.double_commits,
             report.expired_lease_decisions) == (0, 0)
     in_memory = HAFailoverDrill(replace(config, registry_dir=None)).run()
@@ -682,12 +717,102 @@ def test_reference_one_line_longer_is_not_consistent(monkeypatch):
 
 def test_decision_stream_digest_matches_joined_lines():
     lines = [Decision(i, i, "placed", (i,)) for i in range(1, 4)]
-    kept = _DecisionStream(keep=True)
-    for decision in lines:
-        kept(decision)
     text = "\n".join(d.to_json() for d in lines) + "\n"
-    assert kept.hexdigest() == hashlib.sha256(
-        text.encode("ascii")).hexdigest()
-    assert bytes(kept.buffer) == text.encode("ascii")
+    with tempfile.TemporaryFile() as spill:
+        kept = _DecisionStream(spill=spill)
+        for decision in lines:
+            kept(decision)
+        assert kept.hexdigest() == hashlib.sha256(
+            text.encode("ascii")).hexdigest()
+        assert kept.rewind().read() == text.encode("ascii")
     assert _DecisionStream().hexdigest() == hashlib.sha256(
         b"\n").hexdigest()
+
+
+def _watched_drill(monkeypatch, watch, events=1500, **overrides):
+    """Run the smoke drill with ``watch(subdir, sink)`` called as each
+    pass starts and ``watch(subdir, sink, decision)`` after each of its
+    decisions."""
+    original = HAFailoverDrill._run_plane
+
+    def run_plane(self, daemons, faults, subdir, sink):
+        watch(subdir, sink)
+
+        def watched(decision):
+            sink(decision)
+            watch(subdir, sink, decision)
+
+        return original(self, daemons, faults, subdir, watched)
+
+    monkeypatch.setattr(HAFailoverDrill, "_run_plane", run_plane)
+    config = replace(HAConfig.smoke(), events=events, **overrides)
+    return HAFailoverDrill(config).run()
+
+
+@pytest.mark.parametrize("file_backed", [False, True])
+def test_ha_plane_is_freed_before_the_reference_pass(
+        monkeypatch, tmp_path, file_backed):
+    """Reference counting alone frees the stopped HA plane (no cycle
+    keeps it) before the reference pass builds its own."""
+    planes = []
+    seen = {}
+    original = HAControlPlane.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        planes.append(weakref.ref(self))
+
+    def watch(subdir, sink, decision=None):
+        if subdir == "reference" and decision is None:
+            seen["ha plane alive"] = planes[0]() is not None
+
+    monkeypatch.setattr(HAControlPlane, "__init__", init)
+    gc.collect()
+    gc.disable()
+    try:
+        result = _watched_drill(
+            monkeypatch, watch,
+            registry_dir=tmp_path if file_backed else None)
+    finally:
+        gc.enable()
+    assert seen == {"ha plane alive": False}
+    assert result.report.prefix_consistent
+
+
+@pytest.mark.parametrize("events", [2500, 5000])
+def test_ha_stream_holds_at_most_one_chunk_in_memory(monkeypatch,
+                                                     events):
+    peak = {"buffer": 0, "bytes": 0}
+
+    def watch(subdir, sink, decision=None):
+        if subdir == "ha" and decision is not None:
+            peak["buffer"] = max(peak["buffer"], len(sink.buffer))
+            peak["bytes"] += len(decision.to_json()) + 1
+
+    result = _watched_drill(monkeypatch, watch, events=events)
+    assert result.report.prefix_consistent
+    assert peak["bytes"] > 2 * _DecisionStream._CHUNK
+    assert 0 < peak["buffer"] <= _DecisionStream._CHUNK
+
+
+def test_a_failing_reference_pass_still_closes_the_spill(monkeypatch,
+                                                         tmp_path):
+    spills = []
+    temporary_file = tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        spills.append((temporary_file(*args, **kwargs), kwargs))
+        return spills[-1][0]
+
+    def watch(subdir, sink, decision=None):
+        if subdir == "reference":
+            raise Sigterm("reference pass")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    with pytest.raises(Sigterm):
+        _watched_drill(monkeypatch, watch, registry_dir=tmp_path)
+    [(spill, kwargs)] = spills
+    assert spill.closed
+    assert kwargs["dir"] == tmp_path
+    # The spill is anonymous: nothing of it is left in the directory.
+    assert [p.name for p in tmp_path.iterdir()] == ["ha"]
