@@ -714,31 +714,26 @@ def _serve_ha(args: argparse.Namespace, seed: int, requests: list,
 
 def _serve_daemon(args: argparse.Namespace, registry, requests: list,
                   sink) -> str:
-    """``repro serve``: one asyncio placement daemon."""
-    import asyncio
+    """``repro serve``: one placement daemon, drained once the whole
+    request stream is queued (and whenever a write meets a full
+    queue)."""
     from .service import (DaemonConfig, PlaceRequest, PlacementDaemon,
                           RegistryWrite, ReleaseRequest)
     config = DaemonConfig(
         queue_limit=args.queue_limit,
         event_queue_limit=max(4096, 2 * args.queue_limit))
     daemon = PlacementDaemon(registry, config, decision_sink=sink)
-
-    async def run_requests() -> None:
-        async with daemon:
-            futures = []
-            for request in requests:
-                if isinstance(request, PlaceRequest):
-                    futures.append(daemon.submit(request))
-                elif isinstance(request, ReleaseRequest):
-                    futures.append(await daemon.submit_release(request))
-                elif isinstance(request, RegistryWrite):
-                    await daemon.submit_write(request)
-                else:
-                    await daemon.submit_tick(request.now_s)
-            if futures:
-                await asyncio.gather(*futures)
-
-    asyncio.run(run_requests())
+    for request in requests:
+        if isinstance(request, PlaceRequest):
+            daemon.submit_place(request.job_id, request.nodes_requested,
+                                request.deadline_s)
+        elif isinstance(request, ReleaseRequest):
+            daemon.submit_release(request.job_id)
+        elif isinstance(request, RegistryWrite):
+            daemon.submit_write(request)
+        else:
+            daemon.tick(request.now_s)
+    daemon.stop()
     stats = daemon.stats
     return ("repro serve: {} decisions (placed {}, shed {}, expired {}, "
             "released {}), {} writes, queue peak {}".format(
@@ -1198,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run N placement daemons behind "
                             "shard-group leases with fencing tokens "
                             "(the HA control plane) instead of one "
-                            "asyncio daemon")
+                            "daemon")
 
     soak = sub.add_parser(
         "soak", parents=[common],

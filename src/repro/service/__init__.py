@@ -4,9 +4,9 @@ The operational layer on top of the fleet subsystem: a
 :class:`ShardedRegistry` partitions the margin registry's JSONL log
 across N independently compacted shards under a deterministic
 node→shard hash; a :class:`PlacementDaemon` answers placement,
-release, and registry-write traffic from one asyncio controller loop
-with bounded queueing, admission control, and per-shard TTL'd cluster
-views; and a :class:`SoakScenario` drives the pair with a seeded
+release, and registry-write traffic from one synchronous FIFO with
+bounded queueing, admission control, and per-shard seq-checked
+cluster views; and a :class:`SoakScenario` drives the pair with a seeded
 million-event closed loop whose :class:`SoakReport` gates determinism
 and tail latency.  The HA tier (:mod:`repro.service.ha`) replicates
 the daemon behind shard-group leases with fencing tokens

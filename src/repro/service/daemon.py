@@ -1,52 +1,54 @@
-"""Live margin-aware placement daemon (asyncio controller loop).
+"""Live margin-aware placement daemon (one synchronous FIFO).
 
 :class:`PlacementDaemon` turns the batch-shaped
 :class:`~repro.fleet.PlacementService` into a long-running service: a
-single-writer controller loop (the iso-sched shape — one bounded
-pending queue feeding one arbitrator) absorbs a firehose of mixed
-messages and answers each with an explicit :class:`Decision`:
+single-writer FIFO of messages (the iso-sched shape — one bounded
+pending queue feeding one arbitrator) that the producer drains at
+fixed points, answering each placement and release with an explicit
+:class:`Decision`:
 
-``PlaceRequest``
-    Allocate nodes for a job.  Admission-controlled: once the pending
-    queue sits at ``queue_limit`` the request is **shed** immediately
+``submit_place``
+    Allocate nodes for a job.  Admission-controlled: once the queue
+    holds ``queue_limit`` messages the request is **shed** at once
     (status ``shed``) instead of queueing unboundedly — callers get
     explicit backpressure, not silent latency.  Requests carry an
     optional *virtual-clock* deadline; one that expires while queued
     is answered ``expired`` and never placed.
-``ReleaseRequest``
+``submit_release``
     Return a placed job's nodes to the free pool.
-``RegistryWrite``
+``submit_write``
     A margin-registry event (demote/promote/adapt/profile/...), routed
     to the owning shard of the :class:`~repro.service.ShardedRegistry`.
-    Ground truth is never shed: when the queue is saturated the
-    *producer* blocks (``await``) until there is room.
-``ClockTick``
+    Ground truth is never shed: when the queue is at its hard bound
+    (``event_queue_limit``) the producer waits while it drains.
+``tick``
     Advances the daemon's virtual clock (monotonic clamp).  All
-    decision logic — deadlines, cache TTL — runs on this clock, so a
-    seeded message stream produces a byte-identical decision log;
-    wall-clock time feeds only the obs latency histograms.
+    decision logic — deadlines — runs on this clock, so a seeded
+    message stream produces a byte-identical decision log; wall-clock
+    time feeds only the obs latency histograms.
 
-Placement consults a **per-shard TTL'd cluster-view cache** reusing the
-``PlacementService`` invalidation law (fresh ⇔ shard seq unchanged ∧
-age < TTL on the monotonic virtual clock).  Writes routed through the
-daemon keep the view coherent incrementally (the common case — no
-rebuild); any out-of-band divergence (seq mismatch, TTL expiry) forces
-a full rebuild of just that shard.  The free pool is a
+Messages are processed only by :meth:`~PlacementDaemon.drain`: when a
+release, write or tick meets a full queue, when the producer asks
+(the soak drains after every burst that placed or released), and in
+:meth:`~PlacementDaemon.stop`, which closes admission, drains, and
+closes the registry's append handles.
+
+Placement consults a **per-shard cluster view**: the pool reflects
+each shard at a registry seq.  Writes routed through the daemon keep
+the view coherent incrementally (the common case — no rebuild); an
+out-of-band write moves the shard's seq and forces a rebuild of just
+that shard before the next placement.  The free pool is a
 :class:`~repro.hpc.FreeNodePool` keyed by node index, so its picks are
 ``MarginAwareAllocationPolicy``'s over an index-ordered free list
 (tested), in the classes of the fleet's backend (``REPRO_BACKEND``).
-
-Shutdown drains: ``stop()`` closes admission, then processes every
-message already queued before the controller exits, so no submitted
-future is left pending (the lifecycle drill in the tests).
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..dram.backend import get_backend
 from ..fleet.registry import EVENT_KINDS
@@ -69,8 +71,6 @@ UNKNOWN_JOB = "unknown-job"
 CLOSED = "closed"
 STATUSES = (PLACED, UNSATISFIABLE, SHED, EXPIRED, DUPLICATE,
             RELEASED, UNKNOWN_JOB, CLOSED)
-
-_SENTINEL = object()
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,14 @@ class Decision:
 
 @dataclass
 class DaemonConfig:
-    """Controller-loop knobs (see module docstring).
+    """Queue bounds (see module docstring).
 
     ``queue_limit`` is the placement admission watermark;
     ``event_queue_limit`` is the hard queue bound (must exceed
-    ``queue_limit`` — registry/control traffic uses the headroom and
-    blocks its producer instead of shedding)."""
+    ``queue_limit`` — releases, writes and ticks use the headroom and
+    drain the queue instead of shedding)."""
     queue_limit: int = 512
     event_queue_limit: int = 4096
-    batch_max: int = 256
-    cache_ttl_s: float = 300.0
-    keep_decisions: bool = False
 
     def validate(self) -> "DaemonConfig":
         if self.queue_limit <= 0:
@@ -144,10 +141,6 @@ class DaemonConfig:
         if self.event_queue_limit <= self.queue_limit:
             raise ValueError("event_queue_limit must exceed "
                              "queue_limit")
-        if self.batch_max <= 0:
-            raise ValueError("batch_max must be positive")
-        if self.cache_ttl_s <= 0:
-            raise ValueError("cache_ttl_s must be positive")
         return self
 
 
@@ -169,7 +162,6 @@ class DaemonStats:
     backpressure_waits: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    batches: int = 0
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -232,24 +224,12 @@ class BucketPool(FreeNodePool):
         return nodes
 
 
-class _ShardView:
-    """Freshness bookkeeping for one shard's contribution to the pool
-    (the pool itself holds the materialized view)."""
-
-    __slots__ = ("seq", "cached_at_s", "dirty")
-
-    def __init__(self):
-        self.seq = -1
-        self.cached_at_s = float("-inf")
-        self.dirty = True
-
-
 class PlacementDaemon:
-    """Async margin-aware placement service (see module docstring).
+    """Synchronous margin-aware placement service (see module
+    docstring).
 
-    ``decision_sink`` (optional) is called with every emitted
-    :class:`Decision` in seq order — the soak harness hashes and logs
-    decisions through it without the daemon retaining them.
+    Every :class:`Decision` goes to ``decision_sink`` (optional), in
+    seq order, as it is emitted; the daemon keeps none of them.
     """
 
     def __init__(self, registry: ShardedRegistry,
@@ -260,46 +240,96 @@ class PlacementDaemon:
         self.config = (config if config is not None
                        else DaemonConfig()).validate()
         self.stats = DaemonStats()
-        self.decisions: List[Decision] = []
         self._sink = decision_sink
         self._pool = BucketPool(get_backend().placement_buckets)
-        self._views = [_ShardView()
-                       for _ in range(registry.shard_count)]
+        # Per shard, the registry seq the pool reflects (None: rebuild
+        # before the next placement).
+        self._view_seqs: List[Optional[int]] = \
+            [None] * registry.shard_count
         self._now_s = 0.0
         self._decision_seq = 0
-        self._queue: Optional[asyncio.Queue] = None
-        self._task: Optional[asyncio.Task] = None
-        self._closed = True
-
-    # -- lifecycle ----------------------------------------------------------------
+        self._queue: Deque[tuple] = deque()
+        self._closed = False
+        rec = get_recorder()
+        if rec.enabled:
+            rec.event("service", "daemon_start", 0.0,
+                      shards=registry.shard_count)
 
     @property
     def now_s(self) -> float:
-        """The virtual clock (advanced only by :class:`ClockTick`)."""
+        """The virtual clock (advanced only by :meth:`tick`)."""
         return self._now_s
 
-    async def start(self) -> None:
-        if self._task is not None:
-            raise RuntimeError("daemon already running")
-        self._queue = asyncio.Queue(
-            maxsize=self.config.event_queue_limit)
-        self._closed = False
-        self._task = asyncio.get_running_loop().create_task(self._run())
+    # -- submission ---------------------------------------------------------------
+
+    def submit_place(self, job_id: int, nodes_requested: int,
+                     deadline_s: Optional[float] = None) -> None:
+        """Queue a placement (admission-controlled; never drains).  It
+        is answered ``closed`` at once after :meth:`stop`, and ``shed``
+        at once while ``queue_limit`` messages are queued."""
+        if nodes_requested <= 0:
+            raise ValueError("jobs need at least one node")
+        if self._closed:
+            self.stats.closed_rejects += 1
+            self._emit(job_id, CLOSED)
+            return
+        if len(self._queue) >= self.config.queue_limit:
+            self.stats.shed += 1
+            self._emit(job_id, SHED)
+            return
+        self._enqueue((self._process_place,
+                       PlaceRequest(job_id, nodes_requested, deadline_s),
+                       time.perf_counter()))
+
+    def submit_release(self, job_id: int) -> None:
+        """Queue a lease release (a fact: never shed)."""
+        self._put_fact((self._process_release, job_id, 0.0))
+
+    def submit_write(self, write: RegistryWrite) -> None:
+        """Queue a registry event (a fact: never shed)."""
+        if write.kind not in EVENT_KINDS:
+            raise ValueError("unknown event kind {!r}"
+                             .format(write.kind))
+        self._put_fact((self._process_write, write, 0.0))
+
+    def tick(self, now_s: float) -> None:
+        """Queue a virtual-clock advance (processed in arrival order)."""
+        self._put_fact((self._process_tick, float(now_s), 0.0))
+
+    def _put_fact(self, item: tuple) -> None:
+        """Facts are never shed: at the hard bound the producer waits
+        for the queue to drain (counted as a backpressure wait)."""
+        if self._closed:
+            raise RuntimeError("daemon is closed")
+        if len(self._queue) >= self.config.event_queue_limit:
+            self.stats.backpressure_waits += 1
+            self.drain()
+        self._enqueue(item)
+
+    def _enqueue(self, item: tuple) -> None:
+        self._queue.append(item)
+        if len(self._queue) > self.stats.queue_peak:
+            self.stats.queue_peak = len(self._queue)
+
+    # -- processing ---------------------------------------------------------------
+
+    def drain(self) -> None:
+        """Process every queued message in FIFO order."""
+        queue = self._queue
         rec = get_recorder()
         if rec.enabled:
-            rec.event("service", "daemon_start", self._now_s * 1e9,
-                      shards=self.registry.shard_count)
+            rec.gauge("service", "queue_depth", len(queue))
+        while queue:
+            process, msg, t0 = queue.popleft()
+            process(msg, t0, rec)
 
-    async def stop(self) -> None:
-        """Close admission, drain every queued message, then stop and
-        close the registry's append handles.  Every future handed out
-        before the call resolves."""
-        if self._task is None:
+    def stop(self) -> None:
+        """Close admission, drain every queued message, and close the
+        registry's append handles."""
+        if self._closed:
             return
         self._closed = True
-        await self._queue.put(_SENTINEL)
-        await self._task
-        self._task = None
+        self.drain()
         self.registry.close()
         rec = get_recorder()
         if rec.enabled:
@@ -313,202 +343,86 @@ class PlacementDaemon:
                       decisions=self.stats.decisions,
                       placed=self.stats.placed, shed=self.stats.shed)
 
-    async def __aenter__(self) -> "PlacementDaemon":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    # -- submission ---------------------------------------------------------------
-
-    def submit(self, request: PlaceRequest) -> "asyncio.Future":
-        """Enqueue a placement (admission-controlled; never blocks).
-        Returns a future resolving to this request's
-        :class:`Decision` — which may already be resolved, with status
-        ``shed`` (queue at the watermark) or ``closed`` (daemon
-        stopping)."""
-        if request.nodes_requested <= 0:
-            raise ValueError("jobs need at least one node")
-        fut = asyncio.get_running_loop().create_future()
-        if self._closed:
-            self.stats.closed_rejects += 1
-            fut.set_result(self._emit(request.job_id, CLOSED))
-            return fut
-        if self._queue.qsize() >= self.config.queue_limit:
-            self.stats.shed += 1
-            fut.set_result(self._emit(request.job_id, SHED))
-            return fut
-        self._queue.put_nowait(
-            ("place", request, fut, time.perf_counter()))
-        if self._queue.qsize() > self.stats.queue_peak:
-            self.stats.queue_peak = self._queue.qsize()
-        return fut
-
-    async def submit_release(self, request: ReleaseRequest
-                             ) -> "asyncio.Future":
-        """Enqueue a lease release (blocks only when the queue is at
-        its hard bound — backpressure, never shedding)."""
-        fut = asyncio.get_running_loop().create_future()
-        await self._put_event(("release", request, fut,
-                               time.perf_counter()))
-        return fut
-
-    async def submit_write(self, write: RegistryWrite) -> None:
-        """Enqueue a registry event (blocks when saturated)."""
-        if write.kind not in EVENT_KINDS:
-            raise ValueError("unknown event kind {!r}"
-                             .format(write.kind))
-        await self._put_event(("write", write, None, 0.0))
-
-    async def submit_tick(self, now_s: float) -> None:
-        """Advance the virtual clock (in arrival order)."""
-        await self._put_event(("tick", ClockTick(float(now_s)), None,
-                               0.0))
-
-    async def _put_event(self, item) -> None:
-        if self._closed:
-            raise RuntimeError("daemon is closed")
-        if self._queue.full():
-            self.stats.backpressure_waits += 1
-        await self._queue.put(item)
-        if self._queue.qsize() > self.stats.queue_peak:
-            self.stats.queue_peak = self._queue.qsize()
-
-    # -- controller loop ----------------------------------------------------------
-
-    async def _run(self) -> None:
-        rec = get_recorder()
-        stopping = False
-        while not stopping:
-            batch = [await self._queue.get()]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self.stats.batches += 1
-            if rec.enabled:
-                rec.gauge("service", "queue_depth",
-                          self._queue.qsize())
-            for item in batch:
-                if item is _SENTINEL:
-                    # Admission is closed; drain what is already
-                    # queued, then exit.
-                    stopping = True
-                    continue
-                self._process(item, rec)
-            if stopping:
-                while True:
-                    try:
-                        item = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if item is not _SENTINEL:
-                        self._process(item, rec)
-
-    def _process(self, item, rec) -> None:
-        kind, msg, fut, t0 = item
-        if kind == "place":
-            self._process_place(msg, fut, t0, rec)
-        elif kind == "release":
-            self._process_release(msg, fut, t0, rec)
-        elif kind == "write":
-            self._process_write(msg)
-        elif kind == "tick":
-            self.stats.ticks += 1
-            if msg.now_s > self._now_s:
-                self._now_s = msg.now_s
-
-    def _process_place(self, req: PlaceRequest, fut, t0: float,
+    def _process_place(self, req: PlaceRequest, t0: float,
                        rec) -> None:
         if (req.deadline_s is not None and
                 self._now_s > req.deadline_s):
             self.stats.expired += 1
-            decision = self._emit(req.job_id, EXPIRED)
+            self._emit(req.job_id, EXPIRED)
         elif self._pool.has_lease(req.job_id):
             self.stats.duplicate += 1
-            decision = self._emit(req.job_id, DUPLICATE)
+            self._emit(req.job_id, DUPLICATE)
         else:
             self._refresh_views()
             chosen = self._pool.pick_margin_aware(req.nodes_requested)
             if chosen is None:
                 self.stats.unsatisfiable += 1
-                decision = self._emit(req.job_id, UNSATISFIABLE)
+                self._emit(req.job_id, UNSATISFIABLE)
             else:
                 bucket = self._pool.bucket(
                     min(self._pool.margin(n) for n in chosen))
                 self._pool.allocate(chosen, req.job_id)
                 self.stats.placed += 1
-                decision = self._emit(req.job_id, PLACED,
-                                      tuple(chosen), bucket)
+                self._emit(req.job_id, PLACED, tuple(chosen), bucket)
         if rec.enabled:
             rec.observe("service", "place_latency_s",
                         time.perf_counter() - t0)
-        fut.set_result(decision)
 
-    def _process_release(self, req: ReleaseRequest, fut, t0: float,
-                         rec) -> None:
-        nodes = self._pool.release(req.job_id)
+    def _process_release(self, job_id: int, t0: float, rec) -> None:
+        nodes = self._pool.release(job_id)
         if nodes is None:
             self.stats.unknown_releases += 1
-            decision = self._emit(req.job_id, UNKNOWN_JOB)
+            self._emit(job_id, UNKNOWN_JOB)
         else:
             self.stats.released += 1
-            decision = self._emit(req.job_id, RELEASED, nodes)
-        fut.set_result(decision)
+            self._emit(job_id, RELEASED, nodes)
 
-    def _process_write(self, write: RegistryWrite) -> None:
+    def _process_write(self, write: RegistryWrite, t0: float,
+                       rec) -> None:
         sid = self.registry.shard_id(write.node)
         shard = self.registry.shard(sid)
-        view = self._views[sid]
         pre_seq = shard.last_seq
         self.registry.record(write.kind, write.node,
                              time_s=self._now_s, **write.payload)
         record = self.registry.node(write.node)
         self._pool.set_margin(write.node,
                               record.effective_margin_mts)
-        if not view.dirty and view.seq == pre_seq:
-            # The view was coherent and this daemon made the only
-            # write: fold the increment, no rebuild.
-            view.seq = shard.last_seq
-        else:
-            view.dirty = True
+        # Fold the increment when the pool was current and this daemon
+        # made the only write; otherwise rebuild the shard.
+        self._view_seqs[sid] = (shard.last_seq
+                                if self._view_seqs[sid] == pre_seq
+                                else None)
         self.stats.writes += 1
+
+    def _process_tick(self, now_s: float, t0: float, rec) -> None:
+        self.stats.ticks += 1
+        if now_s > self._now_s:
+            self._now_s = now_s
 
     # -- cluster view -------------------------------------------------------------
 
     def _refresh_views(self) -> None:
-        """Apply the PlacementService freshness law per shard: fresh ⇔
-        seq unchanged ∧ age < TTL (virtual clock).  Stale shards are
-        rebuilt into the pool; fresh ones are untouched."""
-        now = self._now_s
-        ttl = self.config.cache_ttl_s
-        for sid, view in enumerate(self._views):
+        """Rebuild into the pool every shard whose seq moved since the
+        pool last reflected it (an out-of-band write); the rest are
+        cache hits."""
+        seqs = self._view_seqs
+        for sid, seq in enumerate(seqs):
             shard = self.registry.shard(sid)
-            if (not view.dirty and view.seq == shard.last_seq and
-                    now - view.cached_at_s < ttl):
+            if seq == shard.last_seq:
                 self.stats.cache_hits += 1
                 continue
             self.stats.cache_misses += 1
             for record in shard.nodes():
                 self._pool.set_margin(record.node,
                                       record.effective_margin_mts)
-            view.seq = shard.last_seq
-            view.cached_at_s = now
-            view.dirty = False
+            seqs[sid] = shard.last_seq
 
     # -- decisions ----------------------------------------------------------------
 
     def _emit(self, job_id: int, status: str,
-              nodes: Tuple[int, ...] = (),
-              bucket: int = 0) -> Decision:
+              nodes: Tuple[int, ...] = (), bucket: int = 0) -> None:
         self._decision_seq += 1
-        decision = Decision(self._decision_seq, job_id, status, nodes,
-                            bucket)
         self.stats.decisions += 1
-        if self.config.keep_decisions:
-            self.decisions.append(decision)
         if self._sink is not None:
-            self._sink(decision)
-        return decision
+            self._sink(Decision(self._decision_seq, job_id, status,
+                                nodes, bucket))

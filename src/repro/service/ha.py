@@ -1,9 +1,10 @@
 """Multi-daemon HA placement control plane (DESIGN.md §15).
 
-One :class:`~repro.service.PlacementDaemon` is a single point of
-failure: kill it and the fleet stops placing jobs.  This module grows
-the service into a **highly-available control plane** of N daemons
-that share the fleet without ever disagreeing about it:
+One :class:`~repro.service.PlacementDaemon` (``repro serve``, the
+soak) is a single point of failure: kill it and the fleet stops
+placing jobs.  This module grows the service into a
+**highly-available control plane** of N daemons that share the fleet
+without ever disagreeing about it:
 
 * **Shard-group leases** (:mod:`repro.service.lease`) — the registry's
   shards are partitioned into contiguous *groups*; each daemon holds a
@@ -25,11 +26,11 @@ that share the fleet without ever disagreeing about it:
   virtual clock; timeouts release and retry with backoff, and livelock
   is broken deterministically by fencing-token priority.
 
-:class:`HAControlPlane` is deliberately a *synchronous* deterministic
-simulation (one FIFO of operations with head-of-line blocking), not an
-asyncio loop: total order is the property under test, and keeping it
-explicit is what lets :class:`HAFailoverDrill` prove the headline
-claim — after SIGKILLs, clock skew, torn lease records, and a
+:class:`HAControlPlane` is, like the daemon, a *synchronous*
+deterministic simulation: one FIFO of operations, here with
+head-of-line blocking.  Total order is the property under test, and
+keeping it explicit is what lets :class:`HAFailoverDrill` prove the
+headline claim — after SIGKILLs, clock skew, torn lease records, and a
 dual-owner partition, the committed decision stream is **byte-equal to
 a never-crashed single-daemon run**, with zero double commits and zero
 decisions under an expired lease (audited as the control WAL is
@@ -755,9 +756,14 @@ class HAControlPlane:
                 self.table.release(group, daemon.id,
                                    daemon.tokens.pop(group),
                                    self.now_s)
+        self.close()
+        return closed
+
+    def close(self) -> None:
+        """Close the two WALs' append handles (no decision is
+        emitted)."""
         self.table.log.close()
         self.registry.close()
-        return closed
 
     # -- helpers -------------------------------------------------------------------
 
@@ -948,42 +954,48 @@ class HAFailoverDrill:
         bursts = 0
         active: List[int] = []
         started = time.perf_counter()
-        with recording(Recorder()) as rec:
-            while events < cfg.events:
-                bursts += 1
-                now_s += rng.uniform(0.05, 0.5)
-                plane.tick(now_s)
-                if faults:
-                    self._inject(plan, fired, events, plane)
-                for _ in range(8 + rng.randrange(24)):
-                    roll = rng.random()
-                    if roll < 0.40:
-                        job_id += 1
-                        active.append(job_id)
-                        plane.submit_place(job_id,
-                                           1 + rng.randrange(8))
-                    elif roll < 0.80 and active:
-                        victim = active.pop(
-                            rng.randrange(len(active)))
-                        plane.submit_release(victim)
-                    elif roll < 0.83:
-                        plane.submit_release(
-                            10_000_000 + rng.randrange(1000))
-                    else:
-                        plane.submit_write(
-                            random_registry_write(rng, cfg.nodes,
-                                                  "ha-drill"))
-                    events += 1
-                if bursts % cfg.checkpoint_every_bursts == 0:
-                    plane.checkpoint()
-            # Drain: keep the clock ticking until every queued
-            # operation (stalled behind a failover) has committed.
-            guard = 0
-            while plane.pending and guard < 100_000:
-                now_s += 0.25
-                plane.tick(now_s)
-                guard += 1
-            latency = rec.histogram_stats("ha", "place_latency_s")
+        try:
+            with recording(Recorder()) as rec:
+                while events < cfg.events:
+                    bursts += 1
+                    now_s += rng.uniform(0.05, 0.5)
+                    plane.tick(now_s)
+                    if faults:
+                        self._inject(plan, fired, events, plane)
+                    for _ in range(8 + rng.randrange(24)):
+                        roll = rng.random()
+                        if roll < 0.40:
+                            job_id += 1
+                            active.append(job_id)
+                            plane.submit_place(job_id,
+                                               1 + rng.randrange(8))
+                        elif roll < 0.80 and active:
+                            victim = active.pop(
+                                rng.randrange(len(active)))
+                            plane.submit_release(victim)
+                        elif roll < 0.83:
+                            plane.submit_release(
+                                10_000_000 + rng.randrange(1000))
+                        else:
+                            plane.submit_write(
+                                random_registry_write(rng, cfg.nodes,
+                                                      "ha-drill"))
+                        events += 1
+                    if bursts % cfg.checkpoint_every_bursts == 0:
+                        plane.checkpoint()
+                # Drain: keep the clock ticking until every queued
+                # operation (stalled behind a failover) has committed.
+                guard = 0
+                while plane.pending and guard < 100_000:
+                    now_s += 0.25
+                    plane.tick(now_s)
+                    guard += 1
+                latency = rec.histogram_stats("ha", "place_latency_s")
+        except BaseException:
+            # A pass that raises answers nothing more: close the WALs'
+            # append handles without draining, then re-raise.
+            plane.close()
+            raise
         wall_s = time.perf_counter() - started
         return plane, latency, wall_s
 

@@ -1,14 +1,16 @@
 """Million-event soak harness for the placement daemon.
 
 :class:`SoakScenario` is a **seeded closed-loop load generator**: one
-asyncio driver coroutine feeds the daemon bursts of mixed traffic —
-placements (some with stale deadlines), releases of previously placed
-jobs, demote/promote/adapt/profile/drift registry writes, virtual-clock
+driver loop feeds the daemon bursts of mixed traffic — placements
+(some with stale deadlines), releases of previously placed jobs,
+demote/promote/adapt/profile/drift registry writes, virtual-clock
 ticks, placement storms sized past the admission watermark (so
 shedding *must* engage), and write floods sized past the hard queue
-bound (so blocking backpressure *must* engage) — while per-shard
+bound (so backpressure *must* engage) — while per-shard
 auto-compaction and periodic snapshot writes churn the registry
-underneath.  Closed-loop means the generator reacts to decisions: only
+underneath.  Closed-loop means the generator reacts to decisions: it
+drains the daemon after every burst that placed or released, folds
+that burst's decisions in, and only then draws the next one — only
 jobs that were actually ``placed`` become release candidates, and when
 the fleet runs hot it drains leases before submitting more work.
 
@@ -32,7 +34,6 @@ budget.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import random
 import time
@@ -43,8 +44,7 @@ from typing import Dict, List, Optional, TextIO
 from ..hpc.cluster import Cluster
 from ..obs import Recorder, recording
 from .daemon import (DaemonConfig, DaemonStats, Decision, PLACED,
-                     RELEASED, PlaceRequest, PlacementDaemon,
-                     ReleaseRequest, RegistryWrite)
+                     RELEASED, PlacementDaemon, RegistryWrite)
 from .sharding import DEFAULT_SHARDS, ShardedRegistry
 
 __all__ = ["SoakConfig", "SoakReport", "SoakScenario"]
@@ -97,8 +97,6 @@ class SoakConfig:
     seed: int = 2021
     queue_limit: int = 512
     event_queue_limit: int = 4096
-    batch_max: int = 256
-    cache_ttl_s: float = 60.0
     compact_every: int = 2048
     snapshot_every_bursts: int = 256
     p999_budget_s: float = 0.25
@@ -111,9 +109,8 @@ class SoakConfig:
         """CI-sized preset: seconds, not minutes, still exercising
         storms, floods, expiry, compaction, and prefix verification."""
         return cls(nodes=200, shards=4, events=20_000, queue_limit=64,
-                   event_queue_limit=512, batch_max=128,
-                   compact_every=256, snapshot_every_bursts=32,
-                   verify_events=5_000)
+                   event_queue_limit=512, compact_every=256,
+                   snapshot_every_bursts=32, verify_events=5_000)
 
     def validate(self) -> "SoakConfig":
         if self.nodes <= 0:
@@ -122,18 +119,12 @@ class SoakConfig:
             raise ValueError("events must be positive")
         if self.verify and self.verify_events <= 0:
             raise ValueError("verify_events must be positive")
-        DaemonConfig(queue_limit=self.queue_limit,
-                     event_queue_limit=self.event_queue_limit,
-                     batch_max=self.batch_max,
-                     cache_ttl_s=self.cache_ttl_s).validate()
+        self.daemon_config().validate()
         return self
 
     def daemon_config(self) -> DaemonConfig:
         return DaemonConfig(queue_limit=self.queue_limit,
-                            event_queue_limit=self.event_queue_limit,
-                            batch_max=self.batch_max,
-                            cache_ttl_s=self.cache_ttl_s,
-                            keep_decisions=False)
+                            event_queue_limit=self.event_queue_limit)
 
 
 class _DecisionLog:
@@ -313,9 +304,12 @@ class SoakScenario:
 
     # -- load generator ------------------------------------------------------------
 
-    async def _drive(self, daemon: PlacementDaemon, events_target: int,
-                     rng) -> int:
-        """The closed-loop driver; returns events submitted."""
+    def _drive(self, daemon: PlacementDaemon, events_target: int, rng,
+               answered: List[Decision]) -> int:
+        """The closed-loop driver; returns events submitted.
+        ``answered`` collects the daemon's ``placed`` and ``released``
+        decisions as they are emitted; the driver folds and clears it
+        after each burst's drain."""
         cfg = self.config
         events = 0
         now_s = 0.0
@@ -327,35 +321,38 @@ class SoakScenario:
         while events < events_target:
             bursts += 1
             now_s += rng.uniform(0.05, 0.5)
-            await daemon.submit_tick(now_s)
+            daemon.tick(now_s)
             events += 1
-            futures = []
+            # Whether this burst submitted a placement or a release:
+            # only those bursts drain the daemon at their end.
+            asked = False
             hot = busy_nodes > (7 * cfg.nodes) // 10
             roll = rng.random()
             if (hot or roll < 0.08) and active:
                 # Drain burst: release about half the leases.
                 for _ in range(max(1, len(active) // 2)):
-                    victim = active.pop(rng.randrange(len(active)))
-                    futures.append(await daemon.submit_release(
-                        ReleaseRequest(victim)))
+                    daemon.submit_release(
+                        active.pop(rng.randrange(len(active))))
                     events += 1
+                asked = True
             elif roll < 0.12:
                 # Placement storm: sized past the admission watermark,
-                # submitted without yielding, so shedding must engage.
+                # submitted without draining, so shedding must engage.
                 storm = cfg.queue_limit + cfg.queue_limit // 2 + \
                     rng.randrange(64)
                 for _ in range(storm):
                     job_id += 1
-                    futures.append(daemon.submit(PlaceRequest(
-                        job_id, 1 + rng.randrange(4),
-                        deadline_s=now_s + 30.0)))
+                    daemon.submit_place(job_id, 1 + rng.randrange(4),
+                                        deadline_s=now_s + 30.0)
                     events += 1
+                asked = True
             elif roll < 0.15:
                 # Write flood: past the hard queue bound, so the
-                # producer blocks (backpressure, never shedding).
+                # producer waits for a drain (backpressure, never
+                # shedding).
                 flood = cfg.event_queue_limit + 128
                 for _ in range(flood):
-                    await daemon.submit_write(
+                    daemon.submit_write(
                         random_registry_write(rng, cfg.nodes, "soak"))
                     events += 1
             else:
@@ -370,28 +367,32 @@ class SoakScenario:
                             deadline = now_s - rng.uniform(0.1, 5.0)
                         else:
                             deadline = now_s + rng.uniform(5.0, 60.0)
-                        futures.append(daemon.submit(PlaceRequest(
-                            job_id, 1 + rng.randrange(8), deadline)))
+                        daemon.submit_place(job_id,
+                                            1 + rng.randrange(8),
+                                            deadline)
+                        asked = True
                     elif kind < 0.75 and active:
-                        victim = active.pop(
-                            rng.randrange(len(active)))
-                        futures.append(await daemon.submit_release(
-                            ReleaseRequest(victim)))
+                        daemon.submit_release(
+                            active.pop(rng.randrange(len(active))))
+                        asked = True
                     elif kind < 0.92:
-                        await daemon.submit_write(
+                        daemon.submit_write(
                             random_registry_write(rng, cfg.nodes, "soak"))
                     else:
                         now_s += rng.uniform(0.001, 0.05)
-                        await daemon.submit_tick(now_s)
+                        daemon.tick(now_s)
                     events += 1
-            # Closed loop: fold this burst's decisions back into the
-            # generator's world model.
-            for decision in await asyncio.gather(*futures):
-                if decision.status == PLACED:
-                    active.append(decision.job_id)
-                    busy_nodes += len(decision.nodes)
-                elif decision.status == RELEASED:
-                    busy_nodes -= len(decision.nodes)
+            if asked:
+                # Closed loop: answer the burst, then fold its
+                # decisions back into the generator's world model.
+                daemon.drain()
+                for decision in answered:
+                    if decision.status == PLACED:
+                        active.append(decision.job_id)
+                        busy_nodes += len(decision.nodes)
+                    else:
+                        busy_nodes -= len(decision.nodes)
+                answered.clear()
             if (cfg.snapshot_every_bursts and registry.path is not None
                     and bursts % cfg.snapshot_every_bursts == 0):
                 registry.write_snapshots()
@@ -405,18 +406,22 @@ class SoakScenario:
         cfg = self.config
         registry = self._build_registry(subdir)
         log = _DecisionLog(capture_at=capture_at, stream=stream)
-        daemon = PlacementDaemon(registry, cfg.daemon_config(),
-                                 decision_sink=log)
+        answered: List[Decision] = []
+
+        def sink(decision: Decision) -> None:
+            log(decision)
+            if decision.status in (PLACED, RELEASED):
+                answered.append(decision)
+
         rng = random.Random(cfg.seed)
-
-        async def main() -> int:
-            async with daemon:
-                return await self._drive(daemon, events_target, rng)
-
         started = time.perf_counter()
         try:
             with recording(Recorder()) as rec:
-                events = asyncio.run(main())
+                daemon = PlacementDaemon(registry, cfg.daemon_config(),
+                                         decision_sink=sink)
+                events = self._drive(daemon, events_target, rng,
+                                     answered)
+                daemon.stop()
                 latency = rec.histogram_stats("service",
                                               "place_latency_s")
         finally:

@@ -3,7 +3,8 @@ daemon (admission control, backpressure, deadlines, lifecycle), and
 the integrations ISSUE'd with it (ingest routing, recovery via the
 owning shard, placement over a sharded fleet)."""
 
-import asyncio
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +12,10 @@ from repro.core.margin_selection import bucket_node_margin
 from repro.fleet import (FleetIngest, MarginRegistry, PlacementService,
                         RegistryError)
 from repro.hpc import Cluster, MarginAwareAllocationPolicy
+from repro.obs import MemoryTraceSink, Recorder, recording
 from repro.recovery import CheckpointStore, RecoveryManager
 from repro.resilience import build_ladder
-from repro.service import (DaemonConfig, PlaceRequest, PlacementDaemon,
-                           RegistryWrite, ReleaseRequest,
+from repro.service import (DaemonConfig, PlacementDaemon, RegistryWrite,
                            ShardedRegistry, shard_for_node)
 
 #: An unclosed file (a leaked WAL append handle) fails the test.
@@ -317,8 +318,14 @@ def test_recovery_manager_uses_owning_shard(tmp_path):
 # -- daemon: decisions ---------------------------------------------------------
 
 
-def _run(coro):
-    return asyncio.run(coro)
+def _daemon(registry=None, config=None):
+    """A daemon over ``registry`` (the default fleet when None) and the
+    list its decisions go to, in emission order."""
+    decisions = []
+    daemon = PlacementDaemon(registry if registry is not None
+                             else _sharded(), config,
+                             decision_sink=decisions.append)
+    return daemon, decisions
 
 
 def test_daemon_matches_batch_policy_exactly():
@@ -327,13 +334,10 @@ def test_daemon_matches_batch_policy_exactly():
     registry = _sharded()
     widths = [3, 5, 2, 4, 1, 6, 2]
 
-    async def daemon_pass():
-        async with PlacementDaemon(_sharded()) as daemon:
-            futures = [daemon.submit(PlaceRequest(i, w))
-                       for i, w in enumerate(widths)]
-            return [d for d in await asyncio.gather(*futures)]
-
-    decisions = _run(daemon_pass())
+    daemon, decisions = _daemon()
+    for i, w in enumerate(widths):
+        daemon.submit_place(i, w)
+    daemon.stop()
     policy = MarginAwareAllocationPolicy()
     free = list(Cluster.from_registry(registry).nodes)
     for width, decision in zip(widths, decisions):
@@ -360,13 +364,10 @@ def test_daemon_buckets_an_mrdimm_fleet_like_backend_compare(
     monkeypatch.setenv("REPRO_BACKEND", "mrdimm")
     widths = [3, 2, 4, 1, 2]
 
-    async def daemon_pass():
-        async with PlacementDaemon(_sharded(MRDIMM_MARGINS)) as daemon:
-            futures = [daemon.submit(PlaceRequest(i, w))
-                       for i, w in enumerate(widths)]
-            return await asyncio.gather(*futures)
-
-    decisions = _run(daemon_pass())
+    daemon, decisions = _daemon(_sharded(MRDIMM_MARGINS))
+    for i, w in enumerate(widths):
+        daemon.submit_place(i, w)
+    daemon.stop()
     buckets = (2200, 1600, 0)
     policy = MarginAwareAllocationPolicy(buckets=buckets)
     free = list(Cluster.from_registry(_sharded(MRDIMM_MARGINS)).nodes)
@@ -386,39 +387,32 @@ def test_daemon_sub_bucket_fallback_prefers_faster_margins():
     # the 400s before the 200s even though they share bucket 0.
     margins = [800, 800, 800, 200, 400, 200, 400]
 
-    async def main():
-        async with PlacementDaemon(_sharded(margins)) as daemon:
-            return await daemon.submit(PlaceRequest(1, 5))
-
-    decision = _run(main())
+    daemon, decisions = _daemon(_sharded(margins))
+    daemon.submit_place(1, 5)
+    daemon.stop()
+    [decision] = decisions
     assert decision.status == "placed"
     assert decision.nodes == (0, 1, 2, 4, 6)
     assert decision.margin_bucket == 0
 
 
 def test_write_then_place_sees_the_write_in_fifo_order():
-    async def main():
-        async with PlacementDaemon(_sharded()) as daemon:
-            await daemon.submit_write(RegistryWrite(
-                "retire", 0, {"reason": "test"}))
-            return await daemon.submit(PlaceRequest(1, 4))
-
-    decision = _run(main())
+    daemon, decisions = _daemon()
+    daemon.submit_write(RegistryWrite("retire", 0, {"reason": "test"}))
+    daemon.submit_place(1, 4)
+    daemon.stop()
+    [decision] = decisions
     assert 0 not in decision.nodes
 
 
 def test_release_returns_nodes_to_the_pool():
-    async def main():
-        async with PlacementDaemon(_sharded()) as daemon:
-            placed = await daemon.submit(PlaceRequest(1, 4))
-            released = await (await daemon.submit_release(
-                ReleaseRequest(1)))
-            again = await daemon.submit(PlaceRequest(2, 4))
-            missing = await (await daemon.submit_release(
-                ReleaseRequest(99)))
-            return placed, released, again, missing
-
-    placed, released, again, missing = _run(main())
+    daemon, decisions = _daemon()
+    daemon.submit_place(1, 4)
+    daemon.submit_release(1)
+    daemon.submit_place(2, 4)
+    daemon.submit_release(99)
+    daemon.stop()
+    placed, released, again, missing = decisions
     assert released.status == "released"
     assert set(released.nodes) == set(placed.nodes)
     assert again.nodes == placed.nodes
@@ -426,38 +420,31 @@ def test_release_returns_nodes_to_the_pool():
 
 
 def test_duplicate_job_id_is_rejected_without_allocation():
-    async def main():
-        async with PlacementDaemon(_sharded()) as daemon:
-            first = await daemon.submit(PlaceRequest(1, 2))
-            second = await daemon.submit(PlaceRequest(1, 2))
-            return first, second, daemon.stats.placed
-
-    first, second, placed = _run(main())
+    daemon, decisions = _daemon()
+    daemon.submit_place(1, 2)
+    daemon.submit_place(1, 2)
+    daemon.stop()
+    first, second = decisions
     assert first.status == "placed"
     assert second.status == "duplicate"
-    assert placed == 1
+    assert daemon.stats.placed == 1
 
 
 def test_deadline_expires_on_virtual_clock():
-    async def main():
-        async with PlacementDaemon(_sharded()) as daemon:
-            await daemon.submit_tick(10.0)
-            stale = await daemon.submit(PlaceRequest(
-                1, 2, deadline_s=5.0))
-            fresh = await daemon.submit(PlaceRequest(
-                2, 2, deadline_s=20.0))
-            # The virtual clock is monotonic: a backwards tick is
-            # clamped, so the stale deadline stays expired.
-            await daemon.submit_tick(3.0)
-            still = await daemon.submit(PlaceRequest(
-                3, 2, deadline_s=5.0))
-            return stale, fresh, still, daemon.now_s
-
-    stale, fresh, still, now_s = _run(main())
+    daemon, decisions = _daemon()
+    daemon.tick(10.0)
+    daemon.submit_place(1, 2, deadline_s=5.0)
+    daemon.submit_place(2, 2, deadline_s=20.0)
+    # The virtual clock is monotonic: a backwards tick is clamped, so
+    # the stale deadline stays expired.
+    daemon.tick(3.0)
+    daemon.submit_place(3, 2, deadline_s=5.0)
+    daemon.stop()
+    stale, fresh, still = decisions
     assert stale.status == "expired"
     assert fresh.status == "placed"
     assert still.status == "expired"
-    assert now_s == 10.0
+    assert daemon.now_s == 10.0
 
 
 # -- daemon: admission control and backpressure --------------------------------
@@ -466,57 +453,52 @@ def test_deadline_expires_on_virtual_clock():
 def test_storm_past_watermark_is_shed_with_explicit_status():
     config = DaemonConfig(queue_limit=4, event_queue_limit=64)
 
-    async def main():
-        async with PlacementDaemon(_sharded(), config) as daemon:
-            futures = [daemon.submit(PlaceRequest(i, 1))
-                       for i in range(10)]
-            return await asyncio.gather(*futures)
-
-    decisions = _run(main())
+    daemon, decisions = _daemon(config=config)
+    for i in range(10):
+        daemon.submit_place(i, 1)
+    # Shed decisions are answered at once, before any queued message.
+    assert [d.status for d in decisions] == ["shed"] * 6
+    daemon.stop()
     shed = [d for d in decisions if d.status == "shed"]
     assert len(shed) == 6          # watermark 4, submitted 10
-    # Shed decisions resolve immediately and still get log seqs.
+    # Shed decisions still get log seqs.
     assert sorted(d.seq for d in decisions) == list(range(1, 11))
 
 
 def test_registry_writes_block_instead_of_shedding():
     config = DaemonConfig(queue_limit=4, event_queue_limit=8)
 
-    async def main():
-        async with PlacementDaemon(_sharded(), config) as daemon:
-            for i in range(40):
-                await daemon.submit_write(RegistryWrite(
-                    "demote", i % len(MARGINS),
-                    {"margin_mts": 400, "reason": "flood"}))
-            return daemon
-
-    daemon = _run(main())
+    daemon, _ = _daemon(config=config)
+    for i in range(40):
+        daemon.submit_write(RegistryWrite(
+            "demote", i % len(MARGINS),
+            {"margin_mts": 400, "reason": "flood"}))
+    daemon.stop()
     assert daemon.stats.writes == 40          # nothing shed
+    assert daemon.stats.queue_peak == 8       # the hard bound held
     assert daemon.stats.backpressure_waits >= 1
 
 
 def test_view_cache_hits_and_external_write_invalidation():
     registry = _sharded()
-    config = DaemonConfig(queue_limit=8, event_queue_limit=64,
-                          cache_ttl_s=1e9)
+    config = DaemonConfig(queue_limit=8, event_queue_limit=64)
 
-    async def main():
-        async with PlacementDaemon(registry, config) as daemon:
-            await daemon.submit(PlaceRequest(1, 1))
-            misses_cold = daemon.stats.cache_misses
-            await daemon.submit(PlaceRequest(2, 1))
-            hits_warm = daemon.stats.cache_hits
-            # An out-of-band write (not through the daemon) must be
-            # picked up via the seq check before the next placement.
-            registry.record_retirement(9)
-            decision = await daemon.submit(PlaceRequest(3, 10))
-            return misses_cold, hits_warm, daemon.stats, decision
-
-    misses_cold, hits_warm, stats, decision = _run(main())
+    daemon, decisions = _daemon(registry, config)
+    daemon.submit_place(1, 1)
+    daemon.drain()
+    misses_cold = daemon.stats.cache_misses
+    daemon.submit_place(2, 1)
+    daemon.drain()
+    hits_warm = daemon.stats.cache_hits
+    # An out-of-band write (not through the daemon) must be picked up
+    # via the seq check before the next placement.
+    registry.record_retirement(9)
+    daemon.submit_place(3, 10)
+    daemon.stop()
     assert misses_cold == registry.shard_count    # cold rebuild
     assert hits_warm == registry.shard_count      # all fresh
-    assert stats.cache_misses == registry.shard_count + 1
-    assert 9 not in decision.nodes
+    assert daemon.stats.cache_misses == registry.shard_count + 1
+    assert 9 not in decisions[-1].nodes
 
 
 # -- daemon: lifecycle ---------------------------------------------------------
@@ -525,31 +507,79 @@ def test_view_cache_hits_and_external_write_invalidation():
 def test_stop_drains_every_pending_future():
     config = DaemonConfig(queue_limit=64, event_queue_limit=256)
 
-    async def main():
-        daemon = PlacementDaemon(_sharded(), config)
-        await daemon.start()
-        futures = [daemon.submit(PlaceRequest(i, 1)) for i in range(20)]
-        await daemon.stop()            # no gather before the stop
-        return [f.result() for f in futures], daemon
-
-    decisions, daemon = _run(main())
+    daemon, decisions = _daemon(config=config)
+    for i in range(20):
+        daemon.submit_place(i, 1)
+    assert decisions == []         # queued, not yet answered
+    daemon.stop()                  # no drain before the stop
+    assert [d.job_id for d in decisions] == list(range(20))
     assert all(d.status in ("placed", "unsatisfiable")
                for d in decisions)
-    assert daemon._task is None
 
 
 def test_submissions_after_stop_are_rejected():
-    async def main():
-        daemon = PlacementDaemon(_sharded())
-        await daemon.start()
-        await daemon.stop()
-        closed = daemon.submit(PlaceRequest(1, 1)).result()
-        with pytest.raises(RuntimeError):
-            await daemon.submit_write(RegistryWrite(
-                "demote", 0, {"margin_mts": 0}))
-        return closed
+    daemon, decisions = _daemon()
+    daemon.stop()
+    daemon.submit_place(1, 1)
+    with pytest.raises(RuntimeError):
+        daemon.submit_write(RegistryWrite("demote", 0, {"margin_mts": 0}))
+    assert [d.status for d in decisions] == ["closed"]
 
-    assert _run(main()).status == "closed"
+
+def _catalog_service_rows():
+    """The DESIGN.md §12 catalog's daemon rows: ``{(kind, metric)}``
+    from the metric table, ``{span: {fields}}`` from the span table."""
+    metrics, spans = set(), {}
+    design = Path(__file__).resolve().parents[1] / "DESIGN.md"
+    for line in design.read_text().splitlines():
+        if not line.startswith("| `service` |"):
+            continue
+        cells = line.strip().strip("|").split(" | ")
+        names = re.findall(r"`([a-z_]+)", cells[1])
+        if len(cells) == 4:
+            if "PlacementDaemon" in cells[3]:
+                metrics |= {(cells[2].split()[0], n) for n in names}
+        else:
+            spans[names[0]] = set(re.findall(r"`([a-z_]+)`", cells[2]))
+    return metrics, spans
+
+
+def test_daemon_emits_exactly_its_catalog_rows():
+    """Queue depth is sampled at each drain, the peak and the cache
+    totals at stop, and the lifecycle spans at construction and stop;
+    the DESIGN.md §12 rows name exactly these."""
+    trace = MemoryTraceSink()
+    with recording(Recorder(trace=trace)) as rec:
+        daemon, _ = _daemon(
+            config=DaemonConfig(queue_limit=4, event_queue_limit=8))
+        for i in range(3):
+            daemon.submit_place(i, 1)
+        daemon.drain()
+        assert rec.gauge_value("service", "queue_depth") == 3
+        for i in range(10):        # the ninth write drains 8 messages
+            daemon.submit_write(RegistryWrite(
+                "demote", i, {"margin_mts": 400, "reason": "obs"}))
+        assert rec.gauge_value("service", "queue_depth") == 8
+        daemon.stop()
+    assert rec.gauge_value("service", "queue_depth") == 2
+    assert rec.gauge_value("service", "queue_peak") == 8
+    assert rec.counter_value("service", "cache_checks",
+                             result="miss") == 4
+    assert rec.counter_value("service", "cache_checks",
+                             result="hit") == 8
+    assert rec.histogram_stats("service", "place_latency_s")["count"] == 3
+    snapshot = rec.snapshot()
+    emitted = {(kind, row["name"])
+               for kind in ("counter", "gauge", "histogram")
+               for row in snapshot[kind + "s"]
+               if row["subsystem"] == "service"}
+    spans = {e["event"]: set(e["fields"]) for e in trace.events
+             if e["subsystem"] == "service"}
+    assert [e["event"] for e in trace.events] == ["daemon_start",
+                                                  "daemon_stop"]
+    assert trace.events[1]["fields"] == {"decisions": 3, "placed": 3,
+                                         "shed": 0}
+    assert (emitted, spans) == _catalog_service_rows()
 
 
 def test_sigterm_mid_compaction_leaves_every_shard_restorable(tmp_path):
@@ -569,19 +599,15 @@ def test_sigterm_mid_compaction_leaves_every_shard_restorable(tmp_path):
 
     registry.kill_hook = kill
 
-    async def main():
-        daemon = PlacementDaemon(registry)
-        await daemon.start()
-        for i in range(48):
-            await daemon.submit_write(RegistryWrite(
-                "demote", i % len(MARGINS),
-                {"margin_mts": 200, "reason": "drill"}))
-        # The controller dies mid-compaction (snapshot written, log
-        # not truncated); no clean stop happens.
-        with pytest.raises(Sigterm):
-            await daemon._task
-
-    _run(main())
+    daemon = PlacementDaemon(registry)
+    for i in range(48):
+        daemon.submit_write(RegistryWrite(
+            "demote", i % len(MARGINS),
+            {"margin_mts": 200, "reason": "drill"}))
+    # The daemon dies mid-compaction (snapshot written, log not
+    # truncated); no clean stop happens.
+    with pytest.raises(Sigterm):
+        daemon.drain()
     registry.close()
     survivor = ShardedRegistry(tmp_path / "fleet")
     assert survivor.fingerprint() == registry.fingerprint()
@@ -597,21 +623,15 @@ def test_daemon_config_validation():
     with pytest.raises(ValueError):
         DaemonConfig(queue_limit=8, event_queue_limit=8).validate()
     with pytest.raises(ValueError):
-        DaemonConfig(batch_max=0).validate()
-    with pytest.raises(ValueError):
-        DaemonConfig(cache_ttl_s=0.0).validate()
-    with pytest.raises(ValueError):
         ShardedRegistry(shards=0)
     with pytest.raises(ValueError):
         ShardedRegistry(compact_every=-1)
 
 
 def test_place_request_needs_positive_width():
-    async def main():
-        async with PlacementDaemon(_sharded()) as daemon:
-            with pytest.raises(ValueError):
-                daemon.submit(PlaceRequest(1, 0))
-            with pytest.raises(ValueError):
-                await daemon.submit_write(RegistryWrite("reboot", 0))
-
-    _run(main())
+    daemon, _ = _daemon()
+    with pytest.raises(ValueError):
+        daemon.submit_place(1, 0)
+    with pytest.raises(ValueError):
+        daemon.submit_write(RegistryWrite("reboot", 0))
+    daemon.stop()

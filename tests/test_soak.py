@@ -22,7 +22,7 @@ pytestmark = [
 def _tiny(**overrides):
     """A seconds-scale config still hitting storms, floods, expiry."""
     base = dict(nodes=64, shards=4, events=4000, seed=11,
-                queue_limit=32, event_queue_limit=256, batch_max=64,
+                queue_limit=32, event_queue_limit=256,
                 compact_every=128, snapshot_every_bursts=16,
                 verify=False, verify_events=1000)
     base.update(overrides)
