@@ -714,9 +714,9 @@ def _serve_ha(args: argparse.Namespace, seed: int, requests: list,
 
 def _serve_daemon(args: argparse.Namespace, registry, requests: list,
                   sink) -> str:
-    """``repro serve``: one placement daemon, drained once the whole
-    request stream is queued (and whenever a write meets a full
-    queue)."""
+    """``repro serve``: one placement daemon, drained before each
+    clock tick (as the HA plane answers every request before the next),
+    whenever a fact meets a full queue, and at the end."""
     from .service import (DaemonConfig, PlaceRequest, PlacementDaemon,
                           RegistryWrite, ReleaseRequest)
     config = DaemonConfig(
@@ -732,6 +732,9 @@ def _serve_daemon(args: argparse.Namespace, registry, requests: list,
         elif isinstance(request, RegistryWrite):
             daemon.submit_write(request)
         else:
+            # Requests before a tick are answered at the old clock, so a
+            # paced stream never fills the admission queue.
+            daemon.drain()
             daemon.tick(request.now_s)
     daemon.stop()
     stats = daemon.stats

@@ -25,7 +25,9 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .trace import NullTraceSink
@@ -44,6 +46,11 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 def metric_key(subsystem: str, name: str,
                labels: Dict[str, object]) -> MetricKey:
+    if not labels:
+        return (subsystem, name, ())
+    if len(labels) == 1:
+        (key, value), = labels.items()
+        return (subsystem, name, ((key, str(value)),))
     return (subsystem, name,
             tuple(sorted((k, str(v)) for k, v in labels.items())))
 
@@ -106,12 +113,15 @@ class _Histogram:
     sorted samples on demand.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "count", "total",
-                 "minimum", "maximum", "samples")
+    __slots__ = ("bounds", "_hits", "count", "total", "minimum",
+                 "maximum", "samples")
 
     def __init__(self, bounds: Tuple[float, ...]):
         self.bounds = bounds
-        self.bucket_counts = [0] * len(bounds)
+        #: Observations per bucket, not cumulative: ``_hits[i]`` counts
+        #: those in ``(bounds[i-1], bounds[i]]``, the last slot those
+        #: above every bound.
+        self._hits = [0] * (len(bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.minimum = float("inf")
@@ -126,9 +136,13 @@ class _Histogram:
         if value > self.maximum:
             self.maximum = value
         self.samples.append(value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
+        if value == value:                  # NaN is in no bucket
+            self._hits[bisect_left(self.bounds, value)] += 1
+
+    @property
+    def bucket_counts(self) -> List[int]:
+        """Cumulative count per bound: observations ``<=`` it."""
+        return list(accumulate(self._hits[:-1]))
 
     def quantiles(self) -> Dict[str, float]:
         """Exact nearest-rank quantiles (the q-th value is the

@@ -29,7 +29,8 @@ fixed points, answering each placement and release with an explicit
 
 Messages are processed only by :meth:`~PlacementDaemon.drain`: when a
 release, write or tick meets a full queue, when the producer asks
-(the soak drains after every burst that placed or released), and in
+(the soak drains after every burst that placed or released;
+``repro serve`` before each tick), and in
 :meth:`~PlacementDaemon.stop`, which closes admission, drains, and
 closes the registry's append handles.
 

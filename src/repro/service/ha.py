@@ -75,7 +75,8 @@ from .arbitration import CrossShardArbiter
 from .daemon import (BucketPool, Decision, DUPLICATE, PLACED,
                      RELEASED, RegistryWrite, UNKNOWN_JOB,
                      UNSATISFIABLE, CLOSED)
-from .lease import CONTROL_LOG_FILE, ControlLog, LeaseTable
+from .lease import (CONTROL_LOG_FILE, ControlLog, LeaseTable,
+                    commit_payload_json)
 from .sharding import DEFAULT_SHARDS, ShardedRegistry
 from .soak import random_registry_write
 
@@ -166,6 +167,21 @@ class ShardGroups:
 
     def of_shard(self, shard_id: int) -> int:
         return self._of_shard[shard_id]
+
+
+class _NodeGroups(dict):
+    """node -> shard group, each computed once (a node's shard is a
+    pure function of its id)."""
+
+    def __init__(self, registry: ShardedRegistry, groups: ShardGroups):
+        super().__init__()
+        self._registry = registry
+        self._groups = groups
+
+    def __missing__(self, node: int) -> int:
+        group = self[node] = self._groups.of_shard(
+            self._registry.shard_id(node))
+        return group
 
 
 class HADaemon:
@@ -291,12 +307,12 @@ class _Op:
                  "next_retry_s")
 
     def __init__(self, kind: str, job: int = 0, width: int = 0,
-                 write: Optional[RegistryWrite] = None):
+                 write: Optional[RegistryWrite] = None, t0: float = 0.0):
         self.kind = kind
         self.job = job
         self.width = width
         self.write = write
-        self.t0 = time.perf_counter()
+        self.t0 = t0        # submission wall clock (placements only)
         self.attempt = 0
         self.next_retry_s = 0.0
 
@@ -329,6 +345,7 @@ class HAControlPlane:
             self.registry.record_profile(node.index, node.margin_mts,
                                          time_s=0.0)
         self.groups = ShardGroups(cfg.shards, n)
+        self._node_groups = _NodeGroups(self.registry, self.groups)
         log = ControlLog(path / CONTROL_LOG_FILE
                          if path is not None else None)
         self.table = LeaseTable(cfg.lease_duration_s, log)
@@ -377,15 +394,16 @@ class HAControlPlane:
     def submit_place(self, job_id: int, width: int) -> None:
         if width <= 0:
             raise ValueError("jobs need at least one node")
-        self._ops.append(_Op("place", job=job_id, width=width))
+        self._ops.append(_Op("place", job_id, width, None,
+                             time.perf_counter()))
         self.pump()
 
     def submit_release(self, job_id: int) -> None:
-        self._ops.append(_Op("release", job=job_id))
+        self._ops.append(_Op("release", job_id))
         self.pump()
 
     def submit_write(self, write: RegistryWrite) -> None:
-        self._ops.append(_Op("write", write=write))
+        self._ops.append(_Op("write", 0, 0, write))
         self.pump()
 
     # -- clock / liveness ----------------------------------------------------------
@@ -444,12 +462,16 @@ class HAControlPlane:
         unreachable owner, arbitration conflict) schedules a retry
         with seeded backoff and stalls the queue — preserving the
         total order that makes the decision stream fault-independent."""
-        while self._ops:
-            op = self._ops[0]
+        ops = self._ops
+        while ops:
+            op = ops[0]
             if op.next_retry_s > self.now_s:
                 break
-            if self._attempt(op):
-                self._ops.popleft()
+            kind = op.kind
+            if (self._attempt_place(op) if kind == "place" else
+                    self._attempt_release(op) if kind == "release" else
+                    self._attempt_write(op)):
+                ops.popleft()
                 continue
             if op.attempt:
                 self.stats.retries += 1
@@ -457,13 +479,6 @@ class HAControlPlane:
             op.next_retry_s = self.now_s + self._retry.delay(
                 min(op.attempt, 12), key=op.job)
             break
-
-    def _attempt(self, op: _Op) -> bool:
-        if op.kind == "place":
-            return self._attempt_place(op)
-        if op.kind == "release":
-            return self._attempt_release(op)
-        return self._attempt_write(op)
 
     def first_serviceable(self) -> Optional[HADaemon]:
         for daemon in self.daemons:
@@ -497,11 +512,13 @@ class HAControlPlane:
     def _commit(self, daemon: HADaemon, group: int, job_id: int,
                 status: str, nodes: Tuple[int, ...] = (),
                 bucket: int = 0) -> Optional[Decision]:
-        """Durably commit one decision through the fencing gate."""
+        """Durably commit one decision through the fencing gate; its
+        WAL payload is written once, from the typed fields."""
         event = self.table.commit(
             group, daemon.id, daemon.tokens[group], self.now_s,
             {"job": job_id, "status": status, "nodes": list(nodes),
-             "bucket": bucket})
+             "bucket": bucket},
+            commit_payload_json(job_id, status, nodes, bucket))
         if event is None:
             return None
         self._decision_seq += 1
@@ -522,7 +539,8 @@ class HAControlPlane:
             self.stats.duplicates += 1
             self._observe_latency(op)
             return True
-        chosen = daemon.pool.pick_margin_aware(op.width)
+        pool = daemon.pool
+        chosen = pool.pick_margin_aware(op.width)
         if chosen is None:
             if self._commit(daemon, home, op.job,
                             UNSATISFIABLE) is None:
@@ -530,13 +548,12 @@ class HAControlPlane:
             self.stats.unsatisfiable += 1
             self._observe_latency(op)
             return True
-        bucket = daemon.pool.bucket(
-            min(daemon.pool.margin(n) for n in chosen))
-        touched = sorted({
-            self.groups.of_shard(self.registry.shard_id(n))
-            for n in chosen})
+        bucket = pool.bucket(min(map(pool.margin, chosen)))
+        node_groups = self._node_groups
+        touched = sorted({node_groups[n] for n in chosen})
+        # ``_coordinator`` validated ``home`` at this same ``now_s``.
         foreign = [g for g in touched
-                   if not self.table.validate(
+                   if g != home and not self.table.validate(
                        g, daemon.id, daemon.tokens.get(g, -1),
                        self.now_s)]
         if foreign:
@@ -584,8 +601,7 @@ class HAControlPlane:
 
     def _attempt_write(self, op: _Op) -> bool:
         write = op.write
-        group = self.groups.of_shard(
-            self.registry.shard_id(write.node))
+        group = self._node_groups[write.node]
         owner = self.table.owner_of(group, self.now_s)
         if owner is None:
             return False

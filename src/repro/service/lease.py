@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..fleet.registry import canonical_json, fsync_dir, json_number
 from ..obs import get_recorder
-from .daemon import STATUSES
 
 __all__ = ["CONTROL_LOG_FILE", "ControlEvent", "ControlLog",
            "LeaseError", "LeaseRecord", "LeaseTable",
@@ -55,26 +54,24 @@ CONTROL_LOG_FILE = "control.jsonl"
 #: Event kinds the control log records.
 CONTROL_KINDS = ("acquire", "renew", "release", "commit")
 
-#: Keys of the one payload shape a placement commit carries.
-_COMMIT_KEYS = frozenset(("bucket", "job", "nodes", "status"))
-_COMMIT_STATUSES = frozenset(STATUSES)
+#: Matches no clock reading (the memos' empty key).
+_UNSET = object()
+
+#: One control-WAL line, its eight fields in :func:`canonical_json`'s
+#: (sorted) key order.
+_LINE = ('{"expires_s":%s,"group":%d,"kind":"%s","owner":%d,'
+         '"payload":%s,"seq":%d,"time_s":%s,"token":%d}')
 
 
-def _payload_json(payload: Dict[str, object]) -> str:
-    """:func:`canonical_json` of ``payload``, written directly when it
-    is a commit payload of int ``bucket``/``job``, a list of int
-    ``nodes`` and a decision status (which needs no escaping); any
-    other payload goes through :func:`canonical_json`."""
-    if payload.keys() == _COMMIT_KEYS:
-        bucket, job = payload["bucket"], payload["job"]
-        nodes, status = payload["nodes"], payload["status"]
-        if type(bucket) is int and type(job) is int and \
-                type(status) is str and status in _COMMIT_STATUSES and \
-                type(nodes) is list and \
-                all(type(node) is int for node in nodes):
-            return '{"bucket":%d,"job":%d,"nodes":[%s],"status":"%s"}' % (
-                bucket, job, ",".join(map(str, nodes)), status)
-    return canonical_json(payload)
+def commit_payload_json(job: int, status: str, nodes: Sequence[int],
+                        bucket: int) -> str:
+    """:func:`canonical_json` of a placement commit's payload
+    ``{"job", "status", "nodes", "bucket"}``, written directly from its
+    typed fields: int ``job``, ``bucket`` and nodes, and a decision
+    status (one of :data:`~repro.service.daemon.STATUSES`, which needs
+    no escaping)."""
+    return '{"bucket":%d,"job":%d,"nodes":[%s],"status":"%s"}' % (
+        bucket, job, ",".join(map(str, nodes)), status)
 
 
 class LeaseError(RuntimeError):
@@ -96,28 +93,51 @@ class LeaseRecord:
         return now_s < self.expires_s
 
 
-@dataclass(frozen=True)
 class ControlEvent:
-    """One line of the control WAL."""
-    seq: int
-    kind: str               # acquire | renew | release | commit
-    group: int
-    owner: int
-    token: int
-    time_s: float
-    expires_s: float = 0.0
-    payload: Dict[str, object] = field(default_factory=dict)
+    """One line of the control WAL.  A plain ``__slots__`` record, one
+    built per append; ``payload`` is the dict it was given, not a
+    copy."""
+
+    __slots__ = ("seq", "kind", "group", "owner", "token", "time_s",
+                 "expires_s", "payload")
+
+    def __init__(self, seq: int, kind: str, group: int, owner: int,
+                 token: int, time_s: float, expires_s: float = 0.0,
+                 payload: Optional[Dict[str, object]] = None):
+        self.seq = seq
+        self.kind = kind            # acquire | renew | release | commit
+        self.group = group
+        self.owner = owner
+        self.token = token
+        self.time_s = time_s
+        self.expires_s = expires_s
+        self.payload = payload if payload is not None else {}
+
+    def _fields(self) -> tuple:
+        return (self.seq, self.kind, self.group, self.owner, self.token,
+                self.time_s, self.expires_s, self.payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ControlEvent:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None     # mutable payload
+
+    def __repr__(self) -> str:
+        return "ControlEvent({})".format(", ".join(
+            "{}={!r}".format(name, value)
+            for name, value in zip(self.__slots__, self._fields())))
 
     def to_json(self) -> str:
         """One canonical JSONL line, byte-identical to
         :func:`canonical_json` of the eight fields but written directly
         (``kind`` is one of :data:`CONTROL_KINDS`, so needs no
         escaping)."""
-        return ('{"expires_s":%s,"group":%d,"kind":"%s","owner":%d,'
-                '"payload":%s,"seq":%d,"time_s":%s,"token":%d}' % (
-                    json_number(self.expires_s), self.group, self.kind,
-                    self.owner, _payload_json(self.payload), self.seq,
-                    json_number(self.time_s), self.token))
+        return _LINE % (json_number(self.expires_s), self.group,
+                        self.kind, self.owner,
+                        canonical_json(self.payload), self.seq,
+                        json_number(self.time_s), self.token)
 
     @classmethod
     def from_doc(cls, doc: Dict[str, object]) -> "ControlEvent":
@@ -164,6 +184,12 @@ class ControlLog:
         self._pending: Optional[ControlEvent] = None
         #: Append handle, opened by the first append.
         self._fh = None
+        #: The last ``time_s`` written and its JSON spelling, and the
+        #: same per group for ``expires_s``: within a tick every append
+        #: passes the same objects.  Keyed by identity, so exact
+        #: (``-0.0`` never reuses ``0.0``'s spelling).
+        self._time_memo: Tuple[object, str] = (_UNSET, "")
+        self._expires_memo: Dict[int, Tuple[object, str]] = {}
         if self.path is not None:
             self._load()
 
@@ -222,21 +248,47 @@ class ControlLog:
 
     def append(self, kind: str, group: int, owner: int, token: int,
                time_s: float, expires_s: float = 0.0,
-               payload: Optional[Dict[str, object]] = None
-               ) -> ControlEvent:
-        event = ControlEvent(seq=self.last_seq + 1, kind=kind,
-                             group=group, owner=owner, token=token,
-                             time_s=time_s, expires_s=expires_s,
-                             payload=dict(payload or {}))
-        self._admit(event)
+               payload: Optional[Dict[str, object]] = None,
+               payload_json: Optional[str] = None) -> ControlEvent:
+        """Append one event and flush it.  ``payload`` is copied, unless
+        ``payload_json`` comes with it: that must be
+        :func:`canonical_json` of ``payload`` (a typed commit's
+        :func:`commit_payload_json`), and the caller's freshly built
+        dict is kept as it is."""
+        if payload_json is None:
+            payload = dict(payload) if payload else {}
+        event = ControlEvent(self._forgotten + len(self.events) + 1,
+                             kind, group, owner, token, time_s,
+                             expires_s, payload)
+        if self._pending is not None:       # _admit, without the call
+            self._auditor.feed(self._pending)
+        self._pending = event
         self.events.append(event)
         if self.path is not None:
             fh = self._fh
             if fh is None:
                 fh = self._fh = open(self.path, "a")
-            fh.write(event.to_json() + "\n")
+            fh.write(self._line(event, payload_json))
             fh.flush()
         return event
+
+    def _line(self, event: ControlEvent,
+              payload_json: Optional[str]) -> str:
+        """``event.to_json()`` plus a newline, with the two clock
+        readings' spellings memoised."""
+        time_s, expires_s = event.time_s, event.expires_s
+        memo = self._time_memo
+        if memo[0] is not time_s:
+            memo = self._time_memo = (time_s, json_number(time_s))
+        expires = self._expires_memo.get(event.group)
+        if expires is None or expires[0] is not expires_s:
+            expires = self._expires_memo[event.group] = (
+                expires_s, json_number(expires_s))
+        if payload_json is None:
+            payload_json = canonical_json(event.payload)
+        return _LINE % (expires[1], event.group, event.kind, event.owner,
+                        payload_json, event.seq, memo[1],
+                        event.token) + "\n"
 
     @property
     def last_seq(self) -> int:
@@ -399,9 +451,16 @@ class LeaseTable:
         """The fencing check: does ``(owner, token)`` hold a live
         lease on ``group`` right now?  A stale token (the daemon was
         deposed), a foreign owner, or an expired lease all fail."""
+        return self._live(group, owner, token, now_s) is not None
+
+    def _live(self, group: int, owner: int, token: int,
+              now_s: float) -> Optional[LeaseRecord]:
+        """The lease :meth:`validate` accepts, else None."""
         lease = self._leases.get(group)
-        return (lease is not None and lease.owner == owner and
-                lease.token == token and lease.valid_at(now_s))
+        if lease is None or lease.owner != owner or \
+                lease.token != token or not now_s < lease.expires_s:
+            return None
+        return lease
 
     # -- protocol -----------------------------------------------------------------
 
@@ -472,12 +531,16 @@ class LeaseTable:
         return True
 
     def commit(self, group: int, owner: int, token: int, now_s: float,
-               payload: Dict[str, object]) -> Optional[ControlEvent]:
+               payload: Dict[str, object],
+               payload_json: Optional[str] = None
+               ) -> Optional[ControlEvent]:
         """Durably commit a decision under the caller's lease.  This
         is the fencing gate on the write path: a stale token or an
         expired lease means the event is **rejected**, not logged —
-        the deposed daemon's in-flight write never lands."""
-        if not self.validate(group, owner, token, now_s):
+        the deposed daemon's in-flight write never lands.
+        ``payload_json`` is as :meth:`ControlLog.append` takes it."""
+        lease = self._live(group, owner, token, now_s)
+        if lease is None:
             self.stats.fenced_writes += 1
             rec = get_recorder()
             if rec.enabled:
@@ -485,8 +548,7 @@ class LeaseTable:
             return None
         self.stats.commits += 1
         return self.log.append("commit", group, owner, token, now_s,
-                               expires_s=self._leases[group].expires_s,
-                               payload=payload)
+                               lease.expires_s, payload, payload_json)
 
     # -- durability ---------------------------------------------------------------
 

@@ -96,7 +96,7 @@ def _serve_request_lines():
     for job in range(21, 121):             # storm past the watermark
         op(op="place", job=job, nodes=1 + job % 3, deadline_s=60.0)
     op(op="tick", now_s=10.0)              # backwards: clamped at 40
-    flood(4, 64)
+    flood(4, 1)                            # the tick drained the storm
     op(op="place", job=200, nodes=1, deadline_s=20.0)   # stale at 40
     op(op="place", job=1, nodes=1)         # duplicate of a live lease
     for job in (1, 2, 4, 21, 22, 23):
@@ -107,9 +107,10 @@ def _serve_request_lines():
 
 
 #: SHA-256 of the decision JSONL ``repro serve`` writes for
-#: :func:`_serve_request_lines`.
+#: :func:`_serve_request_lines` (each tick drains the requests queued
+#: before it).
 SERVE_DIGEST = (
-    "5f28405fba1feaf86c9221099de6bf69b9928f90a7164b31207e8523276f81a6")
+    "173fe30c7b88da9d088b80bc7b54028011dac4a64ee58e5db5a2b8abe5325c58")
 
 
 def test_serve_decision_stream_is_pinned(tmp_path, capsys):
@@ -128,9 +129,35 @@ def test_serve_decision_stream_is_pinned(tmp_path, capsys):
                    "unknown-job"):
         assert status in statuses, status
     assert summary.strip() == (
-        "repro serve: 140 decisions (placed 36, shed 45, expired 5, "
-        "released 7), 8117 writes, queue peak 4096")
+        "repro serve: 140 decisions (placed 36, shed 37, expired 5, "
+        "released 7), 8180 writes, queue peak 4096")
     assert hashlib.sha256(data).hexdigest() == SERVE_DIGEST
+
+
+def test_serve_answers_a_paced_request_stream(tmp_path, capsys):
+    """Each tick drains the requests before it: 300 one-node jobs, each
+    after a 1 s tick with the job two back released, on 64 nodes with
+    ``--queue-limit 64``, are all placed and every release finds its
+    job."""
+    lines = []
+    for job in range(1, 301):
+        lines.append({"op": "tick", "now_s": float(job)})
+        lines.append({"op": "place", "job": job, "nodes": 1})
+        if job > 2:
+            lines.append({"op": "release", "job": job - 2})
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+    out = tmp_path / "decisions.jsonl"
+    rc = main(["serve", "--seed", "26", "--nodes", "64", "--queue-limit",
+               "64", "--requests", str(requests), "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    statuses = [json.loads(line)["status"]
+                for line in out.read_text().splitlines()]
+    assert "shed" not in statuses
+    assert "unknown-job" not in statuses
+    assert statuses.count("placed") == 300
+    assert statuses.count("released") == 298
 
 
 def test_soak_and_serve_never_import_asyncio(tmp_path):

@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.obs import (DEFAULT_BUCKETS, JsonlTraceSink, MemoryTraceSink,
                        NullRecorder, Recorder, get_recorder, read_trace,
                        recording, set_recorder, to_json, to_prometheus)
+from repro.obs.recorder import metric_key
 
 
 # -- recorder ----------------------------------------------------------------------
@@ -43,6 +44,26 @@ def test_label_order_does_not_split_series():
     rec.counter("s", "n", b=2, a=1)
     assert rec.counter_value("s", "n", a=1, b=2) == 2
     assert len(rec.snapshot()["counters"]) == 1
+
+
+@pytest.mark.parametrize("labels", [
+    {}, {"result": "ok"}, {"zone": 3, "area": "b", "mode": None}])
+def test_metric_key_equals_the_sorted_tuple_form(labels):
+    assert metric_key("s", "n", labels) == (
+        "s", "n", tuple(sorted((k, str(v)) for k, v in labels.items())))
+
+
+def test_one_label_counter_merges_with_its_sorted_form_series():
+    rec = Recorder()
+    rec.counter("ha", "lease_renewals", result="ok")
+    # The series as the sorted-tuple form keys it.
+    rec._counters[("ha", "lease_renewals", (("result", "ok"),))] += 4
+    rec.counter("x", "y", shard=1)
+    rec.counter("x", "y", shard="1")
+    assert rec.counter_value("ha", "lease_renewals", result="ok") == 5
+    assert rec.counter_value("x", "y", shard=1) == 2
+    assert [row["labels"] for row in rec.snapshot()["counters"]] == [
+        {"result": "ok"}, {"shard": "1"}]
 
 
 def test_histogram_buckets_are_cumulative():

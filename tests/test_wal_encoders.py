@@ -4,6 +4,8 @@ and the daemon's ``Decision`` — against ``canonical_json`` of the same
 fields, the encoder they replace on the append path."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from repro.fleet import EVENT_KINDS, RegistryEvent, canonical_json
 from repro.fleet.registry import json_number
 from repro.service import ControlEvent, Decision
 from repro.service.daemon import STATUSES
-from repro.service.lease import CONTROL_KINDS
+from repro.service.lease import (CONTROL_KINDS, ControlLog, LeaseTable,
+                                 commit_payload_json)
 
 #: Times as callers pass them: ints and floats, the float spellings
 #: ``repr`` and JSON disagree on, and the edge values spelled out.
@@ -131,3 +134,135 @@ def test_commit_payload_encoder_is_canonical(status, job, bucket, nodes):
 def test_non_commit_payload_falls_back_to_canonical(payload):
     event, expected = _commit_line(payload)
     assert event.to_json() == expected
+
+
+#: Clock readings whose spellings a memo keyed by value would confuse:
+#: ``0.0``/``-0.0`` and ``1``/``1.0`` compare equal, NaN never does.
+#: Sampled from one list, so repeats hand the log the same objects.
+_memo_times = st.sampled_from([0.0, -0.0, 1, 1.0, 2.5, float("nan"),
+                               float("inf"), float("-inf")])
+
+_commits = st.tuples(st.sampled_from(STATUSES), st.integers(),
+                     st.lists(_ids, max_size=4),
+                     st.integers(min_value=0, max_value=2400))
+
+#: One append: kind, group, time_s, expires_s, and for a commit either a
+#: typed decision payload or a free-form one.
+_appends = st.tuples(st.sampled_from(CONTROL_KINDS),
+                     st.integers(min_value=0, max_value=2),
+                     _memo_times, _memo_times,
+                     st.one_of(_commits, _payloads))
+
+
+@settings(max_examples=80, deadline=None)
+@given(appends=st.lists(_appends, min_size=1, max_size=24))
+def test_control_log_lines_are_canonical_across_a_sequence(appends):
+    """Every line one ``ControlLog`` writes equals ``canonical_json`` of
+    its fields, whatever clock readings came before it (the log keeps
+    the last spellings between appends)."""
+    expected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        log = ControlLog(Path(tmp) / "control.jsonl")
+        for seq, (kind, group, time_s, expires_s, body) in enumerate(
+                appends, 1):
+            payload_json = None
+            if kind != "commit":
+                payload = {}
+            elif isinstance(body, tuple):
+                status, job, nodes, bucket = body
+                payload = {"job": job, "status": status, "nodes": nodes,
+                           "bucket": bucket}
+                payload_json = commit_payload_json(job, status, nodes,
+                                                   bucket)
+            else:
+                payload = body
+            log.append(kind, group, 1, 9, time_s, expires_s, payload,
+                       payload_json)
+            expected.append(canonical_json(
+                {"seq": seq, "kind": kind, "group": group, "owner": 1,
+                 "token": 9, "time_s": time_s, "expires_s": expires_s,
+                 "payload": payload}))
+        log.close()
+        written = (Path(tmp) / "control.jsonl").read_text()
+    assert written.splitlines() == expected
+
+
+@pytest.mark.parametrize("status", STATUSES)
+@settings(max_examples=40, deadline=None)
+@given(job=st.integers(), nodes=st.lists(_ids, max_size=8),
+       bucket=st.integers())
+def test_typed_commit_payload_is_canonical(status, job, nodes, bucket):
+    for nodes_, bucket_ in ((nodes, bucket), ([], 0)):
+        assert commit_payload_json(job, status, nodes_, bucket_) == \
+            canonical_json({"job": job, "status": status,
+                            "nodes": nodes_, "bucket": bucket_})
+
+
+@pytest.mark.parametrize("status", STATUSES)
+def test_typed_commit_line_through_the_lease_table(tmp_path, status):
+    """A typed commit's line, with an empty node list and bucket 0 and
+    with nodes, equals ``canonical_json`` of its fields."""
+    table = LeaseTable(30.0, ControlLog(tmp_path / "control.jsonl"))
+    lease = table.acquire(0, 0, 0.0)
+    for job, nodes, bucket in ((5, (), 0), (6, (3, 1, 2), 800)):
+        payload = {"job": job, "status": status, "nodes": list(nodes),
+                   "bucket": bucket}
+        event = table.commit(0, 0, lease.token, 1.5, payload,
+                             commit_payload_json(job, status, nodes,
+                                                 bucket))
+        assert event.payload is payload
+    table.log.close()
+    lines = (tmp_path / "control.jsonl").read_text().splitlines()
+    assert lines[1:] == [canonical_json(
+        {"seq": seq, "kind": "commit", "group": 0, "owner": 0,
+         "token": lease.token, "time_s": 1.5, "expires_s": 30.0,
+         "payload": {"job": job, "status": status, "nodes": list(nodes),
+                     "bucket": bucket}})
+        for seq, job, nodes, bucket in ((2, 5, (), 0),
+                                        (3, 6, (3, 1, 2), 800))]
+
+
+def test_buffered_write_payload_goes_through_canonical_json(
+        tmp_path, monkeypatch):
+    """``heal_daemon``'s buffered write is not a decision status, so it
+    reaches the lease table with no typed JSON and, when it lands, is
+    written by ``canonical_json``."""
+    from repro.service import lease as lease_module
+    from repro.service.ha import HAConfig, HAControlPlane
+
+    commits = []
+    original = LeaseTable.commit
+
+    def spy_commit(self, group, owner, token, now_s, payload,
+                   payload_json=None):
+        commits.append((dict(payload), payload_json))
+        return original(self, group, owner, token, now_s, payload,
+                        payload_json)
+
+    monkeypatch.setattr(LeaseTable, "commit", spy_commit)
+    config = HAConfig(nodes=40, shards=4, daemons=2, events=10,
+                      lease_duration_s=3.0, renew_every_s=0.75,
+                      heartbeat_timeout_s=1.5)
+    plane = HAControlPlane(config)
+    plane.partition_daemon(1)
+    plane.tick(10.0)                # daemon 1's group fails over
+    plane.heal_daemon(1)
+    plane.stop()
+    buffered = {"job": -1, "status": "buffered-write", "nodes": [],
+                "bucket": 0}
+    assert (buffered, None) in commits
+    assert plane.table.stats.fenced_writes == 1
+
+    encoded = []
+    monkeypatch.setattr(lease_module, "canonical_json",
+                        lambda obj: encoded.append(obj) or
+                        canonical_json(obj))
+    table = LeaseTable(30.0, ControlLog(tmp_path / "control.jsonl"))
+    lease = table.acquire(0, 0, 0.0)
+    table.commit(0, 0, lease.token, 2.0, dict(buffered))
+    table.log.close()
+    assert encoded[-1] == buffered
+    assert (tmp_path / "control.jsonl").read_text().splitlines()[-1] == \
+        canonical_json({"seq": 2, "kind": "commit", "group": 0,
+                        "owner": 0, "token": lease.token, "time_s": 2.0,
+                        "expires_s": 30.0, "payload": buffered})
