@@ -133,8 +133,7 @@ class PlacementService:
                 out.append(None)
                 continue
             chosen = free.take(keys)
-            bucket = free.bucket(
-                min(n.effective_margin_mts for n in chosen))
+            bucket = free.bucket(chosen.min_margin)
             out.append(Assignment(job_id,
                                   tuple(n.index for n in chosen),
                                   bucket))

@@ -10,9 +10,9 @@ to the fastest X free nodes overall — exactly the rule in the paper.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
-from itertools import islice
+from bisect import bisect_left, bisect_right
+from itertools import count as counting, groupby
+from operator import itemgetter
 from typing import (Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -21,13 +21,82 @@ from ..core.margin_selection import (NODE_MARGIN_BUCKETS,
 from .cluster import ClusterNode
 from .job import Job
 
+#: ``(margin, length)`` per margin block, fastest margin first.
+Cuts = Tuple[Tuple[int, int], ...]
+
+
+class Pick(list):
+    """Keys a :class:`FreeNodePool` picked, in pick order: the
+    prefixes of its runs that ``cuts`` names, one ``(margin, length)``
+    per run, fastest margin first.  The keys follow those prefixes one
+    after another, or interleave them in key order (several margins of
+    one bucket, or a default pick)."""
+
+    __slots__ = ("cuts",)
+
+    @property
+    def min_margin(self) -> int:
+        """The slowest margin the pick reaches into."""
+        return self.cuts[-1][0]
+
+
+class Allocation(list):
+    """Nodes a :meth:`FreeNodePool.take` removed, in the order of the
+    ``keys`` it was given, and the same nodes in margin blocks:
+    ``block_keys`` and ``block_nodes`` hold block after block, keys
+    ascending within each, as ``cuts`` lays them out."""
+
+    __slots__ = ("keys", "cuts", "block_keys", "block_nodes")
+
+    @property
+    def min_margin(self) -> int:
+        """The slowest margin the nodes were taken at."""
+        return self.cuts[-1][0]
+
+    def rekeyed(self, base: int) -> Tuple[Cuts, Sequence, Sequence]:
+        """The blocks, for :meth:`FreeNodePool.add_blocks`, under fresh
+        keys ``base``, ``base + 1``, ... in take order: freed so, the
+        nodes rejoin a free list at its back in the order they were
+        taken."""
+        if len(self.cuts) == 1:
+            return self.cuts, range(base, base + len(self)), self
+        rank = dict(zip(self.keys, counting(base)))
+        return (self.cuts, list(map(rank.__getitem__, self.block_keys)),
+                self.block_nodes)
+
+
+def _pick(keys: List, cuts: Cuts) -> Pick:
+    pick = Pick(keys)
+    pick.cuts = cuts
+    return pick
+
+
+class _Run:
+    """One margin's free nodes: ``keys`` ascending and, in parallel,
+    their ``nodes``, both live from index ``head`` on.  Taking a prefix
+    moves ``head`` (see :meth:`FreeNodePool.take`); the dead part is
+    dropped once it outgrows the live one, so a take never shifts the
+    whole list."""
+
+    __slots__ = ("keys", "nodes", "head")
+
+    def __init__(self):
+        self.keys: List = []
+        self.nodes: List = []
+        self.head = 0
+
 
 class FreeNodePool:
-    """Free nodes per exact margin, each list sorted by an *order key*
+    """Free nodes per exact margin, each run sorted by an *order key*
     the caller supplies (the free-list order picks break ties by): the
     one implementation of the margin-aware rule, kept incrementally
-    for every placement path.  Picks return keys; :meth:`take` removes
-    them and returns their nodes."""
+    for every placement path.
+
+    Every pick is a prefix of each margin's run, so picking, taking
+    and freeing a job's nodes cost a few steps per margin plus list
+    slicing, not a step per node.  Picks return a :class:`Pick` of
+    keys; :meth:`take` removes keys and returns an
+    :class:`Allocation` of their nodes."""
 
     def __init__(self, buckets: Sequence[int] = NODE_MARGIN_BUCKETS):
         self.buckets = tuple(buckets)
@@ -35,20 +104,31 @@ class FreeNodePool:
         self.counts = dict.fromkeys(
             sorted(set(self.buckets) | {0}, reverse=True), 0)
         self._snap: Dict[int, int] = {}
-        self._lists: Dict[int, List] = {}
-        self._entry: Dict[Hashable, Tuple[object, int]] = {}
+        self._runs: Dict[int, _Run] = {}
+        #: Every margin seen, fastest first, and per bucket its margins.
+        self._margins: List[int] = []
+        self._in_bucket: Dict[int, List[int]] = {}
+        self._size = 0
 
     @classmethod
     def of(cls, nodes: Sequence[ClusterNode],
            buckets: Sequence[int]) -> "FreeNodePool":
         """``nodes`` at their effective margins, keyed by position."""
+        groups: Dict[int, Tuple[List, List]] = {}
+        for key, node in enumerate(nodes):
+            margin = node.effective_margin_mts
+            group = groups.get(margin)
+            if group is None:
+                group = groups[margin] = ([], [])
+            group[0].append(key)
+            group[1].append(node)
         pool = cls(buckets)
-        pool.add_all((node, node.effective_margin_mts, key)
-                     for key, node in enumerate(nodes))
+        for margin, (keys, members) in groups.items():
+            pool.add_blocks(((margin, len(keys)),), keys, members)
         return pool
 
     def __len__(self) -> int:
-        return len(self._entry)
+        return self._size
 
     def bucket(self, margin: int) -> int:
         """The class ``margin`` snaps into."""
@@ -56,83 +136,235 @@ class FreeNodePool:
             self._snap[margin] = bucket_node_margin(margin, self.buckets)
         return self._snap[margin]
 
+    def _run(self, margin: int) -> _Run:
+        """``margin``'s run, made on first use."""
+        run = self._runs.get(margin)
+        if run is None:
+            run = self._runs[margin] = _Run()
+            self._margins = sorted(self._runs, reverse=True)
+            bucket = self.bucket(margin)
+            self._in_bucket[bucket] = [m for m in self._margins
+                                       if self._snap[m] == bucket]
+        return run
+
+    # -- freeing ------------------------------------------------------------------
+
     def add(self, node: object, margin: int, key: Hashable) -> None:
         """Free ``node`` at ``margin`` under the unique order ``key``."""
-        self.add_all(((node, margin, key),))
+        self.add_blocks(((margin, 1),), (key,), (node,))
 
     def add_all(self, entries: Iterable[Tuple[object, int, Hashable]]
                 ) -> None:
-        """Free each ``(node, margin, key)``.  A key that sorts after
-        its margin's last key is appended (always, for increasing
-        free-list keys); any other is inserted in order."""
-        entry, lists, counts, snap = (self._entry, self._lists,
-                                      self.counts, self._snap)
+        """Free each ``(node, margin, key)``."""
         for node, margin, key in entries:
-            entry[key] = (node, margin)
-            lst = lists.get(margin)
-            if lst is None:
-                lists[margin] = [key]
-                self.bucket(margin)             # fills snap[margin]
-            elif not lst or lst[-1] < key:
-                lst.append(key)
-            else:
-                insort(lst, key)
-            counts[snap[margin]] += 1
+            self.add(node, margin, key)
 
-    def take(self, keys: Sequence[Hashable]) -> List[object]:
+    def add_blocks(self, cuts: Cuts, keys: Sequence,
+                   nodes: Sequence) -> None:
+        """Free ``nodes`` under ``keys`` block by block: for each
+        ``(margin, length)`` of ``cuts``, the next ``length`` of each
+        (keys ascending within a block), as an :class:`Allocation`
+        holds them.  A block that falls between two neighbouring keys
+        of its margin's run (past the last one, always, for increasing
+        free-list keys) goes in with one slice assignment, into the
+        dead part before the head when it fits there; any other is
+        inserted key by key."""
+        counts, snap, runs = self.counts, self._snap, self._runs
+        start = 0
+        for margin, length in cuts:
+            end = start + length
+            run = runs.get(margin) or self._run(margin)
+            run_keys, run_nodes = run.keys, run.nodes
+            at = bisect_left(run_keys, keys[start], run.head)
+            if at == len(run_keys) or keys[end - 1] < run_keys[at]:
+                if at == run.head >= length:
+                    # Back into the dead part just before the head.
+                    run.head = at = at - length
+                    run_keys[at:at + length] = keys[start:end]
+                    run_nodes[at:at + length] = nodes[start:end]
+                else:
+                    run_keys[at:at] = keys[start:end]
+                    run_nodes[at:at] = nodes[start:end]
+            else:
+                for key, node in zip(keys[start:end], nodes[start:end]):
+                    at = bisect_left(run_keys, key, at)
+                    run_keys.insert(at, key)
+                    run_nodes.insert(at, node)
+            counts[snap[margin]] += length
+            start = end
+        self._size += start
+
+    # -- taking -------------------------------------------------------------------
+
+    def take(self, keys: Sequence[Hashable]) -> Allocation:
         """Remove ``keys`` from the pool; returns their nodes.
 
-        Every pick takes a prefix of each margin's list, so a margin
-        whose keys are that prefix loses them in one slice delete; any
-        other key is found by bisection."""
-        nodes = []
-        per_margin: Dict[int, List] = {}
-        for key in keys:
-            node, margin = self._entry.pop(key)
-            nodes.append(node)
-            group = per_margin.get(margin)
-            if group is None:
-                per_margin[margin] = [key]
-            else:
-                group.append(key)
-        for margin, group in per_margin.items():
-            lst = self._lists[margin]
-            if lst[:len(group)] == group:
-                del lst[:len(group)]
-            else:
-                for key in group:
-                    del lst[bisect_left(lst, key)]
-            self.counts[self._snap[margin]] -= len(group)
-        return nodes
+        A :class:`Pick` whose cuts are still prefixes of this pool's
+        runs (always, for a pick this pool made and has not changed
+        since; also for one from a replica holding the same free
+        nodes) is taken by moving each run's head.  Any other key is
+        found by bisection.  A key that is not free raises
+        ``KeyError`` and leaves the pool as it was."""
+        taken = self._cut(keys) if type(keys) is Pick else None
+        if taken is None:
+            return self._take_each(keys)
+        counts, snap, runs = self.counts, self._snap, self._runs
+        for margin, length in taken.cuts:
+            run = runs[margin]
+            head = run.head + length
+            if 2 * head > len(run.keys):
+                del run.keys[:head]
+                del run.nodes[:head]
+                head = 0
+            run.head = head
+            counts[snap[margin]] -= length
+        self._size -= len(taken)
+        return taken
+
+    def _cut(self, pick: Pick) -> Optional[Allocation]:
+        """``pick`` as one prefix slice per cut, when those slices
+        still hold exactly its keys; else None."""
+        block_keys, block_nodes = [], []
+        for margin, length in pick.cuts:
+            run = self._runs.get(margin)
+            if run is None:
+                return None
+            end = run.head + length
+            block_keys += run.keys[run.head:end]
+            block_nodes += run.nodes[run.head:end]
+        if block_keys == pick:
+            taken = Allocation(block_nodes)
+        elif sorted(block_keys) == pick:
+            taken = Allocation(map(
+                dict(zip(block_keys, block_nodes)).__getitem__, pick))
+        else:
+            return None
+        taken.keys = pick
+        taken.cuts = pick.cuts
+        taken.block_keys = block_keys
+        taken.block_nodes = block_nodes
+        return taken
+
+    def _margin_of(self, key: Hashable) -> int:
+        """The margin whose run holds ``key`` (KeyError if none)."""
+        for margin in self._runs:
+            if self._find(key, margin)[0] is not None:
+                return margin
+        raise KeyError(key)
+
+    def _find(self, key: Hashable, margin: int
+              ) -> Tuple[Optional[_Run], int]:
+        """``margin``'s run and the position of ``key`` in it, or
+        ``(None, -1)`` when ``key`` is not free at ``margin``."""
+        run = self._runs.get(margin)
+        if run is not None:
+            at = bisect_left(run.keys, key, run.head)
+            if at < len(run.keys) and run.keys[at] == key:
+                return run, at
+        return None, -1
+
+    def _remove(self, key: Hashable, margin: int) -> object:
+        """Take the free ``key`` at ``margin``; returns its node."""
+        run, at = self._find(key, margin)
+        if run is None:
+            raise KeyError(key)
+        del run.keys[at]
+        self.counts[self._snap[margin]] -= 1
+        self._size -= 1
+        return run.nodes.pop(at)
+
+    def _take_each(self, keys: Sequence[Hashable]) -> Allocation:
+        """Take any key set, each key found by bisection."""
+        keys = list(keys)
+        margins = list(map(self._margin_of, keys))
+        for key, margin in zip(keys, margins):
+            if self._find(key, margin)[0] is None:
+                raise KeyError(key)
+        if len(set(keys)) < len(keys):
+            raise KeyError("a key given twice")
+        nodes = list(map(self._remove, keys, margins))
+        # Block order: fastest margin first, then key order.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order.sort(key=margins.__getitem__, reverse=True)
+        taken = Allocation(nodes)
+        taken.keys = keys
+        taken.cuts = tuple(
+            (margin, len(list(block)))
+            for margin, block in groupby(order, margins.__getitem__))
+        taken.block_keys = [keys[at] for at in order]
+        taken.block_nodes = [nodes[at] for at in order]
+        return taken
+
+    # -- picking ------------------------------------------------------------------
 
     @staticmethod
-    def _first(lists: List[List], count: int) -> List:
-        if len(lists) == 1:
-            return lists[0][:count]
-        return list(islice(heapq.merge(*lists), count))
+    def _trivial(count: int) -> Optional[Pick]:
+        """The pick for a count that needs no search: an empty one for
+        0, None for one above the free nodes; a negative count
+        raises."""
+        if count < 0:
+            raise ValueError(
+                "cannot pick {} nodes: a node count must not be "
+                "negative".format(count))
+        return _pick([], ()) if count == 0 else None
 
-    def pick_margin_aware(self, count: int) -> Optional[List]:
+    def _first(self, margins: List[int], count: int) -> Pick:
+        """The first ``count`` (> 0) keys, in key order, of the
+        non-empty runs at ``margins`` (fastest first): one sort of the
+        runs' heads, then each run's share by bisection."""
+        runs = self._runs
+        if len(margins) == 1:
+            run = runs[margins[0]]
+            return _pick(run.keys[run.head:run.head + count],
+                         ((margins[0], count),))
+        heads = []
+        for margin in margins:
+            run = runs[margin]
+            heads += run.keys[run.head:run.head + count]
+        heads.sort()
+        del heads[count:]
+        cuts = []
+        for margin in margins:
+            run = runs[margin]
+            length = bisect_right(run.keys, heads[-1], run.head) - run.head
+            if length:
+                cuts.append((margin, length))
+        return _pick(heads, tuple(cuts))
+
+    def _live(self, margins: List[int]) -> List[int]:
+        """Those of ``margins`` with a free node."""
+        runs = self._runs
+        return [m for m in margins if len(runs[m].keys) > runs[m].head]
+
+    def pick_margin_aware(self, count: int) -> Optional[Pick]:
         """The paper's rule: the first ``count`` keys of the fastest
         bucket that alone holds ``count`` free nodes, else the
         ``count`` fastest free nodes (key order within one margin).
         None when fewer than ``count`` nodes are free."""
-        if count > len(self._entry):
-            return None
+        if count > self._size or count <= 0:
+            return self._trivial(count)
         for bucket, free in self.counts.items():
             if free >= count:
+                margins = self._in_bucket[bucket]
                 return self._first(
-                    [lst for margin, lst in self._lists.items()
-                     if self._snap[margin] == bucket], count)
-        out: List = []
-        for margin in sorted(self._lists, reverse=True):
-            out += self._lists[margin][:count - len(out)]
-        return out
+                    margins if len(margins) == 1 else self._live(margins),
+                    count)
+        out, cuts = [], []
+        for margin in self._margins:
+            run = self._runs[margin]
+            share = run.keys[run.head:run.head + count - len(out)]
+            if share:
+                out += share
+                cuts.append((margin, len(share)))
+                if len(out) == count:
+                    break
+        return _pick(out, tuple(cuts))
 
-    def pick_default(self, count: int) -> Optional[List]:
+    def pick_default(self, count: int) -> Optional[Pick]:
         """The first ``count`` keys in key order (None if short)."""
-        if count > len(self._entry):
-            return None
-        return self._first(list(self._lists.values()), count)
+        if count > self._size or count <= 0:
+            return self._trivial(count)
+        return self._first(self._live(self._margins), count)
 
 
 class AllocationPolicy:
@@ -240,7 +472,7 @@ class EasyBackfillScheduler:
         available = free_count
         # Plan with walltime limits, as EASY does: a running job is
         # assumed to hold its nodes until start + limit.
-        for finish_s, job in sorted(running, key=lambda fr: fr[0]):
+        for finish_s, job in sorted(running, key=itemgetter(0)):
             if available >= head.nodes_requested:
                 break
             available += job.nodes_requested

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.margin_selection import bucket_node_margin
 from .cluster import Cluster
 from .job import Job
-from .scheduler import EasyBackfillScheduler, FreeNodePool
+from .scheduler import Allocation, EasyBackfillScheduler, FreeNodePool
 from .traces import memory_bucket
 
 
@@ -25,9 +25,15 @@ class PerformanceModel:
     """Speedup of the simulated system over the conventional one, by
     node margin bucket and job memory bucket.
 
-    The default numbers are this reproduction's measured Figure 12
-    node-level speedups (suite-equal averages); override with your own
-    :mod:`repro.sim.runner` results for an end-to-end pipeline.
+    The default table is the hand-set one this reproduction started
+    from (800 MT/s: 1.12, 600 MT/s: 1.09 for jobs under 50 %
+    utilization), not a measurement: the committed Figure 12 does not
+    reproduce it.  For speedups measured by this reproduction, build
+    the model with
+    :func:`repro.fastmodel.performance_model_from_calibration` (the
+    calibrated fast tier) or
+    :meth:`repro.sim.runner.Fig12Bars.performance_model` (a Figure 12
+    grid).
     """
     speedups: Dict[int, Dict[str, float]] = field(default_factory=lambda: {
         800: {"under_25": 1.12, "25_to_50": 1.12, "over_50": 1.0},
@@ -136,6 +142,9 @@ class SystemSimulator:
         free_key = len(free)
         #: In-flight (finish_s, job) pairs, keyed by finish-event seq.
         running: Dict[int, Tuple[float, Job]] = {}
+        #: Each in-flight job's nodes with their per-margin blocks,
+        #: kept until it finishes and they are freed again.
+        held: Dict[int, Allocation] = {}
         seq = len(jobs)
         while events:
             now, event_seq, kind, job = heapq.heappop(events)
@@ -144,21 +153,19 @@ class SystemSimulator:
             else:
                 job.finish_s = now
                 del running[event_seq]
-                nodes = job.allocated_nodes
-                free.add_all(
-                    (node, node.effective_margin_mts, free_key + i)
-                    for i, node in enumerate(nodes))
-                free_key += len(nodes)
+                taken = held.pop(event_seq)
+                free.add_blocks(*taken.rekeyed(free_key))
+                free_key += len(taken)
             for started, nodes in self.scheduler.schedule_pass(
                     now, queue, free, running.values()):
-                started.allocated_nodes = nodes
+                started.allocated_nodes = nodes[:]
                 started.start_s = now
-                min_margin = min(n.effective_margin_mts for n in nodes)
                 factor = self.performance.speedup(
-                    min_margin, started.memory_utilization)
+                    nodes.min_margin, started.memory_utilization)
                 started.runtime_s = started.base_runtime_s / factor
                 finish = now + started.runtime_s
                 running[seq] = (finish, started)
+                held[seq] = nodes
                 heapq.heappush(events, (finish, seq, "finish", started))
                 seq += 1
         unfinished = [j for j in jobs if j.finish_s is None]

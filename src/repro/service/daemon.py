@@ -49,11 +49,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..dram.backend import get_backend
 from ..fleet.registry import EVENT_KINDS
-from ..hpc.scheduler import FreeNodePool
+from ..hpc.scheduler import Cuts, FreeNodePool
 from ..obs import get_recorder
 from .sharding import ShardedRegistry
 
@@ -179,16 +180,22 @@ class BucketPool(FreeNodePool):
     """The daemon's free pool: a :class:`~repro.hpc.FreeNodePool` keyed
     by node index (so its picks are ``MarginAwareAllocationPolicy``'s
     over an index-ordered free list), plus every node's margin and the
-    lease map.  The HA plane replicates one per daemon."""
+    lease map.  The HA plane replicates one per daemon.
+
+    A lease keeps the per-margin blocks its nodes were taken in, and
+    its release frees them block by block, unless a node's margin
+    changed while it was busy."""
 
     def __init__(self, buckets: Sequence[int]):
         super().__init__(buckets)
         self._margin: Dict[int, int] = {}
-        self._busy: Dict[int, int] = {}
-        self._leases: Dict[int, Tuple[int, ...]] = {}
+        #: Busy nodes whose margin changed while they were busy.
+        self._moved: Set[int] = set()
+        self._leases: Dict[int, Tuple[Tuple[int, ...], Cuts,
+                                     Tuple[int, ...]]] = {}
 
-    def margin(self, node: int) -> int:
-        return self._margin[node]
+    def _margin_of(self, key: int) -> int:
+        return self._margin[key]
 
     def has_lease(self, job_id: int) -> bool:
         return job_id in self._leases
@@ -200,28 +207,33 @@ class BucketPool(FreeNodePool):
         old = self._margin.get(node)
         if old == margin:
             return
+        if old is not None and self._find(node, old)[0] is None:
+            self._moved.add(node)               # busy: not in the pool
+        else:
+            if old is not None:
+                self._remove(node, old)
+            self.add(node, margin, node)
         self._margin[node] = margin
-        if node in self._busy:
-            return
-        if old is not None:
-            self.take((node,))
-        self.add(node, margin, node)
 
     # -- leases -------------------------------------------------------------------
 
     def allocate(self, nodes: Sequence[int], job_id: int) -> None:
-        self.take(nodes)
-        for node in nodes:
-            self._busy[node] = job_id
-        self._leases[job_id] = tuple(nodes)
+        taken = self.take(nodes)
+        # Tuples of ints only, which the collector stops tracking.
+        self._leases[job_id] = (tuple(nodes), taken.cuts,
+                                tuple(taken.block_keys))
 
     def release(self, job_id: int) -> Optional[Tuple[int, ...]]:
-        nodes = self._leases.pop(job_id, None)
-        if nodes is None:
+        lease = self._leases.pop(job_id, None)
+        if lease is None:
             return None
-        for node in nodes:
-            del self._busy[node]
-        self.add_all((node, self._margin[node], node) for node in nodes)
+        nodes, cuts, blocks = lease
+        if self._moved.isdisjoint(nodes):
+            self.add_blocks(cuts, blocks, blocks)
+        else:
+            self._moved.difference_update(nodes)
+            self.add_all((node, self._margin[node], node)
+                         for node in nodes)
         return nodes
 
 
@@ -360,8 +372,7 @@ class PlacementDaemon:
                 self.stats.unsatisfiable += 1
                 self._emit(req.job_id, UNSATISFIABLE)
             else:
-                bucket = self._pool.bucket(
-                    min(self._pool.margin(n) for n in chosen))
+                bucket = self._pool.bucket(chosen.min_margin)
                 self._pool.allocate(chosen, req.job_id)
                 self.stats.placed += 1
                 self._emit(req.job_id, PLACED, tuple(chosen), bucket)

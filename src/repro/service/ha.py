@@ -548,7 +548,7 @@ class HAControlPlane:
             self.stats.unsatisfiable += 1
             self._observe_latency(op)
             return True
-        bucket = pool.bucket(min(map(pool.margin, chosen)))
+        bucket = pool.bucket(chosen.min_margin)
         node_groups = self._node_groups
         touched = sorted({node_groups[n] for n in chosen})
         # ``_coordinator`` validated ``home`` at this same ``now_s``.

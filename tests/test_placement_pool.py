@@ -11,9 +11,11 @@ MRDIMM buckets, both policies, and release orders that are not index
 order.
 """
 
+import hashlib
 import heapq
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,17 +318,23 @@ def test_seeded_trace_matches_oracle_on_both_technologies():
 # -- pool invariants under every mutation ---------------------------------------
 
 
-def _check_pool(pool, free, margin_of):
-    """Each per-margin list is the sorted free keys at that margin, and
-    the bucket counts equal a recount."""
+def _check_pool(pool, free, margin_of, node_of=None):
+    """Each per-margin key list is the sorted free keys at that margin,
+    its node list holds their nodes in parallel, and the bucket counts
+    equal a recount."""
+    node_of = node_of or {}
     expected = {}
-    for node in free:
-        expected.setdefault(margin_of[node], []).append(node)
-    assert {m: lst for m, lst in pool._lists.items() if lst} == \
+    for key in free:
+        expected.setdefault(margin_of[key], []).append(key)
+    live = {m: (run.keys[run.head:], run.nodes[run.head:])
+            for m, run in pool._runs.items()}
+    assert {m: keys for m, (keys, _) in live.items() if keys} == \
         {m: sorted(keys) for m, keys in expected.items()}
+    for keys, nodes in live.values():
+        assert nodes == [node_of.get(k, k) for k in keys]
     recount = dict.fromkeys(pool.counts, 0)
-    for node in free:
-        recount[bucket_node_margin(margin_of[node], pool.buckets)] += 1
+    for key in free:
+        recount[bucket_node_margin(margin_of[key], pool.buckets)] += 1
     assert pool.counts == recount
     assert len(pool) == len(free)
 
@@ -339,7 +347,9 @@ def test_pool_lists_and_counts_hold_under_interleaved_mutation(
     """Through the daemon's pool: a fleet added in key order, then
     adds out of key order (new nodes below the largest key, releases
     in allocation order), takes of a pick and of an arbitrary key
-    subset in any order, and margin changes of free and busy nodes."""
+    subset in any order, takes of a pick gone stale (a node freed or
+    moved between the pick and its take), and margin changes of free
+    and busy nodes."""
     pool = BucketPool(buckets)
     margin_of, free, held = {}, set(), {}
     for node, margin in enumerate(data.draw(st.lists(
@@ -349,7 +359,7 @@ def test_pool_lists_and_counts_hold_under_interleaved_mutation(
         free.add(node)
     job = 0
     steps = data.draw(st.lists(st.sampled_from(
-        ("new", "release", "pick", "subset", "margin")),
+        ("new", "release", "pick", "stale", "subset", "margin")),
         min_size=1, max_size=40))
     for step in steps:
         if step == "new":
@@ -365,12 +375,19 @@ def test_pool_lists_and_counts_hold_under_interleaved_mutation(
             nodes = held.pop(job_id)
             assert pool.release(job_id) == nodes
             free.update(nodes)
-        elif step in ("pick", "subset") and free:
-            if step == "pick":
+        elif step in ("pick", "stale", "subset") and free:
+            if step in ("pick", "stale"):
                 width = data.draw(st.integers(1, len(free)))
                 keys = (pool.pick_margin_aware(width)
                         if data.draw(st.booleans())
                         else pool.pick_default(width))
+                node = data.draw(st.integers(0, 48))
+                if step == "stale" and node not in keys and (
+                        node in free or node not in margin_of):
+                    margin = data.draw(st.sampled_from(FEW_MARGINS))
+                    pool.set_margin(node, margin)
+                    margin_of[node] = margin
+                    free.add(node)
             else:
                 keys = data.draw(st.lists(st.sampled_from(sorted(free)),
                                           min_size=1, unique=True))
@@ -384,3 +401,143 @@ def test_pool_lists_and_counts_hold_under_interleaved_mutation(
             pool.set_margin(node, margin)
             margin_of[node] = margin
         _check_pool(pool, free, margin_of)
+
+
+# -- wide jobs: multi-block takes and releases ----------------------------------
+
+
+def _check_runs(pool, free):
+    """Each margin's live run holds the free nodes at that margin in
+    free-list order, under strictly increasing keys."""
+    expected = {}
+    for node in free:
+        expected.setdefault(node.effective_margin_mts, []).append(
+            node.index)
+    live = {m: run for m, run in pool._runs.items()
+            if len(run.keys) > run.head}
+    assert {m: [n.index for n in run.nodes[run.head:]]
+            for m, run in live.items()} == expected
+    for run in live.values():
+        keys = run.keys[run.head:]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([DDR4, MRDIMM]), st.booleans())
+def test_wide_jobs_take_and_release_whole_blocks(data, buckets,
+                                                 margin_aware):
+    """Jobs up to the whole fleet over a few margins, off-bucket ones
+    included (DDR4's 800 bucket holds 1000 and 1600; MRDIMM's 1600
+    bucket holds 1600 and 2400): every pick equals the oracle's; a
+    pick is taken by the pool that made it and by a twin replica, also
+    after a release changed the pool; held jobs finish in any order and
+    their mixed-margin blocks rejoin at the back in take order."""
+    margins = data.draw(st.lists(st.sampled_from(FEW_MARGINS + (2400,)),
+                                 min_size=1, max_size=120))
+    cluster = Cluster.from_margins(margins)
+    policy = (MarginAwareAllocationPolicy(buckets) if margin_aware
+              else AllocationPolicy())
+    select = oracle_select(policy)
+    free = list(cluster.nodes)
+    pool = FreeNodePool.of(free, buckets)
+    twin = FreeNodePool.of(free, buckets)
+    key = len(free)
+    held = []
+
+    def release():
+        nonlocal key, free
+        taken = held.pop(data.draw(st.integers(0, len(held) - 1)))
+        for each in (pool, twin):
+            each.add_blocks(*taken.rekeyed(key))
+        key += len(taken)
+        free = free + list(taken)
+
+    for _ in range(data.draw(st.integers(1, 25))):
+        if held and data.draw(st.booleans()):
+            release()
+        width = data.draw(st.integers(1, len(cluster.nodes)))
+        expected = select(free, width)
+        keys = policy.pick(pool, width)
+        if expected is None:
+            assert keys is None
+            continue
+        if held and data.draw(st.booleans()):
+            release()                   # the pick goes stale
+        taken = pool.take(keys)
+        assert _ids(taken) == _ids(expected)
+        assert _ids(twin.take(keys)) == _ids(expected)
+        assert taken.min_margin == min(
+            n.effective_margin_mts for n in expected)
+        assert sum(length for _, length in taken.cuts) == width
+        assert sorted(_ids(taken.block_nodes)) == sorted(_ids(expected))
+        taken_ids = set(_ids(expected))
+        free = [n for n in free if n.index not in taken_ids]
+        held.append(taken)
+        _check_runs(pool, free)
+        _check_runs(twin, free)
+        assert len(pool) == len(twin) == len(free)
+
+
+def test_a_key_not_free_raises_and_leaves_the_pool_as_it_was():
+    pool = FreeNodePool.of(Cluster.from_margins([800, 600, 800]).nodes,
+                           DDR4)
+    for keys in ([0, 7], [2, 2], [1, 0, 1]):
+        with pytest.raises(KeyError):
+            pool.take(keys)
+    assert len(pool) == 3 and _ids(pool.take([2, 1])) == [2, 1]
+    assert pool.pick_default(1) == [0]
+
+
+# -- pick counts ----------------------------------------------------------------
+
+
+def test_negative_counts_raise_and_zero_picks_nothing():
+    """5 x 800 + 3 x 600: a count below 0 is refused with its cause
+    named, through the pool and through ``select``; 0 picks nothing,
+    as the oracle's ``free[:0]`` does."""
+    nodes = Cluster.from_margins([800] * 5 + [600] * 3).nodes
+    pool = FreeNodePool.of(nodes, DDR4)
+    for pick, count in ((pool.pick_margin_aware, -1),
+                        (pool.pick_default, -2)):
+        with pytest.raises(ValueError, match="must not be negative"):
+            pick(count)
+    for policy in (AllocationPolicy(), MarginAwareAllocationPolicy(DDR4)):
+        with pytest.raises(ValueError, match="must not be negative"):
+            policy.select(list(nodes), -1)
+        assert policy.select(list(nodes), 0) == []
+        assert policy.pick(pool, 0) == []
+    assert len(pool) == 8
+
+
+# -- the decision stream, pinned --------------------------------------------------
+
+
+#: SHA-256 of ``repr(_stream(...))`` for a 2000-node fleet over every
+#: margin of ``MARGINS`` (every 37th node demoted) running a seeded
+#: 1500-job trace, per policy, as the per-node pool placed it.
+STREAM_PINS = {
+    "default":
+        "280993a2b464817326df99daa0b36782527ef5ff96dfdd48a8f68af7f6af53c9",
+    "ddr4":
+        "174da56cdd23fe10648df192a452e52daf433067981d0475983c4092c743a079",
+    "mrdimm":
+        "184d10e719a9c029427563e62d3d83cf4986986596c3493f4d835faad17b56aa",
+}
+
+
+def test_mid_size_decision_stream_is_pinned():
+    from repro.hpc import TraceConfig, generate_trace
+    trace = generate_trace(TraceConfig(total_nodes=2000, job_count=1500,
+                                       seed=11))
+    rng = random.Random(11)
+    margins = [rng.choice(MARGINS) for _ in range(2000)]
+    for name, policy in (("default", AllocationPolicy()),
+                         ("ddr4", MarginAwareAllocationPolicy(DDR4)),
+                         ("mrdimm", MarginAwareAllocationPolicy(MRDIMM))):
+        cluster = Cluster.from_margins(margins)
+        for i in range(0, 2000, 37):
+            cluster.demote_node(i, (0, 600, 1600)[i % 3])
+        got = SystemSimulator(cluster, EasyBackfillScheduler(policy),
+                              PerformanceModel()).run(trace)
+        digest = hashlib.sha256(repr(_stream(got.jobs)).encode())
+        assert digest.hexdigest() == STREAM_PINS[name], name
