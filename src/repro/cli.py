@@ -630,21 +630,24 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return EXIT_OK if events else EXIT_DOMAIN_FAILURE
 
 
-def _serve_requests(path: Optional[str]) -> tuple:
+def _serve_requests(path: Optional[str], deadlines: bool) -> tuple:
     """Parse the JSONL request stream (``path``, or stdin when None)
-    into service requests.  A malformed line is reported as ``repro
-    serve: bad request line N: <cause>`` and skipped; returns the
-    requests and the number of bad lines."""
+    into ``(method, args)`` calls on the methods the daemon and the HA
+    plane share (``submit_place``, ``submit_release``,
+    ``submit_write``, ``tick``).  A malformed line, or a placement with
+    a ``deadline_s`` when ``deadlines`` is false (the HA plane has no
+    deadlines), is reported as ``repro serve: bad request line N:
+    <cause>`` and skipped; returns the calls and the number of bad
+    lines."""
     from .fleet.registry import coerce_event
-    from .service import (ClockTick, PlaceRequest, RegistryWrite,
-                          ReleaseRequest)
+    from .service import RegistryWrite
     with _io("cannot read requests"):
         if path is None:
             lines = sys.stdin.readlines()
         else:
             with open(path) as fh:
                 lines = fh.readlines()
-    requests, bad = [], 0
+    calls, bad = [], 0
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -652,118 +655,65 @@ def _serve_requests(path: Optional[str]) -> tuple:
             doc = json.loads(line)
             op = doc["op"]
             if op == "place":
+                place = (int(doc["job"]), int(doc.get("nodes", 1)))
                 deadline = doc.get("deadline_s")
-                request = PlaceRequest(
-                    int(doc["job"]), int(doc.get("nodes", 1)),
-                    float(deadline) if deadline is not None else None)
-                if request.nodes_requested <= 0:
+                if deadline is not None:
+                    place += (float(deadline),)
+                if place[1] <= 0:
                     raise ValueError("jobs need at least one node")
+                if deadline is not None and not deadlines:
+                    raise ValueError("deadline_s is not supported with "
+                                     "--daemons > 1")
+                calls.append(("submit_place", place))
             elif op == "release":
-                request = ReleaseRequest(int(doc["job"]))
+                calls.append(("submit_release", (int(doc["job"]),)))
             elif op == "write":
                 kind, node = str(doc["kind"]), int(doc["node"])
-                request = RegistryWrite(kind, node, coerce_event(
-                    kind, node, doc.get("payload", {})))
+                calls.append(("submit_write", (RegistryWrite(
+                    kind, node, coerce_event(kind, node,
+                                             doc.get("payload", {}))),)))
             elif op == "tick":
-                request = ClockTick(float(doc["now_s"]))
+                calls.append(("tick", (float(doc["now_s"]),)))
             else:
                 raise ValueError("unknown op {!r}".format(op))
-            requests.append(request)
         except (KeyError, TypeError, ValueError) as exc:
             print("repro serve: bad request line {}: {}"
                   .format(lineno, exc), file=sys.stderr)
             bad += 1
-    return requests, bad
-
-
-def _serve_ha(args: argparse.Namespace, seed: int, requests: list,
-              sink) -> str:
-    """``repro serve --daemons N``: the HA control plane answers the
-    request stream from N lease-holding daemons."""
-    from .service import (HAConfig, HAControlPlane, PlaceRequest,
-                          RegistryWrite, ReleaseRequest)
-    from .service.sharding import DEFAULT_SHARDS
-    config = HAConfig(nodes=args.nodes,
-                      shards=(args.shards if args.shards is not None
-                              else DEFAULT_SHARDS),
-                      daemons=args.daemons, seed=seed)
-    plane = HAControlPlane(config, decision_sink=sink)
-    for request in requests:
-        if isinstance(request, PlaceRequest):
-            plane.submit_place(request.job_id, request.nodes_requested)
-        elif isinstance(request, ReleaseRequest):
-            plane.submit_release(request.job_id)
-        elif isinstance(request, RegistryWrite):
-            plane.submit_write(request)
-        else:
-            plane.tick(request.now_s)
-    guard = 0
-    while plane.pending and guard < 100_000:
-        plane.tick(plane.now_s + 0.25)
-        guard += 1
-    plane.stop()
-    stats = plane.stats
-    return ("repro serve: {} daemons, {} decisions (placed {}, "
-            "unsatisfiable {}, released {}), {} writes, {} failovers, "
-            "{} fenced writes".format(
-                args.daemons, stats.decisions, stats.placed,
-                stats.unsatisfiable, stats.released, stats.writes,
-                plane.failover.failovers,
-                plane.table.stats.fenced_writes))
-
-
-def _serve_daemon(args: argparse.Namespace, registry, requests: list,
-                  sink) -> str:
-    """``repro serve``: one placement daemon, drained before each
-    clock tick (as the HA plane answers every request before the next),
-    whenever a fact meets a full queue, and at the end."""
-    from .service import (DaemonConfig, PlaceRequest, PlacementDaemon,
-                          RegistryWrite, ReleaseRequest)
-    config = DaemonConfig(
-        queue_limit=args.queue_limit,
-        event_queue_limit=max(4096, 2 * args.queue_limit))
-    daemon = PlacementDaemon(registry, config, decision_sink=sink)
-    for request in requests:
-        if isinstance(request, PlaceRequest):
-            daemon.submit_place(request.job_id, request.nodes_requested,
-                                request.deadline_s)
-        elif isinstance(request, ReleaseRequest):
-            daemon.submit_release(request.job_id)
-        elif isinstance(request, RegistryWrite):
-            daemon.submit_write(request)
-        else:
-            # Requests before a tick are answered at the old clock, so a
-            # paced stream never fills the admission queue.
-            daemon.drain()
-            daemon.tick(request.now_s)
-    daemon.stop()
-    stats = daemon.stats
-    return ("repro serve: {} decisions (placed {}, shed {}, expired {}, "
-            "released {}), {} writes, queue peak {}".format(
-                stats.decisions, stats.placed, stats.shed, stats.expired,
-                stats.released, stats.writes, stats.queue_peak))
+    return calls, bad
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: one placement daemon, or with ``--daemons N``
+    the HA control plane of N lease-holding daemons, answers the
+    request stream.  Each drains before every clock tick, whenever a
+    fact meets a full queue (the daemon), and at the end."""
     from .fleet.registry import RegistryError
+    from .service import (DEFAULT_SHARDS, DaemonConfig, HAConfig,
+                          HAControlPlane, PlacementDaemon,
+                          ShardedRegistry, seed_fleet)
     seed = _resolve_seed(args)
+    ha = args.daemons > 1
     registry = None
-    if args.daemons > 1:
+    if ha:
         if args.registry is not None:
             raise RegistryError("--registry is not supported with "
                                 "--daemons > 1 (the HA plane seeds its "
                                 "own fleet)")
+        if args.queue_limit is not None:
+            raise RegistryError("--queue-limit is not supported with "
+                                "--daemons > 1 (the HA plane has no "
+                                "admission queue)")
     else:
-        from .hpc.cluster import Cluster
-        from .service import ShardedRegistry
         with _io("cannot open registry"):
             if args.registry is not None:
-                registry = ShardedRegistry(args.registry, create=False)
+                registry = ShardedRegistry(args.registry,
+                                           shards=args.shards,
+                                           create=False)
             else:
                 registry = ShardedRegistry(shards=args.shards)
-                for node in Cluster(args.nodes, seed=seed).nodes:
-                    registry.record_profile(node.index, node.margin_mts)
-    requests, bad = _serve_requests(args.requests)
+                seed_fleet(registry, args.nodes, seed)
+    calls, bad = _serve_requests(args.requests, deadlines=not ha)
     with contextlib.ExitStack() as stack:
         if registry is not None:
             stack.callback(registry.close)
@@ -774,9 +724,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         def sink(decision) -> None:
             stream.write(decision.to_json() + "\n")
 
-        summary = (_serve_ha(args, seed, requests, sink)
-                   if registry is None else
-                   _serve_daemon(args, registry, requests, sink))
+        if ha:
+            target = HAControlPlane(HAConfig(
+                nodes=args.nodes, daemons=args.daemons, seed=seed,
+                shards=(args.shards if args.shards is not None
+                        else DEFAULT_SHARDS)), decision_sink=sink)
+        else:
+            limit = args.queue_limit
+            target = PlacementDaemon(
+                registry, DaemonConfig() if limit is None else
+                DaemonConfig(queue_limit=limit,
+                             event_queue_limit=max(4096, 2 * limit)),
+                decision_sink=sink)
+        for method, call_args in calls:
+            if method == "tick":
+                # Requests before a tick are answered at the old clock,
+                # so a paced stream never fills the admission queue.
+                target.drain()
+            getattr(target, method)(*call_args)
+        if ha:
+            target.settle()
+        target.stop()
+    stats = target.stats
+    if ha:
+        summary = ("repro serve: {} daemons, {} decisions (placed {}, "
+                   "unsatisfiable {}, released {}), {} writes, {} "
+                   "failovers, {} fenced writes".format(
+                       args.daemons, stats.decisions, stats.placed,
+                       stats.unsatisfiable, stats.released, stats.writes,
+                       target.failover.failovers,
+                       target.table.stats.fenced_writes))
+    else:
+        summary = ("repro serve: {} decisions (placed {}, shed {}, "
+                   "expired {}, released {}), {} writes, queue peak {}"
+                   .format(stats.decisions, stats.placed, stats.shed,
+                           stats.expired, stats.released, stats.writes,
+                           stats.queue_peak))
     print(summary, file=sys.stderr)
     return EXIT_DOMAIN_FAILURE if bad else EXIT_OK
 
@@ -1185,9 +1168,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-memory fleet size when no --registry")
     serve.add_argument("--shards", type=_positive_int, default=None,
                        help="shard count for the in-memory fleet")
-    serve.add_argument("--queue-limit", type=_positive_int, default=512,
+    serve.add_argument("--queue-limit", type=_positive_int, default=None,
                        help="placement admission watermark (requests "
-                            "beyond it are shed, not queued)")
+                            "beyond it are shed, not queued; default "
+                            "512); admission and deadlines are "
+                            "single-daemon only")
     serve.add_argument("--requests", default=None,
                        help="JSONL request file (stdin when omitted)")
     serve.add_argument("--out", default=None,

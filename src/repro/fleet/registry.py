@@ -276,7 +276,81 @@ class NodeRecord:
                    last_seq=int(raw.get("last_seq", 0)))
 
 
-class MarginRegistry:
+class RegistryAPI:
+    """The recording helpers and whole-fleet queries every margin
+    registry shares, written once over the subclass's ``record`` (append
+    one checked event) and ``nodes`` (every record, by node index):
+    :class:`MarginRegistry` and the sharded facade
+    (:class:`~repro.service.ShardedRegistry`) both inherit them."""
+
+    def record_profile(self, node: int, margin_mts: int,
+                       time_s: float = 0.0,
+                       channel_margins: Sequence[int] = (),
+                       attempts: int = 1) -> RegistryEvent:
+        """A completed profiling pass (clears operational demotions)."""
+        return self.record("profile", node, time_s,
+                           margin_mts=int(margin_mts),
+                           channel_margins=[int(m) for m in
+                                            channel_margins],
+                           attempts=int(attempts))
+
+    def record_demotion(self, node: int, margin_mts: int,
+                        time_s: float = 0.0,
+                        reason: str = "") -> RegistryEvent:
+        """A degradation-ladder demotion to an operational cap."""
+        return self.record("demote", node, time_s,
+                           margin_mts=int(margin_mts), reason=reason)
+
+    def record_promotion(self, node: int, margin_mts: int,
+                         time_s: float = 0.0,
+                         reason: str = "") -> RegistryEvent:
+        """A re-promotion rung change (cap raised or cleared)."""
+        return self.record("promote", node, time_s,
+                           margin_mts=int(margin_mts), reason=reason)
+
+    def record_retirement(self, node: int, time_s: float = 0.0,
+                          reason: str = "") -> RegistryEvent:
+        """Permanent retirement from margin exploitation."""
+        return self.record("retire", node, time_s, reason=reason)
+
+    def record_advisory(self, node: int, time_s: float = 0.0,
+                        reason: str = "") -> RegistryEvent:
+        """A thermal/profiling advisory (no margin change)."""
+        return self.record("thermal", node, time_s, reason=reason)
+
+    def record_drift(self, node: int, time_s: float = 0.0,
+                     ambient_c: float = 0.0, dimm_c: float = 0.0,
+                     reason: str = "") -> RegistryEvent:
+        """A drift-scenario environment observation (no margin change).
+        Payload carries only *observable* state — ambient and on-DIMM
+        temperatures — never the scenario's hidden true margin."""
+        return self.record("drift", node, time_s,
+                           ambient_c=float(ambient_c),
+                           dimm_c=float(dimm_c), reason=reason)
+
+    def record_adapt(self, node: int, margin_mts: int,
+                     time_s: float = 0.0, direction: str = "",
+                     reason: str = "") -> RegistryEvent:
+        """An adaptive-controller rung change; margin semantics match
+        ``demote``/``promote`` so replay stays conservative."""
+        return self.record("adapt", node, time_s,
+                           margin_mts=int(margin_mts),
+                           direction=direction, reason=reason)
+
+    def effective_margins(self) -> List[int]:
+        """Effective margins ordered by node index (placement input)."""
+        return [rec.effective_margin_mts for rec in self.nodes()]
+
+    def bucket_counts(self) -> Dict[int, int]:
+        """Node count per effective-margin bucket, fastest first."""
+        counts: Dict[int, int] = {}
+        for rec in self.nodes():
+            counts[rec.margin_bucket] = counts.get(rec.margin_bucket,
+                                                   0) + 1
+        return dict(sorted(counts.items(), reverse=True))
+
+
+class MarginRegistry(RegistryAPI):
     """Append-only event log + snapshot of fleet margin knowledge.
 
     ``path`` is a directory holding ``events.jsonl`` and
@@ -405,60 +479,6 @@ class MarginRegistry:
             rec.gauge("registry", "last_seq", self.last_seq)
         return event
 
-    def record_profile(self, node: int, margin_mts: int,
-                       time_s: float = 0.0,
-                       channel_margins: Sequence[int] = (),
-                       attempts: int = 1) -> RegistryEvent:
-        """A completed profiling pass (clears operational demotions)."""
-        return self.record("profile", node, time_s,
-                           margin_mts=int(margin_mts),
-                           channel_margins=[int(m) for m in
-                                            channel_margins],
-                           attempts=int(attempts))
-
-    def record_demotion(self, node: int, margin_mts: int,
-                        time_s: float = 0.0,
-                        reason: str = "") -> RegistryEvent:
-        """A degradation-ladder demotion to an operational cap."""
-        return self.record("demote", node, time_s,
-                           margin_mts=int(margin_mts), reason=reason)
-
-    def record_promotion(self, node: int, margin_mts: int,
-                         time_s: float = 0.0,
-                         reason: str = "") -> RegistryEvent:
-        """A re-promotion rung change (cap raised or cleared)."""
-        return self.record("promote", node, time_s,
-                           margin_mts=int(margin_mts), reason=reason)
-
-    def record_retirement(self, node: int, time_s: float = 0.0,
-                          reason: str = "") -> RegistryEvent:
-        """Permanent retirement from margin exploitation."""
-        return self.record("retire", node, time_s, reason=reason)
-
-    def record_advisory(self, node: int, time_s: float = 0.0,
-                        reason: str = "") -> RegistryEvent:
-        """A thermal/profiling advisory (no margin change)."""
-        return self.record("thermal", node, time_s, reason=reason)
-
-    def record_drift(self, node: int, time_s: float = 0.0,
-                     ambient_c: float = 0.0, dimm_c: float = 0.0,
-                     reason: str = "") -> RegistryEvent:
-        """A drift-scenario environment observation (no margin change).
-        Payload carries only *observable* state — ambient and on-DIMM
-        temperatures — never the scenario's hidden true margin."""
-        return self.record("drift", node, time_s,
-                           ambient_c=float(ambient_c),
-                           dimm_c=float(dimm_c), reason=reason)
-
-    def record_adapt(self, node: int, margin_mts: int,
-                     time_s: float = 0.0, direction: str = "",
-                     reason: str = "") -> RegistryEvent:
-        """An adaptive-controller rung change; margin semantics match
-        ``demote``/``promote`` so replay stays conservative."""
-        return self.record("adapt", node, time_s,
-                           margin_mts=int(margin_mts),
-                           direction=direction, reason=reason)
-
     def _apply(self, event: RegistryEvent) -> None:
         rec = self._records.setdefault(event.node,
                                        NodeRecord(event.node))
@@ -511,18 +531,6 @@ class MarginRegistry:
         events = [e for e in self._retained if e.seq > seq and
                   (node is None or e.node == node)]
         return events, complete
-
-    def effective_margins(self) -> List[int]:
-        """Effective margins ordered by node index (placement input)."""
-        return [rec.effective_margin_mts for rec in self.nodes()]
-
-    def bucket_counts(self) -> Dict[int, int]:
-        """Node count per effective-margin bucket, fastest first."""
-        counts: Dict[int, int] = {}
-        for rec in self.nodes():
-            counts[rec.margin_bucket] = counts.get(rec.margin_bucket,
-                                                   0) + 1
-        return dict(sorted(counts.items(), reverse=True))
 
     def __len__(self) -> int:
         return len(self._records)

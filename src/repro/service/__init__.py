@@ -18,25 +18,26 @@ soak`` are the CLI surface.
 
 from .arbitration import (ArbitrationStats, CrossShardArbiter,
                           Reservation)
-from .daemon import (BucketPool, ClockTick, DaemonConfig, DaemonStats,
-                     Decision, PlaceRequest, PlacementDaemon,
-                     RegistryWrite, ReleaseRequest, STATUSES)
+from .daemon import (BucketPool, DaemonConfig, DaemonStats, Decision,
+                     DecisionStream, PlacementDaemon, RegistryWrite,
+                     STATUSES)
 from .ha import (FailoverManager, HAConfig, HAControlPlane, HADaemon,
                  HADrillResult, HAFailoverDrill, ShardGroups)
 from .lease import (CONTROL_LOG_FILE, ControlEvent, ControlLog,
                     LeaseError, LeaseRecord, LeaseTable,
                     verify_control_log)
-from .sharding import DEFAULT_SHARDS, ShardedRegistry, shard_for_node
+from .sharding import (DEFAULT_SHARDS, ShardedRegistry, seed_fleet,
+                       shard_for_node)
 from .soak import SoakConfig, SoakReport, SoakScenario
 
 __all__ = [
-    "ArbitrationStats", "BucketPool", "CONTROL_LOG_FILE", "ClockTick",
+    "ArbitrationStats", "BucketPool", "CONTROL_LOG_FILE",
     "ControlEvent", "ControlLog", "CrossShardArbiter",
     "DEFAULT_SHARDS", "DaemonConfig", "DaemonStats", "Decision",
-    "FailoverManager", "HAConfig", "HAControlPlane", "HADaemon",
-    "HADrillResult", "HAFailoverDrill", "LeaseError", "LeaseRecord",
-    "LeaseTable", "PlaceRequest", "PlacementDaemon", "RegistryWrite",
-    "ReleaseRequest", "Reservation", "STATUSES", "ShardGroups",
-    "ShardedRegistry", "SoakConfig", "SoakReport", "SoakScenario",
+    "DecisionStream", "FailoverManager", "HAConfig", "HAControlPlane",
+    "HADaemon", "HADrillResult", "HAFailoverDrill", "LeaseError",
+    "LeaseRecord", "LeaseTable", "PlacementDaemon", "RegistryWrite",
+    "Reservation", "STATUSES", "ShardGroups", "ShardedRegistry",
+    "SoakConfig", "SoakReport", "SoakScenario", "seed_fleet",
     "shard_for_node", "verify_control_log",
 ]

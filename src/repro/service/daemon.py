@@ -46,11 +46,12 @@ that shard before the next placement.  The free pool is a
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (BinaryIO, Callable, Deque, Dict, List, Optional,
+                    Sequence, Set, TextIO, Tuple)
 
 from ..dram.backend import get_backend
 from ..fleet.registry import EVENT_KINDS
@@ -58,9 +59,9 @@ from ..hpc.scheduler import Cuts, FreeNodePool
 from ..obs import get_recorder
 from .sharding import ShardedRegistry
 
-__all__ = ["BucketPool", "ClockTick", "DaemonConfig", "DaemonStats",
-           "Decision", "PlaceRequest", "PlacementDaemon",
-           "RegistryWrite", "ReleaseRequest", "STATUSES"]
+__all__ = ["BucketPool", "DaemonConfig", "DaemonStats", "Decision",
+           "DecisionStream", "PlacementDaemon", "RegistryWrite",
+           "STATUSES"]
 
 #: Decision statuses, in documentation order.
 PLACED = "placed"
@@ -76,32 +77,11 @@ STATUSES = (PLACED, UNSATISFIABLE, SHED, EXPIRED, DUPLICATE,
 
 
 @dataclass(frozen=True)
-class PlaceRequest:
-    """Allocate ``nodes_requested`` nodes for ``job_id``.
-    ``deadline_s`` is on the daemon's virtual clock (None = patient)."""
-    job_id: int
-    nodes_requested: int
-    deadline_s: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ReleaseRequest:
-    """Free the nodes held by ``job_id``."""
-    job_id: int
-
-
-@dataclass(frozen=True)
 class RegistryWrite:
     """One margin-registry event for the owning shard."""
     kind: str
     node: int
     payload: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ClockTick:
-    """Advance the virtual clock to ``now_s`` (monotonic clamp)."""
-    now_s: float
 
 
 @dataclass(frozen=True)
@@ -124,6 +104,70 @@ class Decision:
                 '"status":"%s"}' % (self.margin_bucket, self.job_id,
                                     ",".join(map(str, self.nodes)),
                                     self.seq, self.status))
+
+
+class DecisionStream:
+    """The decision sink of the soak and the HA drill.  It writes each
+    decision's JSON line to ``stream`` and hashes the stream as
+    ``"\n".join(lines) + "\n"``, one 64 KiB chunk at a time, holding at
+    most one chunk in memory.  With ``spill`` it also writes each hashed
+    chunk to that binary file, so :meth:`rewind` can hand the whole
+    stream to another pass; with ``against`` (such a rewound spill) it
+    checks each line against the next line read from it as the line is
+    produced, counting the exact common prefix.  With ``capture_at``
+    it keeps the digest of the first ``capture_at`` decisions in
+    ``prefix_digest`` (the soak's prefix-verification probe)."""
+
+    _CHUNK = 1 << 16
+
+    def __init__(self, stream: Optional[TextIO] = None,
+                 spill: Optional[BinaryIO] = None,
+                 against: Optional[BinaryIO] = None,
+                 capture_at: Optional[int] = None):
+        self._stream = stream
+        self._hash = hashlib.sha256()
+        self._spill = spill
+        #: The stream's tail not yet hashed (nor spilled).
+        self.buffer = bytearray()
+        self._against = against
+        self.count = 0
+        self.prefix = 0
+        self.capture_at = capture_at
+        self.prefix_digest: Optional[str] = None
+
+    def __call__(self, decision: Decision) -> None:
+        line = decision.to_json() + "\n"
+        if self._stream is not None:
+            self._stream.write(line)
+        data = line.encode("ascii")
+        if self._against is not None and self.prefix == self.count \
+                and self._against.readline() == data:
+            self.prefix += 1
+        if len(self.buffer) + len(data) > self._CHUNK:
+            self._flush()
+        self.buffer += data
+        self.count += 1
+        if self.count == self.capture_at:
+            self.prefix_digest = self.hexdigest()
+
+    def _flush(self) -> None:
+        self._hash.update(self.buffer)
+        if self._spill is not None:
+            self._spill.write(self.buffer)
+        del self.buffer[:]
+
+    def rewind(self) -> BinaryIO:
+        """The spill file, holding the whole stream, at its start."""
+        self._flush()
+        self._spill.seek(0)
+        return self._spill
+
+    def hexdigest(self) -> str:
+        if not self.count:
+            return hashlib.sha256(b"\n").hexdigest()
+        digest = self._hash.copy()
+        digest.update(self.buffer)
+        return digest.hexdigest()
 
 
 @dataclass
@@ -291,7 +335,7 @@ class PlacementDaemon:
             self._emit(job_id, SHED)
             return
         self._enqueue((self._process_place,
-                       PlaceRequest(job_id, nodes_requested, deadline_s),
+                       (job_id, nodes_requested, deadline_s),
                        time.perf_counter()))
 
     def submit_release(self, job_id: int) -> None:
@@ -356,26 +400,26 @@ class PlacementDaemon:
                       decisions=self.stats.decisions,
                       placed=self.stats.placed, shed=self.stats.shed)
 
-    def _process_place(self, req: PlaceRequest, t0: float,
-                       rec) -> None:
-        if (req.deadline_s is not None and
-                self._now_s > req.deadline_s):
+    def _process_place(self, req: Tuple[int, int, Optional[float]],
+                       t0: float, rec) -> None:
+        job_id, nodes_requested, deadline_s = req
+        if deadline_s is not None and self._now_s > deadline_s:
             self.stats.expired += 1
-            self._emit(req.job_id, EXPIRED)
-        elif self._pool.has_lease(req.job_id):
+            self._emit(job_id, EXPIRED)
+        elif self._pool.has_lease(job_id):
             self.stats.duplicate += 1
-            self._emit(req.job_id, DUPLICATE)
+            self._emit(job_id, DUPLICATE)
         else:
             self._refresh_views()
-            chosen = self._pool.pick_margin_aware(req.nodes_requested)
+            chosen = self._pool.pick_margin_aware(nodes_requested)
             if chosen is None:
                 self.stats.unsatisfiable += 1
-                self._emit(req.job_id, UNSATISFIABLE)
+                self._emit(job_id, UNSATISFIABLE)
             else:
                 bucket = self._pool.bucket(chosen.min_margin)
-                self._pool.allocate(chosen, req.job_id)
+                self._pool.allocate(chosen, job_id)
                 self.stats.placed += 1
-                self._emit(req.job_id, PLACED, tuple(chosen), bucket)
+                self._emit(job_id, PLACED, tuple(chosen), bucket)
         if rec.enabled:
             rec.observe("service", "place_latency_s",
                         time.perf_counter() - t0)

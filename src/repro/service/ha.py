@@ -55,29 +55,26 @@ run the drill twice and ``cmp`` the reports.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (BinaryIO, Callable, Deque, Dict, List, Optional,
-                    TextIO, Tuple)
+from typing import Callable, Deque, Dict, List, Optional, TextIO, Tuple
 
 from ..core.backoff import BackoffPolicy
 from ..dram.backend import get_backend
-from ..hpc.cluster import Cluster
 from ..obs import Recorder, get_recorder, recording
 from ..recovery import Checkpoint, CheckpointStore, NodeSupervisor
 from ..resilience.report import SurvivabilityReport
 from .arbitration import CrossShardArbiter
-from .daemon import (BucketPool, Decision, DUPLICATE, PLACED,
-                     RELEASED, RegistryWrite, UNKNOWN_JOB,
+from .daemon import (BucketPool, Decision, DecisionStream, DUPLICATE,
+                     PLACED, RELEASED, RegistryWrite, UNKNOWN_JOB,
                      UNSATISFIABLE, CLOSED)
 from .lease import (CONTROL_LOG_FILE, ControlLog, LeaseTable,
                     commit_payload_json)
-from .sharding import DEFAULT_SHARDS, ShardedRegistry
+from .sharding import DEFAULT_SHARDS, ShardedRegistry, seed_fleet
 from .soak import random_registry_write
 
 __all__ = ["FailoverManager", "HAConfig", "HAControlPlane",
@@ -341,9 +338,7 @@ class HAControlPlane:
         self.buckets = get_backend().placement_buckets
         self.registry = ShardedRegistry(path, shards=cfg.shards,
                                         compact_every=cfg.compact_every)
-        for node in Cluster(cfg.nodes, seed=cfg.seed).nodes:
-            self.registry.record_profile(node.index, node.margin_mts,
-                                         time_s=0.0)
+        seed_fleet(self.registry, cfg.nodes, cfg.seed)
         self.groups = ShardGroups(cfg.shards, n)
         self._node_groups = _NodeGroups(self.registry, self.groups)
         log = ControlLog(path / CONTROL_LOG_FILE
@@ -384,7 +379,7 @@ class HAControlPlane:
             self._rebuild_pool(daemon)
             self._sups[daemon.id].heartbeat(0.0)
 
-    # -- submission (enqueue + immediate pump) ------------------------------------
+    # -- submission (enqueue + immediate drain) -----------------------------------
 
     @property
     def pending(self) -> int:
@@ -396,15 +391,15 @@ class HAControlPlane:
             raise ValueError("jobs need at least one node")
         self._ops.append(_Op("place", job_id, width, None,
                              time.perf_counter()))
-        self.pump()
+        self.drain()
 
     def submit_release(self, job_id: int) -> None:
         self._ops.append(_Op("release", job_id))
-        self.pump()
+        self.drain()
 
     def submit_write(self, write: RegistryWrite) -> None:
         self._ops.append(_Op("write", 0, 0, write))
-        self.pump()
+        self.drain()
 
     # -- clock / liveness ----------------------------------------------------------
 
@@ -427,7 +422,7 @@ class HAControlPlane:
                 for group in self.table.owned_groups(daemon.id):
                     self.failover.orphan(group, self.now_s)
         self.failover.tick(self, self.now_s)
-        self.pump()
+        self.drain()
 
     def _renew(self, daemon: HADaemon) -> None:
         for group in list(sorted(daemon.tokens)):
@@ -455,13 +450,16 @@ class HAControlPlane:
                     else:
                         del daemon.tokens[group]
 
-    # -- the operation pump --------------------------------------------------------
+    # -- the operation queue -------------------------------------------------------
 
-    def pump(self) -> None:
+    def drain(self) -> None:
         """Drain the FIFO head-first.  A blocked head (orphaned group,
         unreachable owner, arbitration conflict) schedules a retry
         with seeded backoff and stalls the queue — preserving the
-        total order that makes the decision stream fault-independent."""
+        total order that makes the decision stream fault-independent.
+        Each submission and tick drains, so a later call at the same
+        virtual time is a no-op: the blocked head's retry is due
+        later."""
         ops = self._ops
         while ops:
             op = ops[0]
@@ -479,6 +477,15 @@ class HAControlPlane:
             op.next_retry_s = self.now_s + self._retry.delay(
                 min(op.attempt, 12), key=op.job)
             break
+
+    def settle(self) -> None:
+        """Tick the clock on in 0.25 s steps until every queued
+        operation (stalled behind a failover) has committed, for at
+        most 100,000 ticks."""
+        guard = 0
+        while self._ops and guard < 100_000:
+            self.tick(self.now_s + 0.25)
+            guard += 1
 
     def first_serviceable(self) -> Optional[HADaemon]:
         for daemon in self.daemons:
@@ -521,9 +528,13 @@ class HAControlPlane:
             commit_payload_json(job_id, status, nodes, bucket))
         if event is None:
             return None
+        return self._emit(job_id, status, tuple(nodes), bucket)
+
+    def _emit(self, job_id: int, status: str, nodes: Tuple[int, ...] = (),
+              bucket: int = 0) -> Decision:
         self._decision_seq += 1
-        decision = Decision(self._decision_seq, job_id, status,
-                            tuple(nodes), bucket)
+        decision = Decision(self._decision_seq, job_id, status, nodes,
+                            bucket)
         self.stats.decisions += 1
         if self._sink is not None:
             self._sink(decision)
@@ -751,19 +762,14 @@ class HAControlPlane:
         returns to the pool), release every held lease cleanly, and
         close the two WALs' append handles.  Returns the number of
         operations closed unserved."""
-        self.pump()
+        self.drain()
         closed = 0
         while self._ops:
             op = self._ops.popleft()
             if op.kind in ("place", "release"):
-                self._decision_seq += 1
-                decision = Decision(self._decision_seq, op.job,
-                                    CLOSED)
-                self.stats.decisions += 1
+                self._emit(op.job, CLOSED)
                 self.stats.closed += 1
                 closed += 1
-                if self._sink is not None:
-                    self._sink(decision)
         self.arbiter.release_all()
         for daemon in self.daemons:
             if not daemon.serviceable:
@@ -795,63 +801,6 @@ class HAControlPlane:
             pool.allocate(self._placements[job_id], job_id)
         daemon.pool = pool
         daemon.pool_stale = False
-
-
-class _DecisionStream:
-    """One drill pass's decision sink.  It writes each decision's JSON
-    line to ``stream`` and hashes the stream as ``"\n".join(lines) +
-    "\n"``, one 64 KiB chunk at a time, holding at most one chunk in
-    memory.  With ``spill`` it also writes each hashed chunk to that
-    binary file, so :meth:`rewind` can hand the whole stream to another
-    pass; with ``against`` (such a rewound spill) it checks each line
-    against the next line read from it as the line is produced,
-    counting the exact common prefix."""
-
-    _CHUNK = 1 << 16
-
-    def __init__(self, stream: Optional[TextIO] = None,
-                 spill: Optional[BinaryIO] = None,
-                 against: Optional[BinaryIO] = None):
-        self._stream = stream
-        self._hash = hashlib.sha256()
-        self._spill = spill
-        #: The stream's tail not yet hashed (nor spilled).
-        self.buffer = bytearray()
-        self._against = against
-        self.count = 0
-        self.prefix = 0
-
-    def __call__(self, decision: Decision) -> None:
-        line = decision.to_json() + "\n"
-        if self._stream is not None:
-            self._stream.write(line)
-        data = line.encode("ascii")
-        if self._against is not None and self.prefix == self.count \
-                and self._against.readline() == data:
-            self.prefix += 1
-        self.count += 1
-        if len(self.buffer) + len(data) > self._CHUNK:
-            self._flush()
-        self.buffer += data
-
-    def _flush(self) -> None:
-        self._hash.update(self.buffer)
-        if self._spill is not None:
-            self._spill.write(self.buffer)
-        del self.buffer[:]
-
-    def rewind(self) -> BinaryIO:
-        """The spill file, holding the whole stream, at its start."""
-        self._flush()
-        self._spill.seek(0)
-        return self._spill
-
-    def hexdigest(self) -> str:
-        if not self.count:
-            return hashlib.sha256(b"\n").hexdigest()
-        digest = self._hash.copy()
-        digest.update(self.buffer)
-        return digest.hexdigest()
 
 
 @dataclass
@@ -999,13 +948,7 @@ class HAFailoverDrill:
                         events += 1
                     if bursts % cfg.checkpoint_every_bursts == 0:
                         plane.checkpoint()
-                # Drain: keep the clock ticking until every queued
-                # operation (stalled behind a failover) has committed.
-                guard = 0
-                while plane.pending and guard < 100_000:
-                    now_s += 0.25
-                    plane.tick(now_s)
-                    guard += 1
+                plane.settle()
                 latency = rec.histogram_stats("ha", "place_latency_s")
         except BaseException:
             # A pass that raises answers nothing more: close the WALs'
@@ -1035,14 +978,14 @@ class HAFailoverDrill:
             spill_dir = Path(cfg.registry_dir)
             spill_dir.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryFile(dir=spill_dir) as spill:
-            ha = _DecisionStream(stream, spill=spill)
+            ha = DecisionStream(stream, spill=spill)
             plane, latency, wall_s = self._run_plane(
                 cfg.daemons, faults=True, subdir="ha", sink=ha)
             leftover = plane.stop()
             fields = _report_fields(plane)
             # The reference plane reuses the HA plane's memory.
             del plane
-            ref = _DecisionStream(reference_stream, against=ha.rewind())
+            ref = DecisionStream(reference_stream, against=ha.rewind())
             ref_plane, _, ref_wall = self._run_plane(
                 1, faults=False, subdir="reference", sink=ref)
             ref_plane.stop()

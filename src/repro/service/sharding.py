@@ -25,14 +25,20 @@ Contracts inherited per shard from :class:`MarginRegistry`:
   shard's events past a checkpoint seq; conservative fallback to net
   state applies when the seq predates the shard's retention horizon.
 
-The facade duck-types the :class:`MarginRegistry` recording and query
-API (``record_*``, ``node``, ``nodes``, ``effective_margins``,
-``bucket_counts``, ``last_seq``), so :class:`~repro.fleet.FleetIngest`,
+The facade inherits the recording helpers (``record_*``) and the
+whole-fleet queries (``effective_margins``, ``bucket_counts``) from
+:class:`~repro.fleet.registry.RegistryAPI`, as :class:`MarginRegistry`
+does, and defines only what routes: ``record``, ``node``,
+``has_node``, ``nodes``, ``len``, ``last_seq`` and ``events_since``.  So
+:class:`~repro.fleet.FleetIngest`,
 :class:`~repro.hpc.cluster.Cluster.from_registry`, and
 :class:`~repro.fleet.PlacementService` all work unchanged on top of a
 sharded fleet.  ``last_seq`` is the *sum* of per-shard seqs — not a
 global ordering, but a version counter that changes on every write,
 which is all the seq-invalidation cache law needs.
+
+:func:`seed_fleet` profiles the seeded Grizzly fleet into a registry:
+the soak, the HA plane and ``repro serve`` all start from it.
 """
 
 from __future__ import annotations
@@ -41,13 +47,16 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..fleet.registry import (MarginRegistry, NodeRecord, RegistryError,
-                              RegistryEvent, canonical_json, fsync_dir)
+from ..fleet.registry import (MarginRegistry, NodeRecord, RegistryAPI,
+                              RegistryError, RegistryEvent,
+                              canonical_json, fsync_dir)
+from ..hpc.cluster import Cluster
 from ..obs import get_recorder
 
-__all__ = ["ShardedRegistry", "shard_for_node", "DEFAULT_SHARDS"]
+__all__ = ["ShardedRegistry", "shard_for_node", "seed_fleet",
+           "DEFAULT_SHARDS"]
 
 #: Default partition count (16 shards keep a 1490-node fleet under ~100
 #: nodes per shard and still spread a 10k-node fleet usefully).
@@ -86,7 +95,16 @@ def shard_for_node(node: int, shard_count: int) -> int:
     return h % shard_count
 
 
-class ShardedRegistry:
+def seed_fleet(registry: RegistryAPI, nodes: int, seed: int) -> None:
+    """Profile ``nodes`` nodes into ``registry`` at time 0 with the
+    paper's Grizzly margin-group fractions (62% / 36% / 2%), shuffled
+    by ``seed`` (:class:`~repro.hpc.Cluster`), so the same seed seeds
+    the same fleet every run."""
+    for node in Cluster(nodes, seed=seed).nodes:
+        registry.record_profile(node.index, node.margin_mts, time_s=0.0)
+
+
+class ShardedRegistry(RegistryAPI):
     """N independent :class:`MarginRegistry` partitions (module doc).
 
     ``path`` is a directory holding one ``shard-NNN/`` registry per
@@ -242,7 +260,7 @@ class ShardedRegistry:
     def shards(self) -> Tuple[MarginRegistry, ...]:
         return tuple(self._shards)
 
-    # -- recording (MarginRegistry-compatible) ------------------------------------
+    # -- recording and queries (RegistryAPI over these) ---------------------------
 
     def _after_write(self, sid: int) -> None:
         self._pending[sid] += 1
@@ -259,52 +277,6 @@ class ShardedRegistry:
         self._after_write(sid)
         return event
 
-    def record_profile(self, node: int, margin_mts: int,
-                       time_s: float = 0.0,
-                       channel_margins: Sequence[int] = (),
-                       attempts: int = 1) -> RegistryEvent:
-        return self.record("profile", node, time_s,
-                           margin_mts=int(margin_mts),
-                           channel_margins=[int(m) for m in
-                                            channel_margins],
-                           attempts=int(attempts))
-
-    def record_demotion(self, node: int, margin_mts: int,
-                        time_s: float = 0.0,
-                        reason: str = "") -> RegistryEvent:
-        return self.record("demote", node, time_s,
-                           margin_mts=int(margin_mts), reason=reason)
-
-    def record_promotion(self, node: int, margin_mts: int,
-                         time_s: float = 0.0,
-                         reason: str = "") -> RegistryEvent:
-        return self.record("promote", node, time_s,
-                           margin_mts=int(margin_mts), reason=reason)
-
-    def record_retirement(self, node: int, time_s: float = 0.0,
-                          reason: str = "") -> RegistryEvent:
-        return self.record("retire", node, time_s, reason=reason)
-
-    def record_advisory(self, node: int, time_s: float = 0.0,
-                        reason: str = "") -> RegistryEvent:
-        return self.record("thermal", node, time_s, reason=reason)
-
-    def record_drift(self, node: int, time_s: float = 0.0,
-                     ambient_c: float = 0.0, dimm_c: float = 0.0,
-                     reason: str = "") -> RegistryEvent:
-        return self.record("drift", node, time_s,
-                           ambient_c=float(ambient_c),
-                           dimm_c=float(dimm_c), reason=reason)
-
-    def record_adapt(self, node: int, margin_mts: int,
-                     time_s: float = 0.0, direction: str = "",
-                     reason: str = "") -> RegistryEvent:
-        return self.record("adapt", node, time_s,
-                           margin_mts=int(margin_mts),
-                           direction=direction, reason=reason)
-
-    # -- queries (MarginRegistry-compatible) --------------------------------------
-
     def has_node(self, index: int) -> bool:
         return self.shard_for(index).has_node(index)
 
@@ -318,16 +290,6 @@ class ShardedRegistry:
             out.extend(shard.nodes())
         out.sort(key=lambda rec: rec.node)
         return out
-
-    def effective_margins(self) -> List[int]:
-        return [rec.effective_margin_mts for rec in self.nodes()]
-
-    def bucket_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for rec in self.nodes():
-            counts[rec.margin_bucket] = counts.get(rec.margin_bucket,
-                                                   0) + 1
-        return dict(sorted(counts.items(), reverse=True))
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)

@@ -34,18 +34,16 @@ budget.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO
 
-from ..hpc.cluster import Cluster
 from ..obs import Recorder, recording
-from .daemon import (DaemonConfig, DaemonStats, Decision, PLACED,
-                     RELEASED, PlacementDaemon, RegistryWrite)
-from .sharding import DEFAULT_SHARDS, ShardedRegistry
+from .daemon import (DaemonConfig, DaemonStats, Decision, DecisionStream,
+                     PLACED, RELEASED, PlacementDaemon, RegistryWrite)
+from .sharding import DEFAULT_SHARDS, ShardedRegistry, seed_fleet
 
 __all__ = ["SoakConfig", "SoakReport", "SoakScenario"]
 
@@ -125,34 +123,6 @@ class SoakConfig:
     def daemon_config(self) -> DaemonConfig:
         return DaemonConfig(queue_limit=self.queue_limit,
                             event_queue_limit=self.event_queue_limit)
-
-
-class _DecisionLog:
-    """Decision sink: rolling SHA-256 of the canonical decision log,
-    optional JSONL stream, and a digest snapshot at a fixed decision
-    count (the prefix-verification probe)."""
-
-    def __init__(self, capture_at: Optional[int] = None,
-                 stream: Optional[TextIO] = None):
-        self.count = 0
-        self.capture_at = capture_at
-        self.prefix_digest: Optional[str] = None
-        self._sha = hashlib.sha256()
-        self._stream = stream
-
-    def __call__(self, decision: Decision) -> None:
-        line = decision.to_json()
-        self._sha.update(line.encode("ascii"))
-        self._sha.update(b"\n")
-        if self._stream is not None:
-            self._stream.write(line + "\n")
-        self.count += 1
-        if self.count == self.capture_at:
-            self.prefix_digest = self._sha.hexdigest()
-
-    @property
-    def digest(self) -> str:
-        return self._sha.hexdigest()
 
 
 @dataclass
@@ -269,7 +239,7 @@ class SoakReport:
 class _RunResult:
     events: int
     stats: DaemonStats
-    log: _DecisionLog
+    log: DecisionStream
     compactions: int
     latency: Optional[dict]
     wall_s: float
@@ -294,12 +264,7 @@ class SoakScenario:
                 path = path / subdir
         registry = ShardedRegistry(path, shards=cfg.shards,
                                    compact_every=cfg.compact_every)
-        # Seed the fleet with the paper's margin-group fractions
-        # (62% / 36% / 2%), shuffled by the same seed every run.
-        cluster = Cluster(cfg.nodes, seed=cfg.seed)
-        for node in cluster.nodes:
-            registry.record_profile(node.index, node.margin_mts,
-                                    time_s=0.0)
+        seed_fleet(registry, cfg.nodes, cfg.seed)
         return registry
 
     # -- load generator ------------------------------------------------------------
@@ -405,7 +370,7 @@ class SoakScenario:
                   stream: Optional[TextIO] = None) -> _RunResult:
         cfg = self.config
         registry = self._build_registry(subdir)
-        log = _DecisionLog(capture_at=capture_at, stream=stream)
+        log = DecisionStream(stream, capture_at=capture_at)
         answered: List[Decision] = []
 
         def sink(decision: Decision) -> None:
@@ -445,7 +410,7 @@ class SoakScenario:
             prefix = self._run_once(min(cfg.events, cfg.verify_events),
                                     subdir="verify")
             verify_decisions = prefix.log.count
-            prefix_digest = prefix.log.digest
+            prefix_digest = prefix.log.hexdigest()
         capture_at = verify_decisions if cfg.verify else None
         full = self._run_once(cfg.events, subdir="main",
                               capture_at=capture_at, stream=stream)
@@ -458,7 +423,7 @@ class SoakScenario:
             events=full.events, decisions=full.log.count,
             nodes=cfg.nodes, shards=cfg.shards, seed=cfg.seed,
             target_events=cfg.events, stats=full.stats.as_dict(),
-            compactions=full.compactions, digest=full.log.digest,
+            compactions=full.compactions, digest=full.log.hexdigest(),
             p50_s=latency.get("p50"), p99_s=latency.get("p99"),
             p999_s=latency.get("p999"),
             p999_budget_s=cfg.p999_budget_s, wall_s=full.wall_s,

@@ -301,6 +301,48 @@ def test_serve_rejects_malformed_write_at_parse_time(tmp_path, capsys,
     assert statuses == ["placed", "placed"]
 
 
+@pytest.mark.parametrize("daemons,code,statuses", [
+    ("1", 0, ["expired"]), ("2", 1, [])])
+def test_serve_rejects_a_deadline_the_ha_plane_cannot_keep(
+        tmp_path, capsys, daemons, code, statuses):
+    """The HA plane has no deadlines: under ``--daemons > 1`` a stale
+    placement is a bad request line, not a placement."""
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text('{"op": "tick", "now_s": 10.0}\n'
+                        '{"op": "place", "job": 1, "nodes": 1, '
+                        '"deadline_s": 1.0}\n')
+    out = tmp_path / "decisions.jsonl"
+    assert main(["serve", "--nodes", "8", "--daemons", daemons,
+                 "--requests", str(requests), "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(l)["status"] for l in
+            out.read_text().splitlines()] == statuses
+    assert (err[0] == "repro serve: bad request line 2: deadline_s is "
+            "not supported with --daemons > 1") == bool(code)
+
+
+@pytest.mark.parametrize("flags,cause", [
+    ("--queue-limit 1 --daemons 2", "--queue-limit is not supported"),
+    ("--registry {reg} --daemons 2", "--registry is not supported"),
+    ("--registry {fleet} --shards 16", "re-sharding to 16"),
+    ("--registry {fleet} --shards 4", None),
+])
+def test_serve_rejects_a_flag_it_would_ignore(flags, cause, paths,
+                                              tmp_path, capsys):
+    from repro.service import ShardedRegistry, seed_fleet
+    fleet = ShardedRegistry(tmp_path / "fleet", shards=4)
+    seed_fleet(fleet, 32, 1)
+    fleet.close()
+    paths = dict(paths, fleet=str(tmp_path / "fleet"))
+    code, lines = _run("serve --requests {requests} " + flags, paths,
+                       capsys)
+    if cause is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert len(lines) == 1 and cause in lines[0], lines
+
+
 # -- repro smoke -------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ or pool selection moves one of these."""
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -158,6 +159,41 @@ def test_serve_answers_a_paced_request_stream(tmp_path, capsys):
     assert "unknown-job" not in statuses
     assert statuses.count("placed") == 300
     assert statuses.count("released") == 298
+
+
+#: SHA-256 of the decision JSONL ``repro serve`` writes for the paced
+#: stream below, whatever the daemon count (797 decisions).
+PACED_DIGEST = (
+    "82b4d4d9b470be05f6ce115c5460c9528f3c945ea8938d77e2b26cde317e860c")
+
+
+def test_serve_is_one_loop_for_every_daemon_count(tmp_path, capsys):
+    """One daemon and the HA plane of two or three answer a paced
+    stream (a tick before each placement, ~30 % demote writes, the job
+    three back released) with byte-identical decisions."""
+    rng = random.Random(30)
+    lines = []
+    for job in range(1, 401):
+        lines.append({"op": "tick", "now_s": float(job)})
+        lines.append({"op": "place", "job": job, "nodes": 1 + job % 4})
+        if rng.random() < 0.3:
+            lines.append({"op": "write", "kind": "demote",
+                          "node": rng.randrange(64),
+                          "payload": {"margin_mts": rng.choice(
+                              (0, 200, 400, 600, 800)),
+                              "reason": "paced"}})
+        if job > 3:
+            lines.append({"op": "release", "job": job - 3})
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+    for daemons in ("1", "2", "3"):
+        out = tmp_path / "decisions-{}.jsonl".format(daemons)
+        assert main(["serve", "--seed", "26", "--nodes", "64",
+                     "--daemons", daemons, "--requests", str(requests),
+                     "--out", str(out)]) == 0
+        assert "797 decisions (placed 400" in capsys.readouterr().err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            PACED_DIGEST, daemons
 
 
 def test_soak_and_serve_never_import_asyncio(tmp_path):

@@ -22,11 +22,10 @@ import pytest
 from repro.recovery import CheckpointStore
 from repro.resilience import SurvivabilityReport
 from repro.service import (ControlLog, CrossShardArbiter, Decision,
-                           HAConfig, HAControlPlane, HAFailoverDrill,
-                           LeaseError, LeaseTable, RegistryWrite,
-                           ShardGroups, ShardedRegistry,
+                           DecisionStream, HAConfig, HAControlPlane,
+                           HAFailoverDrill, LeaseError, LeaseTable,
+                           RegistryWrite, ShardGroups, ShardedRegistry,
                            verify_control_log)
-from repro.service.ha import _DecisionStream
 from repro.service.lease import CONTROL_LOG_FILE
 
 #: An unclosed file (a leaked WAL append handle) fails the test.
@@ -719,13 +718,13 @@ def test_decision_stream_digest_matches_joined_lines():
     lines = [Decision(i, i, "placed", (i,)) for i in range(1, 4)]
     text = "\n".join(d.to_json() for d in lines) + "\n"
     with tempfile.TemporaryFile() as spill:
-        kept = _DecisionStream(spill=spill)
+        kept = DecisionStream(spill=spill)
         for decision in lines:
             kept(decision)
         assert kept.hexdigest() == hashlib.sha256(
             text.encode("ascii")).hexdigest()
         assert kept.rewind().read() == text.encode("ascii")
-    assert _DecisionStream().hexdigest() == hashlib.sha256(
+    assert DecisionStream().hexdigest() == hashlib.sha256(
         b"\n").hexdigest()
 
 
@@ -791,8 +790,8 @@ def test_ha_stream_holds_at_most_one_chunk_in_memory(monkeypatch,
 
     result = _watched_drill(monkeypatch, watch, events=events)
     assert result.report.prefix_consistent
-    assert peak["bytes"] > 2 * _DecisionStream._CHUNK
-    assert 0 < peak["buffer"] <= _DecisionStream._CHUNK
+    assert peak["bytes"] > 2 * DecisionStream._CHUNK
+    assert 0 < peak["buffer"] <= DecisionStream._CHUNK
 
 
 def test_a_failing_reference_pass_still_closes_the_spill(monkeypatch,

@@ -109,6 +109,26 @@ def test_facade_queries_match_plain_registry():
     before = sharded.last_seq
     sharded.record_demotion(0, 200)
     assert sharded.last_seq == before + 1
+    # Every named recorder (all seven kinds) folds the same way on both.
+    plain.record_demotion(0, 200)
+    for registry in (sharded, plain):
+        registry.record_profile(1, 600, time_s=1.0,
+                                channel_margins=(600, 800), attempts=2)
+        registry.record_promotion(2, 800, time_s=2.0, reason="probe")
+        registry.record_retirement(3, time_s=3.0, reason="dead")
+        registry.record_advisory(4, time_s=4.0, reason="hot")
+        registry.record_drift(5, time_s=5.0, ambient_c=30.0,
+                              dimm_c=55.0, reason="band")
+        registry.record_adapt(6, 400, time_s=6.0, direction="down",
+                              reason="guard")
+
+    def state(registry):
+        # A record's last_seq is its shard's seq on the sharded side.
+        return [dict(r.to_dict(), last_seq=None) for r in registry.nodes()]
+
+    assert state(sharded) == state(plain)
+    assert sharded.effective_margins() == plain.effective_margins()
+    assert sharded.bucket_counts() == plain.bucket_counts()
 
 
 def test_events_since_requires_node():
