@@ -43,7 +43,7 @@ def main() -> None:
 
         service = PlacementService(registry)
         widths = [4, 2, 2]
-        before = service.place(widths, now_s=0.0)
+        before = service.place(widths)
         print("placement before demotion:")
         print("  " + describe(before))
 
@@ -53,11 +53,9 @@ def main() -> None:
         ingest = FleetIngest(registry)
         ingest.now_s = 60.0
         ingest.rung_hook(victim)(build_ladder(800)[-1])
-        after = service.place(widths, now_s=60.0)
+        after = service.place(widths)
         print("placement after demotion of node {}:".format(victim))
         print("  " + describe(after))
-        print("cache misses: {} (registry event invalidated the "
-              "cached view)".format(service.cache_misses))
 
         dropped = registry.compact()
         reloaded = MarginRegistry(registry.path)

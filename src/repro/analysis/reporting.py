@@ -31,14 +31,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     return "\n".join(lines)
 
 
-def format_series(name: str, points: Dict[str, float],
-                  fmt: str = "{:.3f}") -> str:
-    """Render a single named data series (one figure line/bar group)."""
-    body = ", ".join(
-        "{}={}".format(k, fmt.format(v)) for k, v in points.items())
-    return "{}: {}".format(name, body)
-
-
 def format_bar_chart(points: Dict[str, float], width: int = 40,
                      fmt: str = "{:.3f}") -> str:
     """Render a horizontal ASCII bar chart, one bar per key."""

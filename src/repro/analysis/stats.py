@@ -70,16 +70,6 @@ def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
     return sum(v * w for v, w in zip(values, weights)) / total
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean() of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean() requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def suite_average(per_suite: Dict[str, float]) -> float:
     """Average that weighs every suite equally, per the paper's footnote 1
     ("average across six HPC benchmark suites means weighing every suite

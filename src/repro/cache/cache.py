@@ -169,13 +169,6 @@ class Cache:
             ways = self._touch(idx)
         return tag in ways
 
-    def is_dirty(self, addr: int) -> bool:
-        idx, tag = self._index_tag(addr)
-        ways = self._sets[idx]
-        if ways is None:
-            ways = self._touch(idx)
-        return ways.get(tag, False)
-
     def warm(self, rng, dirty_prob: float = 0.0,
              max_line: Optional[int] = None,
              refs: Optional[int] = None) -> int:
@@ -283,10 +276,6 @@ class Cache:
         return sets
 
     # -- Hetero-DMR cleaning hooks ------------------------------------------------
-
-    def dirty_line_count(self) -> int:
-        return sum(sum(1 for d in ways.values() if d)
-                   for ways in self.sets())
 
     def dirty_lru_blocks(self, limit: int) -> List[int]:
         """Addresses of up to ``limit`` dirty lines, least-recently-used

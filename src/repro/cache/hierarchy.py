@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .cache import Cache, LINE_BYTES
+from .cache import Cache
 
 #: CPU frequency from Table IV, used to convert ns latencies to cycles.
 CPU_GHZ = 3.1
@@ -47,11 +47,6 @@ class HierarchyConfig:
     channels: int
     modules_per_channel: int = 2
     ranks_per_module: int = 2
-
-    @property
-    def cache_per_core_mb(self) -> float:
-        return (self.l2_bytes_per_core +
-                self.l3_bytes_total / self.cores) / (1 << 20)
 
 
 def hierarchy1() -> HierarchyConfig:

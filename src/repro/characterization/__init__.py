@@ -9,7 +9,7 @@ from .drift import (AgingDrift, CompositeDrift, DRIFT_SCENARIOS,
                     MAX_DRIFT_AMBIENT_C, ThermalRampDrift, clamp_ambient_c,
                     make_drift, thermal_margin_loss_mts)
 from .margins import (CONSERVATIVE_MARGINS, LatencyMarginSearch,
-                      conservative_setting, exhaustive_test_count)
+                      conservative_setting)
 from .modules import (IN_PRODUCTION_RANGE, ModulePopulation, STUDY_CHIPS,
                       STUDY_MODULES, SyntheticModule,
                       THERMAL_BOOT_FAILURES)
@@ -20,8 +20,7 @@ from .stress import (ACCESSES_PER_TEST, PASS_FRACTION, StressResult,
                      StressTester)
 from .temperature import (CHAMBER_AMBIENT_C, FREQ_LAT_MARGIN_45C_MULTIPLIER,
                           FREQ_MARGIN_45C_MULTIPLIER, ROOM_AMBIENT_C,
-                          TrinititeSampler, dimm_temperature_c,
-                          error_rate_multiplier, trinitite_percentile)
+                          dimm_temperature_c, error_rate_multiplier)
 from .testbench import (BootFailure, ErrorRateMeasurement,
                         MarginMeasurement, PLATFORM_CAP_MTS, TestMachine,
                         measure_population)
@@ -35,14 +34,11 @@ __all__ = [
     "MARGIN_LOSS_MTS_PER_DOUBLING", "MAX_DRIFT_AMBIENT_C",
     "MODULES_PER_CHANNEL", "MODULE_MARGIN_MEAN", "MODULE_MARGIN_STDEV",
     "MarginDistribution", "MarginMeasurement", "MarginMonteCarlo",
-    "ModulePopulation", "PASS_FRACTION", "PLATFORM_CAP_MTS",
-    "ROOM_AMBIENT_C", "STUDY_CHIPS", "STUDY_MODULES", "StressResult",
-    "StressTester", "SyntheticModule", "THERMAL_BOOT_FAILURES",
-    "TestMachine", "ThermalRampDrift", "TrinititeSampler",
-    "backend_performance_model", "characterize_backend",
+    "ModulePopulation", "PASS_FRACTION", "PLATFORM_CAP_MTS", "ROOM_AMBIENT_C",
+    "STUDY_CHIPS", "STUDY_MODULES", "StressResult", "StressTester",
+    "SyntheticModule", "THERMAL_BOOT_FAILURES", "TestMachine",
+    "ThermalRampDrift", "backend_performance_model", "characterize_backend",
     "clamp_ambient_c", "compare_backends", "conservative_setting",
-    "dimm_temperature_c", "placement_comparison",
-    "error_rate_multiplier", "exhaustive_test_count", "make_drift",
-    "measure_population", "thermal_margin_loss_mts",
-    "trinitite_percentile",
+    "dimm_temperature_c", "placement_comparison", "error_rate_multiplier",
+    "make_drift", "measure_population", "thermal_margin_loss_mts",
 ]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-from ..dram.timing import manufacturer_spec_3200
 from .modules import SyntheticModule
 
 #: Parameter order tested (one permutation, as in the paper).
@@ -43,16 +42,6 @@ def conservative_setting() -> Dict[str, float]:
         "tREFI": round(_SPEC["tREFI"] * (1 + CONSERVATIVE_MARGINS["tREFI"]),
                        0),
     }
-
-
-def exhaustive_test_count(n_modules: int = 119, n_params: int = 4,
-                          tests_per_param: int = 5) -> int:
-    """The paper's intractability estimate:
-    modules * params * permutations(params) * tests = 52,320 + ...
-    (119 * 4 * 4! * 5 = 57,120 with the paper's rounding of 52,320 —
-    we return the literal product)."""
-    import math
-    return n_modules * n_params * math.factorial(n_params) * tests_per_param
 
 
 @dataclass
@@ -86,9 +75,3 @@ class LatencyMarginSearch:
                 for name in PARAMETER_ORDER:
                     running[name] = min(running[name], own[name])
         return running or dict(CONSERVATIVE_MARGINS)
-
-    def frequency_margin_unchanged(self, module: SyntheticModule) -> bool:
-        """Section II-A's closing finding: running under the
-        conservative latency combination leaves every module's
-        frequency margin unchanged."""
-        return True

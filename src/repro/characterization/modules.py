@@ -27,8 +27,8 @@ true margin through the same 200 MT/s-step procedure the paper uses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from ..dram.module import ModuleSpec
 
@@ -60,10 +60,6 @@ class SyntheticModule:
     @property
     def brand(self) -> str:
         return self.spec.brand
-
-    @property
-    def margin_fraction(self) -> float:
-        return self.true_margin_mts / self.spec.spec_data_rate_mts
 
 
 def _margin_9cpr_3200(rng: random.Random, index: int) -> float:

@@ -14,10 +14,6 @@ using the paper's measured anchor points:
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
-from typing import List
 
 #: Measured anchor ambient temperatures (degrees C).
 ROOM_AMBIENT_C = 23.0
@@ -58,39 +54,3 @@ def error_rate_multiplier(ambient_c: float,
     exponent = (ambient_c - ROOM_AMBIENT_C) / (CHAMBER_AMBIENT_C -
                                                ROOM_AMBIENT_C)
     return anchor ** exponent
-
-
-def trinitite_percentile(dimm_temp_c: float) -> float:
-    """Fraction of the LANL Trinitite temperature measurements that lie
-    below ``dimm_temp_c`` (fit to the paper's reported percentiles:
-    16 C minimum, 43 C ~ p99, 53 C ~ p99.85, 60 C ~ p99.991)."""
-    if dimm_temp_c <= 16.0:
-        return 0.0
-    # Log-linear fit through the three upper anchors.
-    anchors = [(43.0, 0.99), (53.0, 0.9985), (60.0, 0.99991)]
-    if dimm_temp_c >= anchors[-1][0]:
-        return anchors[-1][1]
-    prev_t, prev_p = 16.0, 0.0
-    for t, p in anchors:
-        if dimm_temp_c <= t:
-            frac = (dimm_temp_c - prev_t) / (t - prev_t)
-            return prev_p + frac * (p - prev_p)
-        prev_t, prev_p = t, p
-    return anchors[-1][1]
-
-
-@dataclass
-class TrinititeSampler:
-    """Synthetic stand-in for the three million LANL on-DIMM sensor
-    measurements: a right-skewed distribution with 16 C minimum whose
-    upper tail matches the paper's percentiles."""
-    seed: int = 7
-
-    def sample(self, n: int) -> List[float]:
-        rng = random.Random(self.seed)
-        out = []
-        for _ in range(n):
-            # Log-normal-ish body over [16, ~60].
-            v = 16.0 + 14.0 * math.exp(rng.gauss(0.0, 0.55))
-            out.append(min(v, 75.0))
-        return out

@@ -14,7 +14,7 @@ Two platform behaviours observed in the paper are modelled explicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..dram.timing import (DATA_RATE_STEP_MTS, DDR4_ELEVATED_VOLTAGE,
@@ -40,10 +40,6 @@ class MarginMeasurement:
     max_bootable_mts: int
     hit_platform_cap: bool
     tests_run: int
-
-    @property
-    def margin_fraction(self) -> float:
-        return self.margin_mts / self.spec_rate_mts
 
 
 @dataclass
@@ -150,15 +146,6 @@ class TestMachine:
             uncorrected_errors=module.ue_rate_per_hour * mult * lat_factor)
 
     # -- full system ----------------------------------------------------------------
-
-    def measure_full_population_margin(
-            self, modules: List[SyntheticModule]) -> int:
-        """All channels and slots populated: the memory system's margin
-        is the slowest module's margin, and per-module error rates
-        halve because each module is accessed half as often
-        (Section II-C)."""
-        margins = [self.measure_margin(m).margin_mts for m in modules]
-        return min(margins) if margins else 0
 
 
 def measure_population(modules: List[SyntheticModule],

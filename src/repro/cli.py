@@ -632,13 +632,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _serve_requests(path: Optional[str], deadlines: bool) -> tuple:
     """Parse the JSONL request stream (``path``, or stdin when None)
-    into ``(method, args)`` calls on the methods the daemon and the HA
-    plane share (``submit_place``, ``submit_release``,
+    into ``(line, method, args)`` calls on the methods the daemon and
+    the HA plane share (``submit_place``, ``submit_release``,
     ``submit_write``, ``tick``).  A malformed line, or a placement with
     a ``deadline_s`` when ``deadlines`` is false (the HA plane has no
-    deadlines), is reported as ``repro serve: bad request line N:
-    <cause>`` and skipped; returns the calls and the number of bad
-    lines."""
+    deadlines), is reported by :func:`_bad_request` and skipped;
+    returns the calls and the number of bad lines."""
     from .fleet.registry import coerce_event
     from .service import RegistryWrite
     with _io("cannot read requests"):
@@ -664,23 +663,28 @@ def _serve_requests(path: Optional[str], deadlines: bool) -> tuple:
                 if deadline is not None and not deadlines:
                     raise ValueError("deadline_s is not supported with "
                                      "--daemons > 1")
-                calls.append(("submit_place", place))
+                calls.append((lineno, "submit_place", place))
             elif op == "release":
-                calls.append(("submit_release", (int(doc["job"]),)))
+                calls.append((lineno, "submit_release",
+                              (int(doc["job"]),)))
             elif op == "write":
                 kind, node = str(doc["kind"]), int(doc["node"])
-                calls.append(("submit_write", (RegistryWrite(
+                calls.append((lineno, "submit_write", (RegistryWrite(
                     kind, node, coerce_event(kind, node,
                                              doc.get("payload", {}))),)))
             elif op == "tick":
-                calls.append(("tick", (float(doc["now_s"]),)))
+                calls.append((lineno, "tick", (float(doc["now_s"]),)))
             else:
                 raise ValueError("unknown op {!r}".format(op))
         except (KeyError, TypeError, ValueError) as exc:
-            print("repro serve: bad request line {}: {}"
-                  .format(lineno, exc), file=sys.stderr)
+            _bad_request(lineno, exc)
             bad += 1
     return calls, bad
+
+
+def _bad_request(lineno: int, cause: Exception) -> None:
+    print("repro serve: bad request line {}: {}".format(lineno, cause),
+          file=sys.stderr)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -736,12 +740,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 DaemonConfig(queue_limit=limit,
                              event_queue_limit=max(4096, 2 * limit)),
                 decision_sink=sink)
-        for method, call_args in calls:
+        for lineno, method, call_args in calls:
             if method == "tick":
                 # Requests before a tick are answered at the old clock,
                 # so a paced stream never fills the admission queue.
                 target.drain()
-            getattr(target, method)(*call_args)
+            try:
+                getattr(target, method)(*call_args)
+            except ValueError as exc:
+                if method != "submit_write":
+                    raise
+                # A write naming a node outside the fleet (check_write).
+                _bad_request(lineno, exc)
+                bad += 1
         if ha:
             target.settle()
         target.stop()

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..ecc.policy import sdc_epoch_threshold
-from ..ecc.reed_solomon import undetected_error_probability
 from ..obs import get_recorder
 
 NS_PER_HOUR = 3_600_000_000_000.0
@@ -125,10 +124,3 @@ class EpochGuard:
         guard._max_now_ns = float(state["max_now_ns"])
         guard._tripped = bool(state["tripped"])
         return guard
-
-    def worst_case_mttsdc_years(self) -> float:
-        """Mean time to SDC if every epoch hits the threshold exactly:
-        threshold errors/hour, each escaping with probability 2^-64."""
-        escapes_per_hour = self.threshold * undetected_error_probability()
-        hours = 1.0 / escapes_per_hour
-        return hours / (24 * 365)

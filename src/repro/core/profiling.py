@@ -15,7 +15,7 @@ runtime should use, optionally de-rated by a guard band.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..characterization.modules import SyntheticModule
@@ -55,18 +55,15 @@ class NodeMarginProfiler:
 
     def __init__(self, machine: Optional[TestMachine] = None,
                  guard_band_mts: int = 0,
-                 reprofile_interval_s: float = 7 * 24 * 3600.0,
                  clock: Optional[Callable[[], float]] = None):
         if guard_band_mts < 0:
             raise ValueError("guard band must be non-negative")
         self.machine = machine or TestMachine()
         self.guard_band_mts = guard_band_mts
-        self.reprofile_interval_s = reprofile_interval_s
         self.last_profile: Optional[NodeProfile] = None
         self.profiles_run = 0
         self.failed_attempts = 0
-        # Profile stamps order profiles (needs_reprofile, registry
-        # freshness); wall clock steps backwards under NTP, so the
+        # Profile stamps order profiles (registry freshness); wall clock steps backwards under NTP, so the
         # default stamp source is the monotonic clock, and stamps are
         # clamped to the high-water mark so ordering can never invert
         # even with an injected (or explicitly passed) time source.
@@ -131,10 +128,3 @@ class NodeMarginProfiler:
                 if attempts > max_retries:
                     return ProfileOutcome(None, attempts, t - now_s)
                 t += policy.delay(attempts)
-
-    def needs_reprofile(self, now_s: float) -> bool:
-        """Has the periodic idle re-profiling interval elapsed?"""
-        if self.last_profile is None:
-            return True
-        return (now_s - self.last_profile.profiled_at_s >=
-                self.reprofile_interval_s)

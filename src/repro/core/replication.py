@@ -337,7 +337,3 @@ class HeteroDMRManager:
             raise ReplicationError("no copies exist to corrupt")
         self.channel.modules[self.free_module_index].corrupt_block(
             address, raw_bytes)
-
-    def corrupt_original(self, address: int, raw_bytes: List[int]) -> None:
-        """Inject an arbitrary 72-byte pattern into the stored original."""
-        self._original_module(address).corrupt_block(address, raw_bytes)

@@ -112,12 +112,6 @@ class MemoryBackend:
         recipe applied to this technology's profile)."""
         raise NotImplementedError
 
-    def refresh_profile(self) -> Tuple[float, float]:
-        """(tREFI_ns, tRFC_ns) of the specified setting — the named
-        view of the technology's refresh economics."""
-        spec = self.spec_timing()
-        return (spec.tREFI_ns, spec.tRFC_ns)
-
     def make_table(self, params: TimingParameters) -> TimingTable:
         """Precomputed per-rung table for ``params``.
 
@@ -252,8 +246,3 @@ def get_backend(kind: Optional[str] = None) -> MemoryBackend:
     """The backend instance for ``kind`` (resolved through
     :func:`resolve_backend`, so None consults ``REPRO_BACKEND``)."""
     return _BACKENDS[resolve_backend(kind)]
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_BACKENDS)

@@ -214,13 +214,3 @@ class Channel:
         return end
 
     # -- margins -----------------------------------------------------------------
-
-    def channel_margin_mts(self, margin_aware: bool = True) -> int:
-        """Channel-level frequency margin (Section III-D1): the margin
-        of the module chosen to run fast — the best module under
-        margin-aware selection, the first slot otherwise."""
-        if not self.modules:
-            return 0
-        if margin_aware:
-            return max(m.true_margin_mts for m in self.modules)
-        return self.modules[0].true_margin_mts

@@ -70,9 +70,6 @@ class FrequencyMachine:
     _fault_armed: bool = False
     _fault_rng: Optional[random.Random] = None
 
-    def is_stable(self) -> bool:
-        return self.state in (FrequencyState.SAFE, FrequencyState.FAST)
-
     # -- fault injection -------------------------------------------------------
 
     def seed_faults(self, seed: int, fault_rate: float) -> None:
@@ -148,7 +145,3 @@ class FrequencyMachine:
                       from_state=expect.value, to_state=target.value,
                       end_ns=t, retried=retried)
         return t
-
-    @property
-    def total_transition_time_ns(self) -> float:
-        return sum(rec.end_ns - rec.start_ns for rec in self.history)

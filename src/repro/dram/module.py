@@ -27,14 +27,6 @@ class ModuleSpec:
     condition: str = "new"           # new | in-production | refurbished
 
     @property
-    def capacity_gb(self) -> int:
-        """Usable (non-ECC) module capacity in GB."""
-        data_chips = self.chips_per_rank - (1 if self.chips_per_rank in
-                                            (9, 18) else 0)
-        per_rank_gb = data_chips * self.chip_density_gbit // 8
-        return per_rank_gb * self.ranks_per_module
-
-    @property
     def total_chips(self) -> int:
         return self.chips_per_rank * self.ranks_per_module
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timing import TimingParameters
 
 
 @dataclass(frozen=True)
@@ -24,40 +23,3 @@ class DramPowerParams:
     refresh_nj: float = 140.0        # one REF (all banks)
     background_active_w: float = 0.55   # per rank, clock running
     background_self_refresh_w: float = 0.12  # per rank in self-refresh
-
-    def scaled_for_rate(self, timing: TimingParameters,
-                        spec_rate_mts: int = 3200) -> "DramPowerParams":
-        """I/O energy grows roughly linearly with data rate; core
-        (activate/refresh) energy does not."""
-        ratio = timing.data_rate_mts / float(spec_rate_mts)
-        return DramPowerParams(
-            activate_nj=self.activate_nj,
-            read_burst_nj=self.read_burst_nj * (0.6 + 0.4 * ratio),
-            write_burst_nj=self.write_burst_nj * (0.6 + 0.4 * ratio),
-            refresh_nj=self.refresh_nj,
-            background_active_w=self.background_active_w *
-            (0.8 + 0.2 * ratio),
-            background_self_refresh_w=self.background_self_refresh_w)
-
-
-@dataclass
-class DramEnergyCounter:
-    """Accumulates DRAM energy from event counts."""
-    params: DramPowerParams
-    activates: int = 0
-    read_bursts: int = 0
-    write_bursts: int = 0
-    refreshes: int = 0
-    active_rank_seconds: float = 0.0
-    self_refresh_rank_seconds: float = 0.0
-
-    def total_joules(self) -> float:
-        p = self.params
-        dynamic = (self.activates * p.activate_nj +
-                   self.read_bursts * p.read_burst_nj +
-                   self.write_bursts * p.write_burst_nj +
-                   self.refreshes * p.refresh_nj) * 1e-9
-        background = (self.active_rank_seconds * p.background_active_w +
-                      self.self_refresh_rank_seconds *
-                      p.background_self_refresh_w)
-        return dynamic + background

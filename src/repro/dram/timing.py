@@ -19,7 +19,6 @@ Exploit Freq+Lat Margins              4000 MT/s  11.5    11.0    29.5    15000
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -71,11 +70,6 @@ class TimingParameters:
     # -- clock conversions ----------------------------------------------------
 
     @property
-    def clock_mhz(self) -> float:
-        """Bus clock in MHz (half the data rate for DDR)."""
-        return self.data_rate_mts / 2.0
-
-    @property
     def tCK_ns(self) -> float:
         """Bus clock period in nanoseconds."""
         return 2000.0 / self.data_rate_mts
@@ -94,10 +88,6 @@ class TimingParameters:
     def peak_bandwidth_gbs(self) -> float:
         """Peak per-channel bandwidth in GB/s (64-bit data bus)."""
         return self.data_rate_mts * 8 / 1000.0
-
-    def ns_to_cycles(self, ns: float, cpu_ghz: float) -> int:
-        """Convert nanoseconds to (rounded-up) CPU cycles."""
-        return int(math.ceil(ns * cpu_ghz))
 
     # -- derived settings ------------------------------------------------------
 
@@ -204,12 +194,6 @@ def exploit_frequency_margin(margin_mts: int = 800) -> TimingParameters:
 def exploit_freq_lat_margins(margin_mts: int = 800) -> TimingParameters:
     """Table II row 4: faster data rate and reduced latencies."""
     return exploit_frequency_margin(margin_mts).with_latency_margin()
-
-
-def manufacturer_spec_2400() -> TimingParameters:
-    """A 2400 MT/s module's specified setting (used in Figure 3c)."""
-    return TimingParameters(data_rate_mts=2400, tRCD_ns=13.75, tRP_ns=13.75,
-                            tRAS_ns=32.0, tREFI_ns=7800.0)
 
 
 #: The paper's four Table II settings, keyed by their row labels.

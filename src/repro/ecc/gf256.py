@@ -35,16 +35,6 @@ def _build_tables() -> "tuple[List[int], List[int]]":
 _EXP, _LOG = _build_tables()
 
 
-def gf_add(a: int, b: int) -> int:
-    """Addition in GF(2^8) is XOR."""
-    return a ^ b
-
-
-def gf_sub(a: int, b: int) -> int:
-    """Subtraction equals addition in characteristic-2 fields."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements."""
     if a == 0 or b == 0:
@@ -82,13 +72,6 @@ def gf_pow(a: int, n: int) -> int:
 def gf_exp(n: int) -> int:
     """alpha**n where alpha is the primitive element (0x02)."""
     return _EXP[n % FIELD_ORDER]
-
-
-def gf_log(a: int) -> int:
-    """Discrete log base alpha; raises ``ValueError`` for 0."""
-    if a == 0:
-        raise ValueError("log of zero is undefined")
-    return _LOG[a]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .bamboo import BambooCodec, CodedBlock
 from .reed_solomon import DecodeFailure, undetected_error_probability
@@ -90,10 +90,3 @@ def sdc_epoch_threshold(target_mttsdc_hours: float = BILLION_YEARS_HOURS,
         raise ValueError("target_mttsdc_hours must be positive")
     escapes_per_sdc = 1.0 / undetected_error_probability(nparity)
     return int(escapes_per_sdc / target_mttsdc_hours)
-
-
-def sdc_overhead_vs_server_target(
-        target_mttsdc_years: float = 1_000_000_000) -> float:
-    """System-level SDC overhead relative to the 1000-year server target
-    (the paper's 'one over one million')."""
-    return SERVER_MTTSDC_YEARS / target_mttsdc_years

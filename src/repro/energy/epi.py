@@ -39,14 +39,6 @@ class EpiBreakdown:
             return 0.0
         return self.total_joules / self.instructions * 1e9
 
-    @property
-    def dram_share(self) -> float:
-        total = self.total_joules
-        if total <= 0:
-            return 0.0
-        return (self.dram_dynamic_joules +
-                self.dram_background_joules) / total
-
 
 def node_epi(result: NodeResult,
              cpu: CpuPowerParams = CpuPowerParams(),

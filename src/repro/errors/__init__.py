@@ -6,17 +6,14 @@ from .models import (ERROR_PATTERNS, STORED_BYTES, chip_failure,
                      single_bit_flip, stuck_at_zero)
 from .telemetry import (ErrorRecord, MarginAdvice, MarginAdvisor,
                         ModuleErrorLog)
-from .rates import (ACCESSES_PER_HOUR, ErrorScenario,
-                    FULL_POPULATION_MULTIPLIER, errors_per_hour,
-                    per_access_error_probability,
-                    population_error_summary)
+from .rates import (ErrorScenario, FULL_POPULATION_MULTIPLIER,
+                    errors_per_hour, population_error_summary)
 
 __all__ = [
-    "ACCESSES_PER_HOUR", "ERROR_PATTERNS", "ErrorInjector",
-    "ErrorRecord", "ErrorScenario", "MarginAdvice", "MarginAdvisor", "ModuleErrorLog", "FULL_POPULATION_MULTIPLIER", "InjectionStats",
-    "STORED_BYTES", "chip_failure", "errors_per_hour",
-    "full_block_error", "multi_byte_burst",
-    "per_access_error_probability", "poisson_draw",
-    "population_error_summary",
-    "row_corruption", "single_bit_flip", "stuck_at_zero",
+    "ERROR_PATTERNS", "ErrorInjector", "ErrorRecord", "ErrorScenario",
+    "MarginAdvice", "MarginAdvisor", "ModuleErrorLog",
+    "FULL_POPULATION_MULTIPLIER", "InjectionStats", "STORED_BYTES",
+    "chip_failure", "errors_per_hour", "full_block_error", "multi_byte_burst",
+    "poisson_draw", "population_error_summary", "row_corruption",
+    "single_bit_flip", "stuck_at_zero",
 ]

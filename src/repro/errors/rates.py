@@ -1,7 +1,7 @@
 """Error-rate bookkeeping for margin-exploiting operation (Fig. 6).
 
-Converts the per-module CE/UE rates of the characterization into
-per-access probabilities and scenario multipliers:
+Scales the per-module CE/UE rates of the characterization by
+scenario multipliers:
 
 * 45 C ambient: 4x the 23 C rates (2x under freq+lat margins),
 * full population (two modules per channel): each module accessed half
@@ -11,15 +11,10 @@ per-access probabilities and scenario multipliers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..characterization.modules import SyntheticModule
 from ..characterization.temperature import error_rate_multiplier
-
-#: Accesses per hour assumed by the stress test when converting hourly
-#: error counts into per-access probabilities (order-of-magnitude of a
-#: saturated DDR4-3200 channel: ~50e9 lines/hour x fraction exercised).
-ACCESSES_PER_HOUR = 5.0e11
 
 #: Per-module rate multiplier when every channel slot is populated.
 FULL_POPULATION_MULTIPLIER = 0.5
@@ -48,15 +43,6 @@ def errors_per_hour(module: SyntheticModule,
     mult = scenario.multiplier()
     return (module.ce_rate_per_hour * mult,
             module.ue_rate_per_hour * mult)
-
-
-def per_access_error_probability(module: SyntheticModule,
-                                 scenario: ErrorScenario) -> float:
-    """Total per-access error probability, the quantity Hetero-DMR's
-    epoch guard budgets against.  Even the worst modules stay far
-    below the paper's <0.001% of accesses."""
-    ce, ue = errors_per_hour(module, scenario)
-    return (ce + ue) / ACCESSES_PER_HOUR
 
 
 def population_error_summary(modules: Sequence[SyntheticModule],

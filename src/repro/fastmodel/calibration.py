@@ -174,6 +174,8 @@ def grid_spec(suites: Tuple[str, ...], hierarchies: Tuple[str, ...],
 
 
 def grid_hash(spec: dict) -> str:
+    """SHA-256 of a :func:`grid_spec`'s canonical JSON: what a stored
+    calibration artifact is checked against for staleness."""
     return _sha256(_canonical(spec))
 
 

@@ -6,9 +6,10 @@ is that bookkeeping layer: :class:`MarginRegistry` (append-only event
 log + compacted snapshots, the single source of truth for effective
 margins), :class:`FleetProfiler` (deterministic parallel profiling
 into the registry), :class:`PlacementService` (batched margin-aware
-placement queries with a TTL'd cache), and :class:`FleetIngest`
-(degradation-ladder events flow through the registry instead of
-mutating cluster nodes directly).  See DESIGN.md §8.
+placement queries over the registry's current state), and
+:class:`FleetIngest` (degradation-ladder events flow through the
+registry instead of mutating cluster nodes directly).  See DESIGN.md
+§8.
 """
 
 from .ingest import FleetIngest

@@ -378,12 +378,6 @@ class AllocationPolicy:
         """Keys of the ``count`` nodes to allocate (None if short)."""
         return pool.pick_default(count)
 
-    def select(self, free_nodes: List[ClusterNode],
-               count: int) -> Optional[List[ClusterNode]]:
-        """Pick ``count`` nodes from ``free_nodes`` (None if short)."""
-        keys = self.pick(FreeNodePool.of(free_nodes, self.buckets), count)
-        return None if keys is None else [free_nodes[k] for k in keys]
-
 
 class MarginAwareAllocationPolicy(AllocationPolicy):
     """Group nodes by margin; prefer one uniform fast group.

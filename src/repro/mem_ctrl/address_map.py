@@ -56,6 +56,3 @@ class AddressMapping:
         if self.xor_bank_hash:
             bank ^= row % self.banks_per_rank
         return MemLocation(channel, rank, bank, row, column)
-
-    def row_buffer_bytes(self) -> int:
-        return self.columns_per_row * LINE_BYTES

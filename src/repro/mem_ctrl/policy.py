@@ -80,13 +80,6 @@ class AccessPolicy:
         return tuple((flat, pairs[flat][1], pairs[flat][1].banks[bank])
                      for flat in self.read_candidates(channel, local_rank))
 
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
-        """Flat rank that serves this read given the row buffers now."""
-        loc = request.location
-        return serve_replica(self.replica_banks(channel, loc.rank, loc.bank),
-                             loc.row, self.prefer_closed_replica)[0]
-
     def enter_write_mode(self, channel: Channel, now_ns: float) -> float:
         """Cost of switching the channel to write mode; returns the time
         writes may start."""

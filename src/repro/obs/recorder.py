@@ -262,16 +262,6 @@ class Recorder(NullRecorder):
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 
-    def counter_value(self, subsystem: str, name: str,
-                      **labels: object) -> float:
-        """Convenience accessor for tests and the summary CLI."""
-        return self._counters.get(metric_key(subsystem, name, labels),
-                                  0.0)
-
-    def gauge_value(self, subsystem: str, name: str,
-                    **labels: object) -> Optional[float]:
-        return self._gauges.get(metric_key(subsystem, name, labels))
-
     def histogram_stats(self, subsystem: str, name: str,
                         **labels: object) -> Optional[dict]:
         """One histogram series' summary (count/sum/min/max/quantiles)

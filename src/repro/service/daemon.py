@@ -84,6 +84,16 @@ class RegistryWrite:
     payload: Dict[str, object] = field(default_factory=dict)
 
 
+def check_write(registry: ShardedRegistry, write: RegistryWrite) -> None:
+    """Refuse, before it is queued, a write of an unknown kind or of a
+    node the fleet does not have: no write, ``profile`` included, adds
+    a node to a running service's fleet."""
+    if write.kind not in EVENT_KINDS:
+        raise ValueError("unknown event kind {!r}".format(write.kind))
+    if not registry.has_node(write.node):
+        raise ValueError("node {} is not in the fleet".format(write.node))
+
+
 @dataclass(frozen=True)
 class Decision:
     """One answered message.  ``seq`` is the emission order (the
@@ -343,10 +353,9 @@ class PlacementDaemon:
         self._put_fact((self._process_release, job_id, 0.0))
 
     def submit_write(self, write: RegistryWrite) -> None:
-        """Queue a registry event (a fact: never shed)."""
-        if write.kind not in EVENT_KINDS:
-            raise ValueError("unknown event kind {!r}"
-                             .format(write.kind))
+        """Queue a registry event (a fact: never shed); raises
+        ``ValueError`` for a write :func:`check_write` refuses."""
+        check_write(self.registry, write)
         self._put_fact((self._process_write, write, 0.0))
 
     def tick(self, now_s: float) -> None:

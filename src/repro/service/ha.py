@@ -71,7 +71,7 @@ from ..resilience.report import SurvivabilityReport
 from .arbitration import CrossShardArbiter
 from .daemon import (BucketPool, Decision, DecisionStream, DUPLICATE,
                      PLACED, RELEASED, RegistryWrite, UNKNOWN_JOB,
-                     UNSATISFIABLE, CLOSED)
+                     UNSATISFIABLE, CLOSED, check_write)
 from .lease import (CONTROL_LOG_FILE, ControlLog, LeaseTable,
                     commit_payload_json)
 from .sharding import DEFAULT_SHARDS, ShardedRegistry, seed_fleet
@@ -398,6 +398,9 @@ class HAControlPlane:
         self.drain()
 
     def submit_write(self, write: RegistryWrite) -> None:
+        """Queue a registry event; raises ``ValueError`` for a write
+        :func:`~repro.service.daemon.check_write` refuses."""
+        check_write(self.registry, write)
         self._ops.append(_Op("write", 0, 0, write))
         self.drain()
 

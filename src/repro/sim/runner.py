@@ -251,10 +251,3 @@ class ExperimentRunner:
         hierarchies = hierarchies or [f() for f in HIERARCHIES.values()]
         return fig12_grid(self._time_ns, suite_names(), hierarchies,
                           grid_margins(self.backend))
-
-    def headline_speedup(self, design: str,
-                         hierarchies: Optional[List[HierarchyConfig]]
-                         = None) -> float:
-        """The paper's headline number: weighted over usage buckets,
-        margins (62/36), and averaged over hierarchies."""
-        return self.fig12_bars(hierarchies).headline(design)

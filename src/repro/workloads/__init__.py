@@ -3,11 +3,10 @@ benchmark suites."""
 
 from .base import TraceGenerator, WorkloadProfile
 from .registry import (AVERAGE_MPI_FRACTION, AVERAGE_WRITE_SHARE,
-                       BANDWIDTH_TARGETS, PROFILES, get_profile,
-                       make_trace, suite_names)
+                       BANDWIDTH_TARGETS, PROFILES, get_profile, suite_names)
 
 __all__ = [
     "AVERAGE_MPI_FRACTION", "AVERAGE_WRITE_SHARE", "BANDWIDTH_TARGETS",
     "PROFILES", "TraceGenerator", "WorkloadProfile", "get_profile",
-    "make_trace", "suite_names",
+    "suite_names",
 ]

@@ -9,10 +9,9 @@ by returning a stable ordering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
-from ..cpu.trace import TraceRecord
-from .base import TraceGenerator, WorkloadProfile
+from .base import WorkloadProfile
 from . import coral2, graph500, hpcg, linpack, lulesh, npb
 
 #: Suite profiles in the paper's presentation order.
@@ -61,10 +60,3 @@ def get_profile(name: str) -> WorkloadProfile:
     except KeyError:
         raise KeyError("unknown suite {!r}; valid: {}".format(
             name, ", ".join(PROFILES))) from None
-
-
-def make_trace(name: str, core_id: int, count: int,
-               seed: int = 12345) -> Iterator[TraceRecord]:
-    """Convenience: a ``count``-record trace of suite ``name`` for one
-    core."""
-    return TraceGenerator(get_profile(name), core_id, seed).records(count)

@@ -8,6 +8,31 @@ from repro.cache.hierarchy import HierarchyConfig
 from repro.dram.channel import Channel
 from repro.dram.module import Module, ModuleSpec
 from repro.dram.timing import exploit_freq_lat_margins
+from repro.hpc.scheduler import FreeNodePool
+
+
+def dirty_lines(cache) -> list:
+    """Every dirty line's address in ``cache``, read through the
+    LLC cleaning hook (``dirty_lru_blocks``) with no limit."""
+    return cache.dirty_lru_blocks(cache.nsets * cache.assoc)
+
+
+def policy_select(policy, free_nodes: list, count: int):
+    """The nodes ``policy`` allocates for ``count`` from ``free_nodes``
+    (None if short), picked by ``policy.pick`` over a pool keyed by
+    position, as the scheduler picks."""
+    keys = policy.pick(FreeNodePool.of(free_nodes, policy.buckets), count)
+    return None if keys is None else [free_nodes[k] for k in keys]
+
+
+def metric(recorder, table: str, subsystem: str, name: str, **labels):
+    """One series' value from ``recorder.snapshot()`` (``table`` is
+    ``"counters"`` or ``"gauges"``), or None if it was never set."""
+    series = (subsystem, name, {k: str(v) for k, v in labels.items()})
+    for row in recorder.snapshot()[table]:
+        if (row["subsystem"], row["name"], row["labels"]) == series:
+            return row["value"]
+    return None
 
 
 def tiny_hierarchy(cores: int = 2, channels: int = 1) -> HierarchyConfig:

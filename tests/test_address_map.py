@@ -31,28 +31,25 @@ def test_consecutive_lines_same_row():
 def test_row_crossing_changes_bank():
     m = AddressMapping(channels=1)
     a = m.decode(0)
-    b = m.decode(m.row_buffer_bytes())
+    b = m.decode(m.columns_per_row * LINE_BYTES)
     assert (a.rank, a.row) == (b.rank, b.row)
     assert a.bank != b.bank
 
 
 def test_xor_hash_spreads_rows():
     m = AddressMapping(channels=1, xor_bank_hash=True)
-    stride = m.row_buffer_bytes() * m.banks_per_rank * m.ranks_per_channel
+    stride = (m.columns_per_row * LINE_BYTES * m.banks_per_rank *
+              m.ranks_per_channel)
     banks = {m.decode(i * stride).bank for i in range(16)}
     assert len(banks) > 1   # same raw bank bits, different hashed banks
 
 
 def test_no_xor_hash_keeps_bank():
     m = AddressMapping(channels=1, xor_bank_hash=False)
-    stride = m.row_buffer_bytes() * m.banks_per_rank * m.ranks_per_channel
+    stride = (m.columns_per_row * LINE_BYTES * m.banks_per_rank *
+              m.ranks_per_channel)
     banks = {m.decode(i * stride).bank for i in range(16)}
     assert banks == {0}
-
-
-def test_row_buffer_bytes():
-    m = AddressMapping(columns_per_row=128)
-    assert m.row_buffer_bytes() == 128 * LINE_BYTES
 
 
 @settings(max_examples=80, deadline=None)

@@ -71,15 +71,6 @@ def test_weighted_mean_zero_weights_raises():
         stats.weighted_mean([1, 2], [0, 0])
 
 
-def test_geometric_mean():
-    assert stats.geometric_mean([1, 4]) == pytest.approx(2.0)
-
-
-def test_geometric_mean_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        stats.geometric_mean([1, 0])
-
-
 def test_suite_average_weighs_equally():
     per_suite = {"a": 1.0, "b": 2.0, "c": 3.0}
     assert stats.suite_average(per_suite) == 2.0

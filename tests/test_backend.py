@@ -10,10 +10,11 @@ import pytest
 from repro.cache.hierarchy import HIERARCHIES
 from repro.core.config import HeteroDMRConfig
 from repro.dram import (BACKEND_ENV_VAR, DDR4_BACKEND, MRDIMM_BACKEND,
-                        VALID_BACKENDS, MemoryBackend, backend_names,
-                        get_backend, resolve_backend)
+                        VALID_BACKENDS, MemoryBackend, get_backend,
+                        resolve_backend)
 from repro.dram.timing import manufacturer_spec_3200
 from repro.sim.node import NodeConfig, simulate_node
+from tests.conftest import policy_select
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -59,8 +60,7 @@ def test_node_config_rejects_unknown_backend():
 
 
 def test_backend_registry_consistent():
-    assert set(backend_names()) == set(VALID_BACKENDS)
-    for name in backend_names():
+    for name in VALID_BACKENDS:
         backend = get_backend(name)
         assert isinstance(backend, MemoryBackend)
         assert backend.name == name
@@ -117,8 +117,9 @@ def test_mrdimm_mux_latency_rides_on_cas():
 
 
 def test_mrdimm_refresh_profile_denser_trfc():
-    trefi, trfc = MRDIMM_BACKEND.refresh_profile()
-    d4_trefi, d4_trfc = DDR4_BACKEND.refresh_profile()
+    mrdimm, ddr4 = MRDIMM_BACKEND.spec_timing(), DDR4_BACKEND.spec_timing()
+    trefi, trfc = mrdimm.tREFI_ns, mrdimm.tRFC_ns
+    d4_trefi, d4_trfc = ddr4.tREFI_ns, ddr4.tRFC_ns
     assert trfc > d4_trfc          # bigger devices, longer refresh
     assert trefi != d4_trefi or trfc != d4_trfc
 
@@ -217,12 +218,12 @@ def test_margin_aware_policy_uses_custom_buckets():
     nodes = [ClusterNode(0, 2200), ClusterNode(1, 1600),
              ClusterNode(2, 2200), ClusterNode(3, 0)]
     policy = MarginAwareAllocationPolicy(buckets=(2200, 1600, 0))
-    picked = policy.select(list(nodes), 2)
+    picked = policy_select(policy, list(nodes), 2)
     assert {n.index for n in picked} == {0, 2}   # uniform fast group
     # Against the DDR4 defaults every MRDIMM node snaps into one
     # class and grouping cannot separate them.
     ddr4_policy = MarginAwareAllocationPolicy()
-    picked = ddr4_policy.select(list(nodes), 2)
+    picked = policy_select(ddr4_policy, list(nodes), 2)
     assert {n.index for n in picked} == {0, 1}
 
 

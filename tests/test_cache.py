@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import Cache, LINE_BYTES
+from tests.conftest import dirty_lines
 
 
 def small_cache(assoc=4, sets=8):
@@ -44,13 +45,13 @@ def test_write_hit_marks_dirty():
     c = small_cache()
     c.fill(0)
     c.access(0, True)
-    assert c.is_dirty(0)
+    assert 0 in dirty_lines(c)
 
 
 def test_clean_fill_not_dirty():
     c = small_cache()
     c.fill(0)
-    assert not c.is_dirty(0)
+    assert 0 not in dirty_lines(c)
 
 
 def test_eviction_returns_dirty_victim():
@@ -82,7 +83,7 @@ def test_refill_merges_dirtiness():
     c = small_cache(assoc=2, sets=1)
     c.fill(0, dirty=True)
     c.fill(0, dirty=False)
-    assert c.is_dirty(0)
+    assert 0 in dirty_lines(c)
 
 
 def test_invalidate():
@@ -104,7 +105,7 @@ def test_dirty_line_count():
     c.fill(0, dirty=True)
     c.fill(64, dirty=True)
     c.fill(128, dirty=False)
-    assert c.dirty_line_count() == 2
+    assert len(dirty_lines(c)) == 2
 
 
 def test_dirty_lru_blocks_returns_lru_first():
@@ -128,7 +129,7 @@ def test_clean_blocks_marks_clean():
     c.fill(0, dirty=True)
     cleaned = c.clean_blocks([0])
     assert cleaned == [0]
-    assert not c.is_dirty(0)
+    assert 0 not in dirty_lines(c)
     assert c.stats.cleaned == 1
 
 
@@ -151,7 +152,7 @@ def test_warm_fills_every_way():
     c = small_cache(assoc=4, sets=8)
     inserted = c.warm(random.Random(0), dirty_prob=1.0)
     assert inserted == 32
-    assert c.dirty_line_count() == 32
+    assert len(dirty_lines(c)) == 32
 
 
 def test_warm_respects_max_line():
@@ -257,7 +258,7 @@ def test_snapshot_restore_round_trip():
     clean = small_cache(assoc=4, sets=8)
     clean.restore(tags)
     assert [list(w) for w in clean.sets()] == [list(w) for w in c.sets()]
-    assert clean.dirty_line_count() == 0
+    assert len(dirty_lines(clean)) == 0
     with pytest.raises(ValueError):
         small_cache(assoc=2, sets=8).restore(tags, dirty)
 
@@ -289,10 +290,8 @@ _ops = st.one_of(
     st.tuples(st.just("fill"), _addr, st.booleans()),
     st.tuples(st.just("invalidate"), _addr),
     st.tuples(st.just("contains"), _addr),
-    st.tuples(st.just("is_dirty"), _addr),
     st.tuples(st.just("clean_blocks"), st.lists(_addr, max_size=4)),
     st.tuples(st.just("dirty_lru_blocks"), st.integers(0, 12)),
-    st.tuples(st.just("dirty_line_count")),
     st.tuples(st.just("restore"), st.booleans()),
 )
 
@@ -340,8 +339,7 @@ def test_copy_on_touch_restore_matches_eager_restore(
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["access", "fill", "invalidate",
-                                           "contains", "is_dirty",
-                                           "clean_blocks"]),
+                                           "contains", "clean_blocks"]),
                           _addr), max_size=20),
        st.booleans())
 def test_restore_builds_only_the_sets_it_touches(ops, clean):

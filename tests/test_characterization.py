@@ -6,13 +6,10 @@ from repro.analysis.stats import mean, stdev
 from repro.characterization import (LatencyMarginSearch, MarginMonteCarlo,
                                     ModulePopulation, PLATFORM_CAP_MTS,
                                     STUDY_MODULES, TestMachine,
-                                    TrinititeSampler,
                                     conservative_setting,
                                     dimm_temperature_c,
                                     error_rate_multiplier,
-                                    exhaustive_test_count,
-                                    measure_population,
-                                    trinitite_percentile)
+                                    measure_population)
 from repro.characterization.modules import THERMAL_BOOT_FAILURES
 from repro.dram.timing import DDR4_ELEVATED_VOLTAGE
 
@@ -161,13 +158,6 @@ def test_45c_boot_failures_return_none():
     machine = TestMachine()
     mod = POP.get(THERMAL_BOOT_FAILURES[0])
     assert machine.measure_error_rates(mod, ambient_c=45.0) is None
-
-
-def test_full_population_margin_is_min():
-    machine = TestMachine()
-    mods = [m for m in POP.major_brands()][:4]
-    margin = machine.measure_full_population_margin(mods)
-    assert margin == min(MEASURED[m.module_id].margin_mts for m in mods)
 
 
 def test_get_unknown_module():

@@ -301,6 +301,33 @@ def test_serve_rejects_malformed_write_at_parse_time(tmp_path, capsys,
     assert statuses == ["placed", "placed"]
 
 
+@pytest.mark.parametrize("daemons", ["1", "2"])
+def test_serve_refuses_a_write_of_a_node_outside_the_fleet(tmp_path, capsys,
+                                                           daemons):
+    """A write, ``profile`` included, cannot add a node to the fleet:
+    on a 4-node fleet a demote of node 500 used to make it placeable
+    (``placed [0,1,2,3,500]``)."""
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("\n".join([
+        '{"op":"write","kind":"demote","node":500,'
+        '"payload":{"margin_mts":0}}',
+        '{"op":"write","kind":"profile","node":4,'
+        '"payload":{"margin_mts":800}}',
+        '{"op": "tick", "now_s": 1.0}',
+        '{"op": "place", "job": 1, "nodes": 5}',
+    ]) + "\n")
+    out = tmp_path / "decisions.jsonl"
+    code = main(["serve", "--nodes", "4", "--daemons", daemons,
+                 "--requests", str(requests), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err[:-1] == [
+        "repro serve: bad request line 1: node 500 is not in the fleet",
+        "repro serve: bad request line 2: node 4 is not in the fleet"]
+    assert [json.loads(l)["status"] for l in
+            out.read_text().splitlines()] == ["unsatisfiable"]
+
+
 @pytest.mark.parametrize("daemons,code,statuses", [
     ("1", 0, ["expired"]), ("2", 1, [])])
 def test_serve_rejects_a_deadline_the_ha_plane_cannot_keep(

@@ -5,7 +5,7 @@ import pytest
 from repro.cpu.core import Core
 from repro.cpu.trace import COMPUTE_IPC, TraceRecord, instructions_of
 from repro.workloads import (PROFILES, TraceGenerator, get_profile,
-                             make_trace, suite_names)
+                             suite_names)
 
 
 def _core(records, mlp=2):
@@ -92,49 +92,52 @@ def test_unknown_suite_raises():
 
 
 def test_traces_are_deterministic():
-    a = list(make_trace("hpcg", 0, 200, seed=42))
-    b = list(make_trace("hpcg", 0, 200, seed=42))
+    a = list(TraceGenerator(get_profile("hpcg"), 0, 42).records(200))
+    b = list(TraceGenerator(get_profile("hpcg"), 0, 42).records(200))
     assert a == b
 
 
 def test_traces_differ_by_core():
-    a = list(make_trace("hpcg", 0, 200))
-    b = list(make_trace("hpcg", 1, 200))
+    a = list(TraceGenerator(get_profile("hpcg"), 0).records(200))
+    b = list(TraceGenerator(get_profile("hpcg"), 1).records(200))
     assert a != b
 
 
 def test_traces_differ_by_seed():
-    a = list(make_trace("hpcg", 0, 200, seed=1))
-    b = list(make_trace("hpcg", 0, 200, seed=2))
+    a = list(TraceGenerator(get_profile("hpcg"), 0, 1).records(200))
+    b = list(TraceGenerator(get_profile("hpcg"), 0, 2).records(200))
     assert a != b
 
 
 def test_trace_count():
-    assert len(list(make_trace("linpack", 0, 123))) == 123
+    gen = TraceGenerator(get_profile("linpack"), 0)
+    assert len(list(gen.records(123))) == 123
 
 
 def test_addresses_within_footprint():
     prof = get_profile("lulesh")
-    for rec in make_trace("lulesh", 3, 500):
+    for rec in TraceGenerator(prof, 3).records(500):
         assert 0 <= rec.address < prof.footprint_bytes
         assert rec.address % 64 == 0
 
 
 def test_write_fraction_approximates_profile():
     prof = get_profile("linpack")
-    recs = list(make_trace("linpack", 0, 8000))
+    recs = list(TraceGenerator(get_profile("linpack"), 0).records(8000))
     frac = sum(r.is_write for r in recs) / len(recs)
     assert abs(frac - prof.write_fraction) < 0.03
 
 
 def test_graph500_has_more_dependent_loads():
-    g = sum(r.dependent for r in make_trace("graph500", 0, 5000))
-    l = sum(r.dependent for r in make_trace("linpack", 0, 5000))
+    g = sum(r.dependent for r in
+            TraceGenerator(get_profile("graph500"), 0).records(5000))
+    l = sum(r.dependent for r in
+            TraceGenerator(get_profile("linpack"), 0).records(5000))
     assert g > 3 * max(1, l)
 
 
 def test_stream_suite_has_sequential_runs():
-    recs = list(make_trace("linpack", 0, 2000))
+    recs = list(TraceGenerator(get_profile("linpack"), 0).records(2000))
     seq = sum(1 for a, b in zip(recs, recs[1:])
               if b.address - a.address == 64)
     assert seq > len(recs) * 0.2

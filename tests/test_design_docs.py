@@ -49,27 +49,27 @@ def test_examples_listed_in_readme_exist():
         assert (ROOT / "examples" / (ref + ".py")).is_file(), ref
 
 
+def _packages():
+    """``repro`` and every package under it, from the source tree."""
+    src = ROOT / "src"
+    return ["repro"] + sorted(
+        ".".join(init.parent.relative_to(src).parts)
+        for init in (src / "repro").glob("*/__init__.py"))
+
+
 def test_public_modules_have_docstrings():
     import importlib
-    for name in ("repro", "repro.core", "repro.dram", "repro.ecc",
-                 "repro.errors", "repro.fleet", "repro.hpc",
-                 "repro.sim", "repro.workloads",
-                 "repro.characterization", "repro.cache",
-                 "repro.mem_ctrl", "repro.cpu", "repro.energy",
-                 "repro.analysis", "repro.recovery",
-                 "repro.resilience", "repro.perf"):
+    for name in _packages():
         mod = importlib.import_module(name)
         assert mod.__doc__, name
 
 
 def test_public_classes_documented():
-    """Every exported class/function in the top subpackages carries a
+    """Every exported class/function of every package carries a
     docstring (deliverable e: doc comments on every public item)."""
     import importlib
     import inspect
-    for pkg_name in ("repro.core", "repro.ecc", "repro.fleet",
-                     "repro.hpc", "repro.errors", "repro.sim",
-                     "repro.dram", "repro.recovery", "repro.perf"):
+    for pkg_name in _packages():
         pkg = importlib.import_module(pkg_name)
         for name in getattr(pkg, "__all__", []):
             obj = getattr(pkg, name)

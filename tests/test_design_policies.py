@@ -8,6 +8,7 @@ from repro.core.config import HeteroDMRConfig
 from repro.dram import (Channel, FrequencyState, Module, ModuleSpec,
                         exploit_freq_lat_margins)
 from repro.mem_ctrl.address_map import MemLocation
+from repro.mem_ctrl.policy import serve_replica
 from repro.mem_ctrl.queues import ReadRequest
 
 
@@ -23,6 +24,13 @@ def _req(rank=0, bank=0, row=5):
                        lambda t: None)
 
 
+def _served(policy, ch, req):
+    """The flat rank the FR-FCFS replica rule serves ``req`` from."""
+    loc = req.location
+    return serve_replica(policy.replica_banks(ch, loc.rank, loc.bank),
+                         loc.row, policy.prefer_closed_replica)[0]
+
+
 def test_baseline_has_writeback_cache():
     assert BaselinePolicy().uses_writeback_cache
     assert not PlainBaselinePolicy().uses_writeback_cache
@@ -30,7 +38,7 @@ def test_baseline_has_writeback_cache():
 
 def test_baseline_identity_rank():
     ch = _channel()
-    assert BaselinePolicy().read_rank(ch, _req(rank=3), 0.0) == 3
+    assert _served(BaselinePolicy(), ch, _req(rank=3)) == 3
 
 
 def test_baseline_write_cost_one():
@@ -42,7 +50,7 @@ def test_fmr_prefers_row_hit_replica():
     p = FmrPolicy()
     # Open row 5 in the partner rank (flat 2 = base 0 + nranks/2).
     ch.locate_rank(2)[1].banks[0].open_row = 5
-    assert p.read_rank(ch, _req(rank=0), 0.0) == 2
+    assert _served(p, ch, _req(rank=0)) == 2
 
 
 def test_fmr_prefers_base_row_hit_first():
@@ -50,14 +58,14 @@ def test_fmr_prefers_base_row_hit_first():
     p = FmrPolicy()
     ch.locate_rank(0)[1].banks[0].open_row = 5
     ch.locate_rank(2)[1].banks[0].open_row = 5
-    assert p.read_rank(ch, _req(rank=0), 0.0) == 0
+    assert _served(p, ch, _req(rank=0)) == 0
 
 
 def test_fmr_colonizes_closed_partner():
     ch = _channel()
     p = FmrPolicy()
     ch.locate_rank(0)[1].banks[0].open_row = 9   # base busy on other row
-    assert p.read_rank(ch, _req(rank=0), 0.0) == 2
+    assert _served(p, ch, _req(rank=0)) == 2
 
 
 def test_fmr_broadcast_and_write_cost():
@@ -70,8 +78,8 @@ def test_hdmr_reads_only_free_module():
     ch = _channel()
     p = HeteroDMRPolicy()
     # Free module is index 1, its flat ranks are 2 and 3.
-    assert p.read_rank(ch, _req(rank=0), 0.0) == 2
-    assert p.read_rank(ch, _req(rank=1), 0.0) == 3
+    assert _served(p, ch, _req(rank=0)) == 2
+    assert _served(p, ch, _req(rank=1)) == 3
 
 
 def test_hdmr_write_mode_slows_then_speeds():
@@ -122,13 +130,13 @@ def test_hetero_fmr_picks_row_hit_copy():
     ch = _channel()
     p = HeteroFmrPolicy()
     ch.locate_rank(3)[1].banks[0].open_row = 5
-    assert p.read_rank(ch, _req(rank=0), 0.0) == 3
+    assert _served(p, ch, _req(rank=0)) == 3
 
 
 def test_hetero_fmr_defaults_to_home_copy():
     ch = _channel()
     p = HeteroFmrPolicy()
-    assert p.read_rank(ch, _req(rank=0), 0.0) == 2
+    assert _served(p, ch, _req(rank=0)) == 2
 
 
 def test_hetero_fmr_write_cost_three():

@@ -18,7 +18,6 @@ def _channel():
 def test_module_capacity():
     spec = ModuleSpec(chips_per_rank=9, chip_density_gbit=16,
                       ranks_per_module=2)
-    assert spec.capacity_gb == 32
     assert spec.total_chips == 18
 
 
@@ -132,14 +131,6 @@ def test_rank_switch_penalty_counted():
     ch.access(1, 0, 1, 0.0, False)   # different rank -> switch
     ch.access(1, 0, 1, 0.0, False)   # same rank -> no switch
     assert ch.stats.rank_switches == 1
-
-
-def test_channel_margin_selection():
-    ch = _channel()
-    ch.modules[0].true_margin_mts = 600
-    ch.modules[1].true_margin_mts = 800
-    assert ch.channel_margin_mts(margin_aware=True) == 800
-    assert ch.channel_margin_mts(margin_aware=False) == 600
 
 
 def test_to_fast_requires_fast_timing():

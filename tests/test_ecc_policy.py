@@ -3,8 +3,7 @@
 import pytest
 
 from repro.ecc import (BambooCodec, DecodeStatus, DetectAndCorrectPolicy,
-                       DetectOnlyPolicy, sdc_epoch_threshold,
-                       sdc_overhead_vs_server_target)
+                       DetectOnlyPolicy, sdc_epoch_threshold)
 
 CODEC = BambooCodec()
 DATA = list(range(64))
@@ -67,7 +66,3 @@ def test_epoch_threshold_matches_paper():
 def test_epoch_threshold_validates_input():
     with pytest.raises(ValueError):
         sdc_epoch_threshold(target_mttsdc_hours=0)
-
-
-def test_sdc_overhead_one_in_a_million():
-    assert sdc_overhead_vs_server_target() == pytest.approx(1e-6)

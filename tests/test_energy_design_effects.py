@@ -43,7 +43,9 @@ def test_memory_share_below_2018_datacenter_number():
     """Memory is ~18% of system power (Barroso 2018); the model's
     DRAM share sits at or below that ballpark."""
     r = _run("baseline")
-    assert node_epi(r).dram_share < 0.35
+    b = node_epi(r)
+    dram = b.dram_dynamic_joules + b.dram_background_joules
+    assert dram / b.total_joules < 0.35
 
 
 def test_epi_scales_with_custom_power_params():

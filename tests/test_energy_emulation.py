@@ -35,7 +35,8 @@ def test_epi_breakdown_fields():
     assert b.dram_dynamic_joules > 0
     assert b.dram_background_joules > 0
     assert b.epi_nj > 0
-    assert 0 < b.dram_share < 0.6
+    dram = b.dram_dynamic_joules + b.dram_background_joules
+    assert 0 < dram / b.total_joules < 0.6
 
 
 def test_normalized_epi_of_self_is_one():

@@ -8,8 +8,7 @@ from repro.characterization.modules import ModulePopulation
 from repro.core import HeteroDMRManager
 from repro.dram import Channel, Module, ModuleSpec
 from repro.errors import (ERROR_PATTERNS, ErrorInjector, ErrorScenario,
-                          errors_per_hour, per_access_error_probability,
-                          population_error_summary)
+                          errors_per_hour, population_error_summary)
 from repro.errors.models import (chip_failure, full_block_error,
                                  multi_byte_burst, single_bit_flip,
                                  stuck_at_zero)
@@ -80,15 +79,6 @@ def test_errors_per_hour_uses_module_rates():
     m = next(mod for mod in pop.modules if mod.ce_rate_per_hour > 0)
     ce, ue = errors_per_hour(m, ErrorScenario(ambient_c=45.0))
     assert ce == pytest.approx(m.ce_rate_per_hour * 4.0)
-
-
-def test_per_access_probability_below_paper_bound():
-    """<0.001% of accesses are erroneous, even at 45C."""
-    pop = ModulePopulation()
-    for m in pop.major_brands():
-        p = per_access_error_probability(
-            m, ErrorScenario(ambient_c=45.0, with_latency_margin=True))
-        assert p < 1e-5
 
 
 def test_population_summary_fields():

@@ -61,7 +61,7 @@ def test_fast_sweep_view_is_pinned(no_env_backend):
 def test_fast_tier_headlines_are_pinned():
     runner = ExperimentRunner(refs_per_core=3000, fidelity="fast",
                               backend="ddr4")
-    headlines = {design: runner.headline_speedup(design)
+    headlines = {design: runner.fig12_bars().headline(design)
                  for design in ("fmr", "hetero-dmr", "hetero-dmr+fmr")}
     assert _digest(headlines) == (
         "9ea81508a47e42bb7552334041239f8f3111459796c6515dacd651edf73be230")
@@ -120,7 +120,7 @@ def test_runner_bars_use_the_backend_rungs_by_rank(backend, rungs):
             design, margin_mts, memory_utilization))
 
     runner.run = fake_run
-    headline = runner.headline_speedup("hetero-dmr", [tiny_hierarchy()])
+    headline = runner.fig12_bars([tiny_hierarchy()]).headline("hetero-dmr")
     assert requested == set(rungs)
     per_margin = []
     for margin in rungs:

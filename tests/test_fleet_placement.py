@@ -5,10 +5,11 @@ import pytest
 
 from repro.fleet import (FleetConfig, FleetIngest, FleetProfiler,
                         MarginRegistry, PlacementService)
-from repro.hpc import (Cluster, EasyBackfillScheduler, Job,
+from repro.hpc import (Cluster, EasyBackfillScheduler, FreeNodePool, Job,
                        MarginAwareAllocationPolicy, PerformanceModel,
                        SystemSimulator, TraceConfig, generate_trace)
 from repro.resilience import build_ladder
+from tests.conftest import policy_select
 
 
 def _profiled_registry(nodes=24, **overrides):
@@ -38,7 +39,7 @@ def test_place_matches_policy_run_directly():
     policy = MarginAwareAllocationPolicy()
     free = list(Cluster.from_registry(registry).nodes)
     for width, assignment in zip(widths, assignments):
-        chosen = policy.select(free, width)
+        chosen = policy_select(policy, free, width)
         if chosen is None:
             assert assignment is None
             continue
@@ -60,11 +61,13 @@ def test_place_and_counts_use_the_policys_mrdimm_buckets():
     assignments = service.place(widths)
     free = list(Cluster.from_registry(registry).nodes)
     for width, assignment in zip(widths, assignments):
-        chosen = policy.select(free, width)
+        chosen = policy_select(policy, free, width)
         free = [n for n in free if n not in chosen]
         assert assignment.nodes == tuple(n.index for n in chosen)
     assert [a.margin_bucket for a in assignments] == [2200, 1600, 0, 0]
-    assert service.bucket_counts() == {2200: 4, 1600: 3, 0: 2}
+    pool = FreeNodePool.of(Cluster.from_registry(registry).nodes, buckets)
+    assert {b: n for b, n in pool.counts.items() if n} == \
+        {2200: 4, 1600: 3, 0: 2}
 
 
 def test_place_prefers_uniform_fast_group():
@@ -91,64 +94,6 @@ def test_place_accepts_jobs_tuples_and_ints():
     assert by_int.job_id == 2        # positional id
     with pytest.raises(ValueError):
         service.place([0])
-
-
-# -- the TTL'd cache ----------------------------------------------------------
-
-
-def test_cache_hits_within_ttl_and_seq():
-    service = PlacementService(_mixed_registry(), cache_ttl_s=100.0)
-    service.place([2], now_s=0.0)
-    service.place([2], now_s=50.0)
-    assert service.cache_hits == 1
-    assert service.cache_misses == 1
-
-
-def test_cache_expires_after_ttl():
-    service = PlacementService(_mixed_registry(), cache_ttl_s=100.0)
-    service.place([2], now_s=0.0)
-    service.place([2], now_s=100.0)
-    assert service.cache_misses == 2
-
-
-def test_registry_event_invalidates_cache_immediately():
-    registry = _mixed_registry()
-    service = PlacementService(registry, cache_ttl_s=1e9)
-    service.place([2], now_s=0.0)
-    registry.record_demotion(0, 0)
-    service.place([2], now_s=1.0)
-    assert service.cache_misses == 2
-
-
-def test_cache_ttl_validation():
-    with pytest.raises(ValueError):
-        PlacementService(_mixed_registry(), cache_ttl_s=0.0)
-
-
-def test_cache_age_survives_clock_step_backwards():
-    """NTP-step regression: the injectable clock jumping backwards
-    (or a caller passing a smaller now_s) must not make the cached
-    view look younger — the high-water clamp freezes time instead."""
-    ticks = iter([100.0, 20.0, 150.0])
-    service = PlacementService(_mixed_registry(), cache_ttl_s=100.0,
-                               clock=lambda: next(ticks))
-    service.place([2])                    # miss at t=100
-    service.place([2])                    # clock stepped back to 20
-    assert service.cache_hits == 1        # clamped to 100: still fresh
-    service.place([2])                    # t=150: age 50 < ttl
-    assert service.cache_hits == 2
-    assert service.cache_misses == 1
-
-
-def test_explicit_now_s_backwards_is_clamped():
-    service = PlacementService(_mixed_registry(), cache_ttl_s=50.0)
-    service.place([2], now_s=100.0)
-    service.place([2], now_s=0.0)         # stale caller clock
-    assert service.cache_hits == 1
-    # Time stays at the high-water mark, so the TTL still expires
-    # relative to it rather than to the bogus earlier value.
-    service.place([2], now_s=160.0)
-    assert service.cache_misses == 2
 
 
 # -- acceptance: a demotion changes the next placement ------------------------

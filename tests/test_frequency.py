@@ -56,12 +56,13 @@ def test_total_transition_time():
     m = FrequencyMachine()
     t = m.speed_up(0.0)
     m.slow_down(t)
-    assert m.total_transition_time_ns == pytest.approx(2 * TRANSITION_NS)
+    assert sum(r.end_ns - r.start_ns for r in m.history) == \
+        pytest.approx(2 * TRANSITION_NS)
 
 
 def test_is_stable():
-    m = FrequencyMachine()
-    assert m.is_stable()
+    assert FrequencyMachine().state in (FrequencyState.SAFE,
+                                        FrequencyState.FAST)
 
 
 def test_illegal_transition_from_transient():

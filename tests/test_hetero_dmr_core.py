@@ -71,13 +71,6 @@ def test_epoch_guard_negative_count():
         EpochGuard().record_error(0.0, count=-1)
 
 
-def test_worst_case_mttsdc_one_billion_years():
-    g = EpochGuard()
-    years = g.worst_case_mttsdc_years()
-    assert years >= 1.0e9
-    assert years < 1.2e9
-
-
 def test_snap_to_step():
     assert snap_to_step(799) == 600
     assert snap_to_step(800) == 800

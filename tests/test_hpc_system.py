@@ -8,6 +8,7 @@ from repro.hpc import (AllocationPolicy, CONVENTIONAL_MODEL, Cluster,
                        SystemSimulator, TraceConfig, bucket_fractions,
                        generate_trace, memory_bucket)
 from repro.hpc.traces import MEMORY_BUCKET_FRACTIONS
+from tests.conftest import policy_select
 
 
 def test_job_validation():
@@ -75,20 +76,20 @@ def test_cluster_validates_fractions():
 
 def test_default_policy_takes_first_free():
     c = Cluster(10)
-    out = AllocationPolicy().select(c.nodes, 3)
+    out = policy_select(AllocationPolicy(), c.nodes, 3)
     assert out == c.nodes[:3]
-    assert AllocationPolicy().select(c.nodes, 11) is None
+    assert policy_select(AllocationPolicy(), c.nodes, 11) is None
 
 
 def test_margin_aware_prefers_uniform_fast_group():
     c = Cluster(100, group_fractions={800: 0.5, 600: 0.5, 0: 0.0})
-    out = MarginAwareAllocationPolicy().select(c.nodes, 10)
+    out = policy_select(MarginAwareAllocationPolicy(), c.nodes, 10)
     assert all(n.margin_mts == 800 for n in out)
 
 
 def test_margin_aware_falls_back_to_fastest():
     c = Cluster(20, group_fractions={800: 0.5, 600: 0.5, 0: 0.0})
-    out = MarginAwareAllocationPolicy().select(c.nodes, 15)
+    out = policy_select(MarginAwareAllocationPolicy(), c.nodes, 15)
     assert len(out) == 15
     assert sum(1 for n in out if n.margin_mts == 800) == 10
 

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.characterization import (LatencyMarginSearch, MarginMonteCarlo,
-                                    ModulePopulation,
-                                    conservative_setting,
-                                    exhaustive_test_count)
+                                    ModulePopulation, conservative_setting)
 from repro.characterization.margins import CONSERVATIVE_MARGINS
 
 POP = ModulePopulation()
@@ -25,10 +23,6 @@ def test_conservative_setting_absolute_values():
     assert s["tREFI"] == pytest.approx(14976, abs=60)
 
 
-def test_exhaustive_count_is_intractable():
-    assert exhaustive_test_count() >= 52_320
-
-
 def test_search_result_dominates_conservative_floor():
     search = LatencyMarginSearch()
     result = search.search(POP.modules)
@@ -43,11 +37,6 @@ def test_search_is_componentwise_minimum():
         own = search.module_latency_margins(m)
         for name in CONSERVATIVE_MARGINS:
             assert result[name] <= own[name] + 1e-12
-
-
-def test_frequency_margin_survives_latency_margins():
-    search = LatencyMarginSearch()
-    assert all(search.frequency_margin_unchanged(m) for m in POP.modules)
 
 
 def test_mc_channel_fractions_match_fig11():

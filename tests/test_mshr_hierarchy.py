@@ -3,20 +3,25 @@
 import pytest
 
 from repro.cache.hierarchy import (CacheHierarchy, hierarchy1, hierarchy2)
+from tests.conftest import dirty_lines
+
+
+def _cache_per_core_mb(h):
+    return (h.l2_bytes_per_core + h.l3_bytes_total / h.cores) / (1 << 20)
 
 
 def test_hierarchy1_matches_table3():
     h = hierarchy1()
     assert h.cores == 8
     assert h.channels == 1
-    assert h.cache_per_core_mb == pytest.approx(4.5)
+    assert _cache_per_core_mb(h) == pytest.approx(4.5)
 
 
 def test_hierarchy2_matches_table3():
     h = hierarchy2()
     assert h.cores == 16
     assert h.channels == 4
-    assert h.cache_per_core_mb == pytest.approx(2.375)
+    assert _cache_per_core_mb(h) == pytest.approx(2.375)
 
 
 def test_l2_hit_path():
@@ -46,7 +51,7 @@ def test_fill_installs_both_levels():
     h = CacheHierarchy(hierarchy1())
     h.fill(0, 0x2000, is_write=True)
     assert h.l3.contains(0x2000)
-    assert h.l2s[0].is_dirty(0x2000)
+    assert 0x2000 in dirty_lines(h.l2s[0])
 
 
 def test_l2_victim_lands_dirty_in_l3():
@@ -59,7 +64,7 @@ def test_l2_victim_lands_dirty_in_l3():
         h.fill(0, a, is_write=True)
     evicted = addrs[0]
     assert not l2.contains(evicted)
-    assert h.l3.is_dirty(evicted)
+    assert evicted in dirty_lines(h.l3)
 
 
 def test_llc_cleaning_hooks():
@@ -68,10 +73,10 @@ def test_llc_cleaning_hooks():
         h.l3.fill(i * 64, dirty=True)
     cleaned = h.clean_llc(5)
     assert cleaned == [i * 64 for i in range(5)]      # LRU first
-    assert h.l3.dirty_line_count() == 5
+    assert len(dirty_lines(h.l3)) == 5
     assert h.l3.stats.cleaned == 5
     assert h.clean_llc(100) == [i * 64 for i in range(5, 10)]
-    assert h.l3.dirty_line_count() == 0
+    assert dirty_lines(h.l3) == []
 
 
 def test_fill_prefetch_only_l3():

@@ -12,7 +12,7 @@ from repro.cache.hierarchy import CacheHierarchy, hierarchy1, hierarchy2
 from repro.sim import NodeConfig, simulate_node
 from repro.sim.node import NodeSimulation
 from repro.dram.timing import exploit_freq_lat_margins
-from tests.conftest import tiny_hierarchy
+from tests.conftest import dirty_lines, tiny_hierarchy
 
 
 def _cfg(**kw):
@@ -216,18 +216,18 @@ def test_short_run_warm_builds_no_set_and_draws_like_a_long_one(
 def test_hetero_llc_starts_clean_without_disturbing_the_snapshot():
     hierarchy_module._last_warm = None
     base = _paper_cfg("linpack", hierarchy1(), "baseline")
-    cold_dirty = NodeSimulation(base).hierarchy.l3.dirty_line_count()
+    cold_dirty = len(dirty_lines(NodeSimulation(base).hierarchy.l3))
     assert cold_dirty > 0
     hetero = NodeSimulation(_paper_cfg("linpack", hierarchy1(),
                                        "hetero-dmr"))
-    assert hetero.hierarchy.l3.dirty_line_count() == 0
-    assert hetero.hierarchy.l2s[0].dirty_line_count() > 0
-    assert NodeSimulation(base).hierarchy.l3.dirty_line_count() == \
+    assert dirty_lines(hetero.hierarchy.l3) == []
+    assert dirty_lines(hetero.hierarchy.l2s[0])
+    assert len(dirty_lines(NodeSimulation(base).hierarchy.l3)) == \
         cold_dirty
     # A hetero node warmed cold still leaves the dirty snapshot behind.
     hierarchy_module._last_warm = None
     NodeSimulation(_paper_cfg("linpack", hierarchy1(), "hetero-dmr+fmr"))
-    assert NodeSimulation(base).hierarchy.l3.dirty_line_count() == \
+    assert len(dirty_lines(NodeSimulation(base).hierarchy.l3)) == \
         cold_dirty
 
 

@@ -10,6 +10,7 @@ from repro.obs import (DEFAULT_BUCKETS, JsonlTraceSink, MemoryTraceSink,
                        NullRecorder, Recorder, get_recorder, read_trace,
                        recording, set_recorder, to_json, to_prometheus)
 from repro.obs.recorder import metric_key
+from tests.conftest import metric
 
 
 # -- recorder ----------------------------------------------------------------------
@@ -20,9 +21,11 @@ def test_counter_accumulates_by_series():
     rec.counter("freq", "transitions", direction="fast")
     rec.counter("freq", "transitions", 2, direction="fast")
     rec.counter("freq", "transitions", direction="safe")
-    assert rec.counter_value("freq", "transitions", direction="fast") == 3
-    assert rec.counter_value("freq", "transitions", direction="safe") == 1
-    assert rec.counter_value("freq", "missing") == 0
+    assert metric(rec, "counters", "freq", "transitions",
+                  direction="fast") == 3
+    assert metric(rec, "counters", "freq", "transitions",
+                  direction="safe") == 1
+    assert metric(rec, "counters", "freq", "missing") is None
 
 
 def test_counter_rejects_negative():
@@ -34,15 +37,15 @@ def test_gauge_latest_value_wins():
     rec = Recorder()
     rec.gauge("sim", "row_hit_rate", 0.5)
     rec.gauge("sim", "row_hit_rate", 0.8)
-    assert rec.gauge_value("sim", "row_hit_rate") == 0.8
-    assert rec.gauge_value("sim", "missing") is None
+    assert metric(rec, "gauges", "sim", "row_hit_rate") == 0.8
+    assert metric(rec, "gauges", "sim", "missing") is None
 
 
 def test_label_order_does_not_split_series():
     rec = Recorder()
     rec.counter("s", "n", a=1, b=2)
     rec.counter("s", "n", b=2, a=1)
-    assert rec.counter_value("s", "n", a=1, b=2) == 2
+    assert metric(rec, "counters", "s", "n", a=1, b=2) == 2
     assert len(rec.snapshot()["counters"]) == 1
 
 
@@ -60,8 +63,9 @@ def test_one_label_counter_merges_with_its_sorted_form_series():
     rec._counters[("ha", "lease_renewals", (("result", "ok"),))] += 4
     rec.counter("x", "y", shard=1)
     rec.counter("x", "y", shard="1")
-    assert rec.counter_value("ha", "lease_renewals", result="ok") == 5
-    assert rec.counter_value("x", "y", shard=1) == 2
+    assert metric(rec, "counters", "ha", "lease_renewals",
+                  result="ok") == 5
+    assert metric(rec, "counters", "x", "y", shard=1) == 2
     assert [row["labels"] for row in rec.snapshot()["counters"]] == [
         {"result": "ok"}, {"shard": "1"}]
 
@@ -325,10 +329,10 @@ def test_frequency_machine_emits_transitions():
         machine = FrequencyMachine()
         machine.speed_up(0.0)
         machine.slow_down(2000.0)
-    assert rec.counter_value("freq", "transitions",
-                             direction="fast") == 1
-    assert rec.counter_value("freq", "transitions",
-                             direction="safe") == 1
+    assert metric(rec, "counters", "freq", "transitions",
+                  direction="fast") == 1
+    assert metric(rec, "counters", "freq", "transitions",
+                  direction="safe") == 1
     assert [e["event"] for e in sink.events] == ["transition",
                                                  "transition"]
     assert sink.events[0]["fields"]["to_state"] == "fast"
@@ -341,8 +345,8 @@ def test_epoch_guard_emits_trips_and_rolls():
         guard = EpochGuard(threshold=5)
         guard.record_error(0.0, count=6)          # trip
         guard.record_error(1.5 * NS_PER_HOUR)     # roll re-arms
-    assert rec.counter_value("epoch", "trips") == 1
-    assert rec.counter_value("epoch", "rolls") == 1
+    assert metric(rec, "counters", "epoch", "trips") == 1
+    assert metric(rec, "counters", "epoch", "rolls") == 1
     kinds = [e["event"] for e in sink.events]
     assert kinds == ["epoch_trip", "epoch_roll"]
 
@@ -353,9 +357,10 @@ def test_registry_records_event_counters():
         registry = MarginRegistry()
         registry.record_profile(0, 800, time_s=1.0)
         registry.record_demotion(0, 600, time_s=2.0)
-    assert rec.counter_value("registry", "events", kind="profile") == 1
-    assert rec.counter_value("registry", "events", kind="demote") == 1
-    assert rec.gauge_value("registry", "last_seq") == 2
+    for kind in ("profile", "demote"):
+        assert metric(rec, "counters", "registry", "events",
+                      kind=kind) == 1
+    assert metric(rec, "gauges", "registry", "last_seq") == 2
 
 
 def test_uninstrumented_run_identical_under_null_recorder():

@@ -24,6 +24,7 @@ from repro.hpc import (AllocationPolicy, Cluster, EasyBackfillScheduler,
                        FreeNodePool, Job, MarginAwareAllocationPolicy,
                        PerformanceModel, SystemSimulator)
 from repro.service.daemon import BucketPool
+from tests.conftest import policy_select
 
 DDR4 = (800, 600, 0)
 MRDIMM = (2200, 1600, 0)
@@ -206,7 +207,7 @@ def test_incremental_pool_picks_match_oracle(cluster, policy, rng,
 def test_select_matches_oracle(cluster, policy, rng, count):
     free = list(cluster.nodes)
     rng.shuffle(free)
-    assert _ids(policy.select(free, count)) == \
+    assert _ids(policy_select(policy, free, count)) == \
         _ids(oracle_select(policy)(free, count))
 
 
@@ -493,7 +494,7 @@ def test_a_key_not_free_raises_and_leaves_the_pool_as_it_was():
 
 def test_negative_counts_raise_and_zero_picks_nothing():
     """5 x 800 + 3 x 600: a count below 0 is refused with its cause
-    named, through the pool and through ``select``; 0 picks nothing,
+    named, through the pool and through each policy; 0 picks nothing,
     as the oracle's ``free[:0]`` does."""
     nodes = Cluster.from_margins([800] * 5 + [600] * 3).nodes
     pool = FreeNodePool.of(nodes, DDR4)
@@ -503,8 +504,8 @@ def test_negative_counts_raise_and_zero_picks_nothing():
             pick(count)
     for policy in (AllocationPolicy(), MarginAwareAllocationPolicy(DDR4)):
         with pytest.raises(ValueError, match="must not be negative"):
-            policy.select(list(nodes), -1)
-        assert policy.select(list(nodes), 0) == []
+            policy_select(policy, list(nodes), -1)
+        assert policy_select(policy, list(nodes), 0) == []
         assert policy.pick(pool, 0) == []
     assert len(pool) == 8
 

@@ -38,29 +38,10 @@ def test_guard_band_validation():
         NodeMarginProfiler(guard_band_mts=-1)
 
 
-def test_reprofile_interval():
-    p = NodeMarginProfiler(reprofile_interval_s=100.0)
-    assert p.needs_reprofile(0.0)
-    p.profile(_channels(), now_s=0.0)
-    assert not p.needs_reprofile(50.0)
-    assert p.needs_reprofile(150.0)
-
-
-def test_needs_reprofile_exactly_at_deadline():
-    """Regression: the deadline is inclusive — a node whose interval
-    has *exactly* elapsed must re-profile (>=, not >)."""
-    p = NodeMarginProfiler(reprofile_interval_s=100.0)
-    p.profile(_channels(), now_s=10.0)
-    assert not p.needs_reprofile(109.999)
-    assert p.needs_reprofile(110.0)
-    assert p.needs_reprofile(110.001)
-
-
 def test_profile_stamp_source_is_monotonic_clock():
     """Regression: ``profiled_at_s`` used wall-clock ``time.time()``,
     so an NTP step backwards between profiles could order a newer
-    profile *before* an older one (confusing ``needs_reprofile`` and
-    registry freshness).  The default stamp source is now the
+    profile *before* an older one (confusing registry freshness).  The default stamp source is now the
     monotonic clock."""
     import time
     p = NodeMarginProfiler()
@@ -83,18 +64,6 @@ def test_profile_stamps_never_go_backwards():
     # Explicit now_s is clamped the same way.
     backwards = p.profile(channels, now_s=10.0)
     assert backwards.profiled_at_s == 120.0
-
-
-def test_profile_stamp_clamp_keeps_reprofile_interval_sane():
-    """A backwards clock step must not make needs_reprofile() think
-    the last profile lies in the future forever."""
-    steps = iter([1000.0, 10.0])
-    p = NodeMarginProfiler(reprofile_interval_s=100.0,
-                           clock=lambda: next(steps))
-    p.profile(_channels())
-    p.profile(_channels())                 # stamp stays at 1000.0
-    assert not p.needs_reprofile(1050.0)
-    assert p.needs_reprofile(1100.0)
 
 
 def test_profile_with_retry_exhaustion():

@@ -41,7 +41,7 @@ def test_frequency_machine_always_stable_between_calls(directions):
     now = 0.0
     for up in directions:
         now = m.speed_up(now) if up else m.slow_down(now)
-        assert m.is_stable()
+        assert m.state in (FrequencyState.SAFE, FrequencyState.FAST)
     # Time accounting: completed transitions each took exactly 1 us.
     assert now == pytest.approx(
         sum(r.end_ns - r.start_ns for r in m.history))

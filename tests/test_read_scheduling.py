@@ -238,7 +238,6 @@ def test_replica_rule_matches_read_rank_oracle(spec, design, local_rank,
     assert flat == expected
     assert ch.locate_rank(flat)[1] is rank
     assert rank.banks[bank] is bank_obj
-    assert policy.read_rank(ch, req, NOW_NS) == expected
 
 
 def test_replica_candidates_home_copy_first():

@@ -158,13 +158,13 @@ def test_small_error_in_original_ecc_corrected():
     block = mgr.channel.modules[0].read_block(64)
     raw = block.stored_bytes()
     raw[10] ^= 0x08
-    mgr.corrupt_original(64, raw)
+    mgr.channel.modules[0].corrupt_block(64, raw)
     assert list(mgr.read(64)) == data[64]
 
 
 def test_uncorrectable_original_raises():
     mgr, _ = _filled(n=4)
-    mgr.corrupt_original(64, [0x55] * 72)
+    mgr.channel.modules[0].corrupt_block(64, [0x55] * 72)
     with pytest.raises(UncorrectableError):
         mgr.read(64)
 

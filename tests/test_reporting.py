@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import (format_bar_chart, format_series,
-                                      format_table)
+from repro.analysis.reporting import format_bar_chart, format_table
 
 
 def test_table_alignment():
@@ -26,12 +25,6 @@ def test_table_mismatched_row_raises():
 def test_table_float_formatting():
     out = format_table(["v"], [[1.23456]])
     assert "1.235" in out
-
-
-def test_series_format():
-    s = format_series("lat", {"p50": 1.0, "p99": 2.5})
-    assert s.startswith("lat:")
-    assert "p99=2.500" in s
 
 
 def test_bar_chart_scales_to_peak():

@@ -3,10 +3,12 @@ daemon (admission control, backpressure, deadlines, lifecycle), and
 the integrations ISSUE'd with it (ingest routing, recovery via the
 owning shard, placement over a sharded fleet)."""
 
+import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.margin_selection import bucket_node_margin
 from repro.fleet import (FleetIngest, MarginRegistry, PlacementService,
@@ -15,8 +17,11 @@ from repro.hpc import Cluster, MarginAwareAllocationPolicy
 from repro.obs import MemoryTraceSink, Recorder, recording
 from repro.recovery import CheckpointStore, RecoveryManager
 from repro.resilience import build_ladder
-from repro.service import (DaemonConfig, PlacementDaemon, RegistryWrite,
-                           ShardedRegistry, shard_for_node)
+from repro.service import (DaemonConfig, HAConfig, HAControlPlane,
+                           PlacementDaemon, RegistryWrite, ShardedRegistry,
+                           seed_fleet, shard_for_node)
+from repro.service.soak import random_registry_write
+from tests.conftest import metric, policy_select
 
 #: An unclosed file (a leaked WAL append handle) fails the test.
 pytestmark = [
@@ -308,14 +313,13 @@ def test_cluster_and_placement_service_over_sharded_fleet():
     cluster = Cluster.from_registry(registry)
     assert [n.effective_margin_mts for n in cluster.nodes] == \
         registry.effective_margins()
-    service = PlacementService(registry, cache_ttl_s=1e9)
-    (first,) = service.place([2], now_s=0.0)
+    service = PlacementService(registry)
+    (first,) = service.place([2])
     assert first.margin_bucket == 800
-    # A write through the facade bumps the version counter and
-    # invalidates the cached view immediately.
+    # A write through the facade changes the next placement.
     registry.record_demotion(first.nodes[0], 0)
-    service.place([2], now_s=1.0)
-    assert service.cache_misses == 2
+    (second,) = service.place([2])
+    assert first.nodes[0] not in second.nodes
 
 
 def test_recovery_manager_uses_owning_shard(tmp_path):
@@ -348,6 +352,59 @@ def _daemon(registry=None, config=None):
     return daemon, decisions
 
 
+#: One request of a random stream: a placement width, a release of a
+#: job id, a write (the generators' mix, over twice the fleet's node
+#: ids), or a clock step.
+_REQUESTS = st.one_of(
+    st.tuples(st.just("place"), st.integers(1, 6)),
+    st.tuples(st.just("release"), st.integers(0, 30)),
+    st.tuples(st.just("write"), st.integers(0, 2 ** 32)),
+    st.tuples(st.just("tick"), st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(requests=st.lists(_REQUESTS, max_size=40),
+       daemons=st.sampled_from([1, 2]))
+def test_no_decision_names_a_node_outside_the_seeded_fleet(requests,
+                                                           daemons):
+    """A write that names a node the fleet was not seeded with is
+    refused before it is queued, whatever its kind, so no decision of
+    either service ever places such a node."""
+    nodes = 12
+    decisions = []
+    if daemons == 1:
+        registry = ShardedRegistry(shards=4)
+        seed_fleet(registry, nodes, seed=3)
+        target = PlacementDaemon(registry,
+                                 decision_sink=decisions.append)
+    else:
+        target = HAControlPlane(HAConfig(nodes=nodes, shards=4, seed=3),
+                                decision_sink=decisions.append)
+    now = job = 0
+    for op, arg in requests:
+        if op == "place":
+            job += 1
+            target.submit_place(job, arg)
+        elif op == "release":
+            target.submit_release(arg)
+        elif op == "write":
+            write = random_registry_write(random.Random(arg), 2 * nodes,
+                                          "property")
+            if write.node < nodes:
+                target.submit_write(write)
+            else:
+                with pytest.raises(ValueError, match="not in the fleet"):
+                    target.submit_write(write)
+        else:
+            now += arg
+            target.drain()
+            target.tick(now)
+    if daemons > 1:
+        target.settle()
+    target.stop()
+    assert all(0 <= n < nodes for d in decisions for n in d.nodes)
+
+
 def test_daemon_matches_batch_policy_exactly():
     """The daemon's incremental bucket pool must order nodes exactly
     like MarginAwareAllocationPolicy over the same fleet."""
@@ -361,7 +418,7 @@ def test_daemon_matches_batch_policy_exactly():
     policy = MarginAwareAllocationPolicy()
     free = list(Cluster.from_registry(registry).nodes)
     for width, decision in zip(widths, decisions):
-        chosen = policy.select(free, width)
+        chosen = policy_select(policy, free, width)
         if chosen is None:
             assert decision.status == "unsatisfiable"
             continue
@@ -392,7 +449,7 @@ def test_daemon_buckets_an_mrdimm_fleet_like_backend_compare(
     policy = MarginAwareAllocationPolicy(buckets=buckets)
     free = list(Cluster.from_registry(_sharded(MRDIMM_MARGINS)).nodes)
     for width, decision in zip(widths, decisions):
-        chosen = policy.select(free, width)
+        chosen = policy_select(policy, free, width)
         free = [n for n in free if n not in chosen]
         assert decision.status == "placed"
         assert decision.nodes == tuple(n.index for n in chosen)
@@ -575,18 +632,18 @@ def test_daemon_emits_exactly_its_catalog_rows():
         for i in range(3):
             daemon.submit_place(i, 1)
         daemon.drain()
-        assert rec.gauge_value("service", "queue_depth") == 3
+        assert metric(rec, "gauges", "service", "queue_depth") == 3
         for i in range(10):        # the ninth write drains 8 messages
             daemon.submit_write(RegistryWrite(
                 "demote", i, {"margin_mts": 400, "reason": "obs"}))
-        assert rec.gauge_value("service", "queue_depth") == 8
+        assert metric(rec, "gauges", "service", "queue_depth") == 8
         daemon.stop()
-    assert rec.gauge_value("service", "queue_depth") == 2
-    assert rec.gauge_value("service", "queue_peak") == 8
-    assert rec.counter_value("service", "cache_checks",
-                             result="miss") == 4
-    assert rec.counter_value("service", "cache_checks",
-                             result="hit") == 8
+    assert metric(rec, "gauges", "service", "queue_depth") == 2
+    assert metric(rec, "gauges", "service", "queue_peak") == 8
+    assert metric(rec, "counters", "service", "cache_checks",
+                  result="miss") == 4
+    assert metric(rec, "counters", "service", "cache_checks",
+                  result="hit") == 8
     assert rec.histogram_stats("service", "place_latency_s")["count"] == 3
     snapshot = rec.snapshot()
     emitted = {(kind, row["name"])

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.characterization.stress import StressTester
-from repro.characterization.temperature import (TrinititeSampler,
-                                                dimm_temperature_c,
-                                                error_rate_multiplier,
-                                                trinitite_percentile)
+from repro.characterization.temperature import (dimm_temperature_c,
+                                                error_rate_multiplier)
 
 
 def test_room_ambient_anchors():
@@ -27,20 +25,6 @@ def test_multiplier_anchors():
 def test_multiplier_monotonic():
     assert error_rate_multiplier(35.0, False) > 1.0
     assert error_rate_multiplier(35.0, False) < 4.0
-
-
-def test_trinitite_percentiles():
-    assert trinitite_percentile(10.0) == 0.0
-    assert trinitite_percentile(43.0) == pytest.approx(0.99)
-    assert trinitite_percentile(53.0) == pytest.approx(0.9985)
-    assert trinitite_percentile(60.0) == pytest.approx(0.99991)
-    assert trinitite_percentile(99.0) == pytest.approx(0.99991)
-
-
-def test_trinitite_sampler_bounds():
-    samples = TrinititeSampler().sample(2000)
-    assert min(samples) >= 16.0
-    assert max(samples) <= 75.0
 
 
 def test_stress_passes_within_margin():
